@@ -5,16 +5,16 @@ block-model synthetic benchmarks, MovieLens-1M preparation, and a
 multi-trial experiment harness.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .data import GroupAssignment, RatingSet, read_groups, read_ratings, write_groups, write_ratings
 from .fairness import (FairnessReport, GroupItemAverages, METRIC_NAMES, group_item_averages,
                        metric_absolute, metric_nonparity, metric_over, metric_under,
                        metric_value, penalty, penalty_gradient, smoothed_penalty_term)
-from .model import (Gradients, ModelParams, PENALTY_KINDS, TrainConfig, load_params,
+from .model import (ModelParams, PENALTY_KINDS, TrainConfig, load_params,
                     mf_gradient, mf_objective, predict, predict_entries, predict_matrix,
                     save_params)
-from .trainer import AdamState, DivergenceError, TrainTrace, adam_step, init_params, train
+from .trainer import DivergenceError, TrainTrace, adam_step, init_params, train
 from .synthetic import (BlockModelSpec, SyntheticDataset, builtin_specs, evaluation_set,
                         generate, load_spec, spec_from_json, spec_to_json)
 from .ingest import (DEFAULT_GENRES, DEFAULT_MIN_RATINGS, FilteredDataset, GenreStats,
@@ -28,12 +28,12 @@ __all__ = [
     "__version__",
     "RatingSet", "GroupAssignment", "read_ratings", "write_ratings", "read_groups",
     "write_groups",
-    "ModelParams", "Gradients", "TrainConfig", "PENALTY_KINDS", "predict", "predict_entries",
+    "ModelParams", "TrainConfig", "PENALTY_KINDS", "predict", "predict_entries",
     "predict_matrix", "mf_objective", "mf_gradient", "save_params", "load_params",
     "METRIC_NAMES", "GroupItemAverages", "FairnessReport", "group_item_averages",
     "metric_value", "metric_absolute", "metric_under", "metric_over", "metric_nonparity",
     "smoothed_penalty_term", "penalty", "penalty_gradient",
-    "AdamState", "TrainTrace", "DivergenceError", "adam_step", "init_params", "train",
+    "TrainTrace", "DivergenceError", "adam_step", "init_params", "train",
     "BlockModelSpec", "SyntheticDataset", "builtin_specs", "generate", "evaluation_set",
     "spec_to_json", "spec_from_json", "load_spec",
     "MovieLensRaw", "FilteredDataset", "GenreStats", "DEFAULT_GENRES", "DEFAULT_MIN_RATINGS",

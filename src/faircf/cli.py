@@ -121,18 +121,20 @@ def _sha256_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _read_json_object(path, what: str) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:               # invalid JSON or invalid UTF-8
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
 def _resolve(command: str, cli_values: dict, config_path: str | None) -> dict:
     """Merge flags > config file > environment > defaults for one command."""
     schema = _SCHEMAS[command]
-    file_values = {}
-    if config_path:
-        try:
-            doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{config_path}: invalid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ValueError(f"{config_path}: config must be a JSON object")
-        file_values = doc
+    file_values = _read_json_object(config_path, "config") if config_path else {}
     params = {}
     for name, (typ, default, required, _) in schema.items():
         key = name.replace("-", "_")
@@ -186,15 +188,16 @@ def _train_config(params: dict, penalty: str, seed: int) -> TrainConfig:
 def _dataset_dims(data_dir: Path):
     """Grid dimensions recorded by a previous generate/prepare run, if any."""
     manifest = data_dir / "manifest.json"
-    if manifest.exists():
-        try:
-            doc = json.loads(manifest.read_text(encoding="utf-8"))
-            ds = doc.get("dataset", {})
-            if "num_users" in ds and "num_items" in ds:
-                return int(ds["num_users"]), int(ds["num_items"])
-        except (json.JSONDecodeError, TypeError, ValueError):
-            pass
-    return None, None
+    if not manifest.exists():
+        return None, None
+    ds = _read_json_object(manifest, "manifest").get("dataset", {})
+    if not isinstance(ds, dict):
+        raise ValueError(f"{manifest}: 'dataset' must be a JSON object")
+    dims = ds.get("num_users"), ds.get("num_items")
+    if dims != (None, None) and not all(type(x) is int and x > 0 for x in dims):
+        raise ValueError(f"{manifest}: 'dataset' must hold num_users and num_items "
+                         "as positive integers")
+    return dims
 
 
 def _load_dataset(data_dir: Path):
@@ -381,12 +384,15 @@ def _run_command(command: str, params: dict) -> int:
 
 def _cmd_rerun(manifest_path: str, out_override: str | None) -> int:
     path = Path(manifest_path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = _read_json_object(path, "manifest")
     command = doc.get("command")
-    if command not in _HANDLERS:
+    if not isinstance(command, str) or command not in _HANDLERS:
         raise ValueError(f"{path}: manifest has no runnable command")
-    params = dict(doc.get("params", {}))
-    for input_path, recorded in doc.get("input_checksums", {}).items():
+    params = doc.get("params", {})
+    checksums = doc.get("input_checksums", {})
+    if not isinstance(params, dict) or not isinstance(checksums, dict):
+        raise ValueError(f"{path}: manifest 'params' and 'input_checksums' must be JSON objects")
+    for input_path, recorded in checksums.items():
         if not Path(input_path).exists():
             raise FileNotFoundError(f"manifest input missing: {input_path}")
         actual = _checksum(input_path)

@@ -19,6 +19,15 @@ from pathlib import Path
 import numpy as np
 
 
+class RatingEntryError(ValueError):
+    """A RatingSet check failed; ``entry`` is the index of the first entry
+    at fault (for a duplicate pair, its second occurrence)."""
+
+    def __init__(self, message, bad):
+        super().__init__(message)
+        self.entry = int(np.argmax(bad))
+
+
 class RatingSet:
     """Sparse set of observed (user, item, value) triples on a fixed grid.
 
@@ -48,16 +57,22 @@ class RatingSet:
             raise ValueError("users, items and values must be 1-d arrays of equal length")
         if self.num_users <= 0 or self.num_items <= 0:
             raise ValueError("rating grid must have at least one user and one item")
-        if len(self.users):
-            if self.users.min() < 0 or self.users.max() >= self.num_users:
-                raise ValueError("user index out of range")
-            if self.items.min() < 0 or self.items.max() >= self.num_items:
-                raise ValueError("item index out of range")
-            keys = self.users * self.num_items + self.items
+        users, items = self.users, self.items
+        if len(users):
+            if users.min() < 0 or users.max() >= self.num_users:
+                raise RatingEntryError("user index out of range",
+                                       (users < 0) | (users >= self.num_users))
+            if items.min() < 0 or items.max() >= self.num_items:
+                raise RatingEntryError("item index out of range",
+                                       (items < 0) | (items >= self.num_items))
+            keys = users * self.num_items + items
             if np.unique(keys).size != keys.size:
-                raise ValueError("duplicate (user, item) pair")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("rating values must be finite")
+                repeated = np.ones(keys.size, dtype=bool)
+                repeated[np.unique(keys, return_index=True)[1]] = False
+                raise RatingEntryError("duplicate (user, item) pair", repeated)
+        finite = np.isfinite(self.values)
+        if not np.all(finite):
+            raise RatingEntryError("rating values must be finite", ~finite)
 
     def __len__(self):
         return int(self.values.shape[0])
@@ -146,8 +161,13 @@ def read_ratings(path, num_users=None, num_items=None) -> RatingSet:
         num_users = max(users) + 1
     if num_items is None:
         num_items = max(items) + 1
-    return RatingSet(np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
-                     np.array(values, dtype=np.float64), num_users, num_items)
+    try:
+        return RatingSet(np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
+                         np.array(values, dtype=np.float64), num_users, num_items)
+    except RatingEntryError as exc:
+        with path.open("r", encoding="utf-8") as fh:     # blank lines hold no entry
+            linenos = [n for n, line in enumerate(fh, start=1) if line.rstrip("\n")]
+        raise ValueError(f"{path}: line {linenos[exc.entry]}: {exc}") from None
 
 
 def write_groups(groups: GroupAssignment, path):

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GroupAssignment, RatingSet
-from .model import (Gradients, ModelParams, PENALTY_KINDS, accumulate_gradient,
-                    predict_entries)
+from .model import ModelParams, PENALTY_KINDS, accumulate_gradient, predict_entries
 
 # Report column order, fixed for every CSV/table writer in the package.
 METRIC_NAMES = ("error", "value", "absolute", "under", "over", "nonparity")
@@ -224,83 +223,67 @@ def _inner_terms(kind: str, avgs: GroupItemAverages):
     return d, fac_dis, fac_adv
 
 
-def _check_kind(kind: str):
-    if kind not in PENALTY_KINDS:
-        raise ValueError(f"unknown penalty {kind!r}; valid: {', '.join(PENALTY_KINDS)}")
-
-
-def _smoothed_metric(kind: str, avgs: GroupItemAverages) -> float:
-    if kind == "nonparity":
-        if np.isnan(avgs.overall_pred_dis) or np.isnan(avgs.overall_pred_adv):
-            return 0.0
-        return float(smoothed_penalty_term(avgs.overall_pred_dis - avgs.overall_pred_adv))
-    if kind == "under_plus_over":
-        return _smoothed_metric("under", avgs) + _smoothed_metric("over", avgs)
-    valid = avgs.both_observed
-    if not valid.any():
-        return 0.0
-    d, _, _ = _inner_terms(kind, avgs)
-    return float(np.mean(smoothed_penalty_term(d[valid])))
-
-
-def penalty(kind: str, params: ModelParams, ratings: RatingSet,
-            groups: GroupAssignment, weight: float = 1.0) -> float:
-    """Smoothed unfairness penalty of the model on the given rating set."""
-    _check_kind(kind)
-    if kind == "none":
-        return 0.0
-    if len(ratings) == 0:
-        raise ValueError("cannot evaluate a penalty on an empty rating set")
-    preds = predict_entries(params, ratings.users, ratings.items)
-    avgs = group_item_averages(preds, ratings, groups)
-    return weight * _smoothed_metric(kind, avgs)
-
-
-def _prediction_weights(kind: str, avgs: GroupItemAverages, ratings: RatingSet,
-                        groups: GroupAssignment) -> np.ndarray:
-    """d penalty / d yhat_k for every rating entry k."""
+def _smoothed_terms(kind: str, avgs: GroupItemAverages, ratings: RatingSet,
+                    groups: GroupAssignment) -> tuple[float, np.ndarray]:
+    """Smoothed metric and its derivative d metric / d yhat_k for every
+    rating entry k."""
     n_entries = len(ratings)
-    if kind == "none":
-        return np.zeros(n_entries)
     if kind == "under_plus_over":
-        return (_prediction_weights("under", avgs, ratings, groups)
-                + _prediction_weights("over", avgs, ratings, groups))
+        under, w_under = _smoothed_terms("under", avgs, ratings, groups)
+        over, w_over = _smoothed_terms("over", avgs, ratings, groups)
+        return under + over, w_under + w_over
     dis = groups.disadvantaged[ratings.users]
     if kind == "nonparity":
         n_dis = int(dis.sum())
         n_adv = n_entries - n_dis
         if n_dis == 0 or n_adv == 0:
-            return np.zeros(n_entries)
-        slope = float(_smoothed_slope(avgs.overall_pred_dis - avgs.overall_pred_adv))
-        return np.where(dis, slope / n_dis, -slope / n_adv)
+            return 0.0, np.zeros(n_entries)
+        gap = avgs.overall_pred_dis - avgs.overall_pred_adv
+        slope = float(_smoothed_slope(gap))
+        return float(smoothed_penalty_term(gap)), np.where(dis, slope / n_dis, -slope / n_adv)
     valid = avgs.both_observed
     n_valid = int(valid.sum())
     if n_valid == 0:
-        return np.zeros(n_entries)
+        return 0.0, np.zeros(n_entries)
     d, fac_dis, fac_adv = _inner_terms(kind, avgs)
-    n_items = ratings.num_items
+    slope = _smoothed_slope(d[valid])
     # Per-item coefficient = outer slope * inner partial / (|valid| * group count);
     # an entry's weight is just the coefficient of its (item, group) cell.
-    coeff_dis = np.zeros(n_items)
-    coeff_adv = np.zeros(n_items)
-    coeff_dis[valid] = (_smoothed_slope(d[valid]) * fac_dis[valid]
-                        / (n_valid * avgs.count_dis[valid]))
-    coeff_adv[valid] = (_smoothed_slope(d[valid]) * fac_adv[valid]
-                        / (n_valid * avgs.count_adv[valid]))
-    return np.where(dis, coeff_dis[ratings.items], coeff_adv[ratings.items])
+    coeff_dis = np.zeros(ratings.num_items)
+    coeff_adv = np.zeros(ratings.num_items)
+    coeff_dis[valid] = slope * fac_dis[valid] / (n_valid * avgs.count_dis[valid])
+    coeff_adv[valid] = slope * fac_adv[valid] / (n_valid * avgs.count_adv[valid])
+    return (float(np.mean(smoothed_penalty_term(d[valid]))),
+            np.where(dis, coeff_dis[ratings.items], coeff_adv[ratings.items]))
+
+
+def penalty_terms(kind: str, predictions, ratings: RatingSet, groups: GroupAssignment,
+                  weight: float = 1.0) -> tuple[float, np.ndarray]:
+    """The weighted smoothed penalty and its derivative d penalty / d yhat_k
+    for every rating entry, from ``predictions`` already made for
+    ``ratings``."""
+    if kind not in PENALTY_KINDS:
+        raise ValueError(f"unknown penalty {kind!r}; valid: {', '.join(PENALTY_KINDS)}")
+    if kind == "none":
+        return 0.0, np.zeros(len(ratings))
+    if len(ratings) == 0:
+        raise ValueError("cannot evaluate a penalty on an empty rating set")
+    value, weights = _smoothed_terms(kind, group_item_averages(predictions, ratings, groups),
+                                     ratings, groups)
+    return weight * value, weight * weights
+
+
+def penalty(kind: str, params: ModelParams, ratings: RatingSet,
+            groups: GroupAssignment, weight: float = 1.0) -> float:
+    """Smoothed unfairness penalty of the model on the given rating set."""
+    preds = predict_entries(params, ratings.users, ratings.items)
+    return penalty_terms(kind, preds, ratings, groups, weight)[0]
 
 
 def penalty_gradient(kind: str, params: ModelParams, ratings: RatingSet,
-                     groups: GroupAssignment, weight: float = 1.0) -> Gradients:
-    """Analytic (sub)gradient of ``penalty`` with respect to every parameter."""
-    _check_kind(kind)
-    if kind == "none":
-        return Gradients.zeros_like(params)
-    if len(ratings) == 0:
-        raise ValueError("cannot take a penalty gradient on an empty rating set")
+                     groups: GroupAssignment, weight: float = 1.0) -> ModelParams:
+    """Analytic (sub)gradient of ``penalty`` with respect to every parameter,
+    in the parameter layout."""
     preds = predict_entries(params, ratings.users, ratings.items)
-    avgs = group_item_averages(preds, ratings, groups)
-    weights = _prediction_weights(kind, avgs, ratings, groups)
-    if weight != 1.0:
-        weights = weights * weight
-    return accumulate_gradient(params, ratings, weights)
+    return accumulate_gradient(params, ratings,
+                               penalty_terms(kind, preds, ratings, groups, weight)[1])

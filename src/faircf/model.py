@@ -15,7 +15,7 @@ The bias vectors are deliberately left out of the norm term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,78 +25,60 @@ from .data import RatingSet
 PENALTY_KINDS = ("none", "value", "absolute", "under", "over", "nonparity", "under_plus_over")
 
 
-@dataclass(eq=False)
 class ModelParams:
     """Dense model state: (num_users, d) and (num_items, d) factor matrices
-    plus one bias per user and per item."""
+    plus one bias per user and per item.
 
-    user_vectors: np.ndarray
-    item_vectors: np.ndarray
-    user_bias: np.ndarray
-    item_bias: np.ndarray
+    All four blocks live in one flat float64 vector ``flat``, laid out user
+    vectors, item vectors, user biases, item biases; the block attributes are
+    views into it.  Gradients and optimizer moments use the same layout.
+    """
 
-    def __post_init__(self):
-        self.user_vectors = np.ascontiguousarray(self.user_vectors, dtype=np.float64)
-        self.item_vectors = np.ascontiguousarray(self.item_vectors, dtype=np.float64)
-        self.user_bias = np.ascontiguousarray(self.user_bias, dtype=np.float64)
-        self.item_bias = np.ascontiguousarray(self.item_bias, dtype=np.float64)
-        self.validate()
-
-    def validate(self):
-        if self.user_vectors.ndim != 2 or self.item_vectors.ndim != 2:
+    def __init__(self, user_vectors, item_vectors, user_bias, item_bias):
+        blocks = [np.asarray(a, dtype=np.float64)
+                  for a in (user_vectors, item_vectors, user_bias, item_bias)]
+        p, q, u, v = blocks
+        if p.ndim != 2 or q.ndim != 2:
             raise ValueError("factor matrices must be 2-d")
-        if self.user_vectors.shape[1] != self.item_vectors.shape[1]:
+        if p.shape[1] != q.shape[1]:
             raise ValueError("user and item vectors must share the latent dimension")
-        if self.user_bias.shape != (self.user_vectors.shape[0],):
+        if u.shape != (p.shape[0],):
             raise ValueError("user_bias length must match user_vectors")
-        if self.item_bias.shape != (self.item_vectors.shape[0],):
+        if v.shape != (q.shape[0],):
             raise ValueError("item_bias length must match item_vectors")
-        for arr in self.arrays():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("model parameters must be finite")
+        self.flat = np.concatenate([b.ravel() for b in blocks])
+        self.num_users, self.num_items, self.d = p.shape[0], q.shape[0], p.shape[1]
+        if not np.all(np.isfinite(self.flat)):
+            raise ValueError("model parameters must be finite")
 
-    @property
-    def num_users(self):
-        return int(self.user_vectors.shape[0])
-
-    @property
-    def num_items(self):
-        return int(self.item_vectors.shape[0])
-
-    @property
-    def d(self):
-        return int(self.user_vectors.shape[1])
+    @classmethod
+    def from_flat(cls, flat, num_users, num_items, d) -> "ModelParams":
+        """Wrap a flat vector in the block layout, without copying it or
+        checking its values."""
+        if flat.shape != ((num_users + num_items) * (d + 1),):
+            raise ValueError("flat parameter vector does not match the block sizes")
+        params = cls.__new__(cls)
+        params.flat, params.num_users, params.num_items, params.d = flat, num_users, num_items, d
+        return params
 
     def arrays(self):
-        return (self.user_vectors, self.item_vectors, self.user_bias, self.item_bias)
+        """User vectors, item vectors, user biases and item biases, as views
+        into ``flat``."""
+        m, n, d = self.num_users, self.num_items, self.d
+        p, q, u, v = np.split(self.flat, [m * d, (m + n) * d, (m + n) * d + m])
+        return p.reshape(m, d), q.reshape(n, d), u, v
+
+    user_vectors = property(lambda self: self.arrays()[0])
+    item_vectors = property(lambda self: self.arrays()[1])
+    user_bias = property(lambda self: self.arrays()[2])
+    item_bias = property(lambda self: self.arrays()[3])
 
     def copy(self) -> "ModelParams":
-        return ModelParams(*(a.copy() for a in self.arrays()))
+        return ModelParams.from_flat(self.flat.copy(), self.num_users, self.num_items, self.d)
 
     @classmethod
     def zeros(cls, num_users, num_items, d) -> "ModelParams":
-        return cls(np.zeros((num_users, d)), np.zeros((num_items, d)),
-                   np.zeros(num_users), np.zeros(num_items))
-
-
-@dataclass(eq=False)
-class Gradients:
-    """Partial derivatives with the same block structure as ModelParams."""
-
-    user_vectors: np.ndarray
-    item_vectors: np.ndarray
-    user_bias: np.ndarray
-    item_bias: np.ndarray
-
-    def arrays(self):
-        return (self.user_vectors, self.item_vectors, self.user_bias, self.item_bias)
-
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "Gradients":
-        return cls(*(np.zeros_like(a) for a in params.arrays()))
-
-    def add(self, other: "Gradients") -> "Gradients":
-        return Gradients(*(a + b for a, b in zip(self.arrays(), other.arrays())))
+        return cls.from_flat(np.zeros((num_users + num_items) * (d + 1)), num_users, num_items, d)
 
 
 @dataclass
@@ -153,8 +135,8 @@ def predict(params: ModelParams, user: int, item: int) -> float:
 
 def predict_entries(params: ModelParams, users, items) -> np.ndarray:
     """Predicted scores for parallel index arrays (indices assumed valid)."""
-    dots = np.einsum("ij,ij->i", params.user_vectors[users], params.item_vectors[items])
-    return dots + params.user_bias[users] + params.item_bias[items]
+    p, q, u, v = params.arrays()
+    return np.einsum("ij,ij->i", p[users], q[items]) + u[users] + v[items]
 
 
 def predict_matrix(params: ModelParams) -> np.ndarray:
@@ -163,43 +145,55 @@ def predict_matrix(params: ModelParams) -> np.ndarray:
             + params.user_bias[:, None] + params.item_bias[None, :])
 
 
-def mf_objective(params: ModelParams, ratings: RatingSet, lambda_reg: float) -> float:
-    """Regularized mean squared reconstruction error over the observed set."""
+def mf_objective_terms(params: ModelParams, ratings: RatingSet, predictions,
+                       lambda_reg: float) -> tuple[float, np.ndarray]:
+    """The objective and its derivative dJ/dyhat_k for every rating entry,
+    from ``predictions`` already made for ``ratings``.  The L2 part of the
+    gradient is added by accumulate_gradient."""
     if len(ratings) == 0:
         raise ValueError("cannot evaluate the objective on an empty rating set")
-    residual = predict_entries(params, ratings.users, ratings.items) - ratings.values
+    residual = predictions - ratings.values
     reg = 0.5 * lambda_reg * (np.sum(params.user_vectors ** 2) + np.sum(params.item_vectors ** 2))
-    return float(reg + np.mean(residual ** 2))
+    return float(reg + np.mean(residual ** 2)), 2.0 * residual / len(ratings)
 
 
-def accumulate_gradient(params: ModelParams, ratings: RatingSet, weights) -> Gradients:
+def mf_objective(params: ModelParams, ratings: RatingSet, lambda_reg: float) -> float:
+    """Regularized mean squared reconstruction error over the observed set."""
+    preds = predict_entries(params, ratings.users, ratings.items)
+    return mf_objective_terms(params, ratings, preds, lambda_reg)[0]
+
+
+def accumulate_gradient(params: ModelParams, ratings: RatingSet, weights,
+                        lambda_reg: float = 0.0) -> ModelParams:
     """Chain per-entry prediction-space derivatives dL/dyhat_k back to the
-    parameters.  ``weights`` is aligned with ``ratings`` entries.
+    parameters, plus ``lambda_reg`` times the factor matrices (the gradient
+    of the L2 term).  ``weights`` is aligned with ``ratings`` entries; the
+    gradient comes back in the parameter layout.
 
     Accumulation uses bincount, which sums in index order, so results are
     reproducible bit-for-bit.
     """
     users, items = ratings.users, ratings.items
     m, n, d = params.num_users, params.num_items, params.d
-    gp = np.empty((m, d))
-    gq = np.empty((n, d))
+    grad = ModelParams.from_flat(np.empty_like(params.flat), m, n, d)
+    gp, gq, gu, gv = grad.arrays()
+    p, q, _, _ = params.arrays()
     for k in range(d):
-        gp[:, k] = np.bincount(users, weights=weights * params.item_vectors[items, k], minlength=m)
-        gq[:, k] = np.bincount(items, weights=weights * params.user_vectors[users, k], minlength=n)
-    gu = np.bincount(users, weights=weights, minlength=m)
-    gv = np.bincount(items, weights=weights, minlength=n)
-    return Gradients(gp, gq, gu, gv)
-
-
-def mf_gradient(params: ModelParams, ratings: RatingSet, lambda_reg: float) -> Gradients:
-    """Analytic gradient of mf_objective with respect to every parameter."""
-    if len(ratings) == 0:
-        raise ValueError("cannot take the gradient on an empty rating set")
-    residual = predict_entries(params, ratings.users, ratings.items) - ratings.values
-    grad = accumulate_gradient(params, ratings, 2.0 * residual / len(ratings))
-    grad.user_vectors += lambda_reg * params.user_vectors
-    grad.item_vectors += lambda_reg * params.item_vectors
+        gp[:, k] = np.bincount(users, weights=weights * q[items, k], minlength=m)
+        gq[:, k] = np.bincount(items, weights=weights * p[users, k], minlength=n)
+    gu[:] = np.bincount(users, weights=weights, minlength=m)
+    gv[:] = np.bincount(items, weights=weights, minlength=n)
+    if lambda_reg:
+        factors = (m + n) * d
+        grad.flat[:factors] += lambda_reg * params.flat[:factors]
     return grad
+
+
+def mf_gradient(params: ModelParams, ratings: RatingSet, lambda_reg: float) -> ModelParams:
+    """Analytic gradient of mf_objective with respect to every parameter."""
+    preds = predict_entries(params, ratings.users, ratings.items)
+    _, weights = mf_objective_terms(params, ratings, preds, lambda_reg)
+    return accumulate_gradient(params, ratings, weights, lambda_reg)
 
 
 def save_params(params: ModelParams, path):

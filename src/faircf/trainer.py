@@ -2,13 +2,16 @@
 
 Each iteration computes the exact gradient of
 
-    mf_objective(params) + penalty_weight * penalty(kind, params)
+    L = mf_objective(params) + penalty_weight * penalty(kind, params)
 
 over the whole training set (no minibatching) and applies one Adam update.
-Parameters are initialized i.i.d. normal with standard deviation 0.1 from
-the seeded generator, in the fixed order user vectors, item vectors, user
-biases, item biases, so a given (data, config) pair always trains to
-bit-identical parameters.
+One pass per update predicts the observed cells once, reads the objective,
+the penalty and dL/dyhat per entry off that prediction, and chains the
+latter back to the parameters once.  Parameters are initialized i.i.d.
+normal with standard deviation 0.1 from the seeded generator, in one draw
+over the flat layout (user vectors, item vectors, user biases, item
+biases), so a given (data, config) pair always trains to bit-identical
+parameters.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import GroupAssignment, RatingSet
-from .fairness import penalty, penalty_gradient
-from .model import Gradients, ModelParams, TrainConfig, mf_gradient, mf_objective
+from .fairness import penalty_terms
+from .model import (ModelParams, TrainConfig, accumulate_gradient, mf_objective_terms,
+                    predict_entries)
 
 INIT_SCALE = 0.1
 
@@ -33,19 +37,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, iteration: int, value: float):
         super().__init__(f"objective became non-finite at iteration {iteration} (value {value})")
         self.iteration = iteration
-
-
-@dataclass(eq=False)
-class AdamState:
-    """First/second moment accumulators plus the step counter."""
-
-    first_moment: Gradients
-    second_moment: Gradients
-    step_count: int = 0
-
-    @classmethod
-    def zeros(cls, params: ModelParams) -> "AdamState":
-        return cls(Gradients.zeros_like(params), Gradients.zeros_like(params), 0)
 
 
 @dataclass(eq=False)
@@ -73,32 +64,35 @@ class TrainTrace:
 
 def init_params(num_users: int, num_items: int, d: int, rng: np.random.Generator) -> ModelParams:
     """Fresh parameters, every entry drawn N(0, INIT_SCALE**2)."""
-    return ModelParams(
-        rng.normal(0.0, INIT_SCALE, size=(num_users, d)),
-        rng.normal(0.0, INIT_SCALE, size=(num_items, d)),
-        rng.normal(0.0, INIT_SCALE, size=num_users),
-        rng.normal(0.0, INIT_SCALE, size=num_items),
-    )
+    size = (num_users + num_items) * (d + 1)
+    return ModelParams.from_flat(rng.normal(0.0, INIT_SCALE, size=size), num_users, num_items, d)
 
 
-def adam_step(params: ModelParams, grad: Gradients, state: AdamState,
-              config: TrainConfig) -> tuple[ModelParams, AdamState]:
-    """One Adam update; returns fresh params and state, inputs untouched."""
+def adam_step(theta: np.ndarray, grad: np.ndarray, first_moment: np.ndarray,
+              second_moment: np.ndarray, step: int,
+              config: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adam update number ``step`` (from 1) on flat vectors; returns fresh
+    parameters and moments, inputs untouched."""
     b1, b2 = config.adam_beta1, config.adam_beta2
-    t = state.step_count + 1
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    new_params, new_m, new_v = [], [], []
-    for theta, g, m, v in zip(params.arrays(), grad.arrays(),
-                              state.first_moment.arrays(), state.second_moment.arrays()):
-        m_next = b1 * m + (1.0 - b1) * g
-        v_next = b2 * v + (1.0 - b2) * g * g
-        step = config.learning_rate * (m_next / c1) / (np.sqrt(v_next / c2) + config.adam_epsilon)
-        new_params.append(theta - step)
-        new_m.append(m_next)
-        new_v.append(v_next)
-    return (ModelParams(*new_params),
-            AdamState(Gradients(*new_m), Gradients(*new_v), t))
+    m = b1 * first_moment + (1.0 - b1) * grad
+    v = b2 * second_moment + (1.0 - b2) * grad * grad
+    theta = theta - (config.learning_rate * (m / (1.0 - b1 ** step))
+                     / (np.sqrt(v / (1.0 - b2 ** step)) + config.adam_epsilon))
+    return theta, m, v
+
+
+def loss_terms(params: ModelParams, ratings: RatingSet, groups: GroupAssignment,
+               config: TrainConfig) -> tuple[float, float, np.ndarray]:
+    """One prediction pass: the objective, the weighted penalty and
+    dL/dyhat for every rating entry; ``accumulate_gradient(params, ratings,
+    weights, config.lambda_reg)`` turns the last into the gradient of L."""
+    preds = predict_entries(params, ratings.users, ratings.items)
+    objective, weights = mf_objective_terms(params, ratings, preds, config.lambda_reg)
+    if config.penalty == "none":
+        return objective, 0.0, weights
+    pen, pen_weights = penalty_terms(config.penalty, preds, ratings, groups,
+                                     config.penalty_weight)
+    return objective, pen, weights + pen_weights
 
 
 def train(ratings: RatingSet, groups: GroupAssignment,
@@ -114,23 +108,23 @@ def train(ratings: RatingSet, groups: GroupAssignment,
         raise ValueError("cannot train on an empty rating set")
     groups.check_against(ratings)
     rng = np.random.default_rng(config.seed)
-    params = init_params(ratings.num_users, ratings.num_items, config.d, rng)
-    state = AdamState.zeros(params)
+    m, n, d = ratings.num_users, ratings.num_items, config.d
+    params = init_params(m, n, d, rng)
     objectives = np.empty(config.iterations)
     penalties = np.empty(config.iterations)
     start = time.perf_counter()
-    for it in range(config.iterations):
-        grad = mf_gradient(params, ratings, config.lambda_reg)
-        if config.penalty != "none":
-            grad = grad.add(penalty_gradient(config.penalty, params, ratings, groups,
-                                             weight=config.penalty_weight))
-        params, state = adam_step(params, grad, state, config)
-        obj = mf_objective(params, ratings, config.lambda_reg)
-        pen = (penalty(config.penalty, params, ratings, groups, weight=config.penalty_weight)
-               if config.penalty != "none" else 0.0)
+    first = np.zeros_like(params.flat)
+    second = np.zeros_like(params.flat)
+    _, _, weights = loss_terms(params, ratings, groups, config)
+    for t in range(1, config.iterations + 1):
+        grad = accumulate_gradient(params, ratings, weights, config.lambda_reg).flat
+        theta, first, second = adam_step(params.flat, grad, first, second, t, config)
+        params = ModelParams.from_flat(theta, m, n, d)
+        # The pass that starts update t + 1 also gives the trace entry of update t.
+        obj, pen, weights = loss_terms(params, ratings, groups, config)
         if not (math.isfinite(obj) and math.isfinite(pen)):
-            raise DivergenceError(it + 1, obj + pen)
-        objectives[it] = obj
-        penalties[it] = pen
+            raise DivergenceError(t, obj + pen)
+        objectives[t - 1] = obj
+        penalties[t - 1] = pen
     trace = TrainTrace(objectives, penalties, time.perf_counter() - start)
     return params, trace

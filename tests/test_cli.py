@@ -200,3 +200,38 @@ def test_jobs_flag_gives_identical_tables(tmp_path):
     run_ok(args + ["--jobs", "2", "--out", str(parallel)])
     assert (serial / "table.csv").read_bytes() == (parallel / "table.csv").read_bytes()
     assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],                                                   # top level not an object
+    {"command": ["train"]},                                   # command not a string
+    {"command": "train", "params": [1]},                      # params not an object
+    {"command": "train", "params": {}, "input_checksums": [1]},
+])
+def test_rerun_rejects_malformed_manifest(tmp_path, capsys, doc):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["rerun", str(manifest)]) == 1
+    assert str(manifest) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"dataset": ',                                           # truncated JSON
+    '[1]',                                                    # top level not an object
+    '{"dataset": [20, 15]}',                                  # dataset not an object
+    '{"dataset": {"num_users": "many", "num_items": 15}}',    # dims not integers
+])
+def test_train_rejects_corrupt_dataset_manifest(tmp_path, capsys, text):
+    data = make_dataset(tmp_path)
+    (data / "manifest.json").write_text(text, encoding="utf-8")
+    assert main(["train", "--data", str(data), "--iterations", "2",
+                 "--out", str(tmp_path / "model")]) == 1
+    assert str(data / "manifest.json") in capsys.readouterr().err
+
+
+def test_train_without_dataset_manifest_infers_grid(tmp_path):
+    data = make_dataset(tmp_path)
+    (data / "manifest.json").unlink()
+    run_ok(["train", "--data", str(data), "--iterations", "2",
+            "--out", str(tmp_path / "model")])
+    assert load_params(tmp_path / "model" / "model.txt").num_users == 20

@@ -75,6 +75,22 @@ def test_read_ratings_reports_line_numbers(tmp_path):
         read_ratings(path)
 
 
+@pytest.mark.parametrize("text,dims,line,message", [
+    ("0\t0\t1.0\n\n1\t-1\t2.0\n", {}, 3, "item index out of range"),
+    ("0\t0\t1.0\n0\t5\t2.0\n", dict(num_users=1, num_items=2), 2,
+     "item index out of range"),
+    ("0\t0\t1.0\n1\t1\t1.0\n\n0\t0\t2.0\n1\t1\t3.0\n", {}, 4,
+     "duplicate"),
+    ("0\t0\t1.0\n0\t1\tnan\n1\t0\tinf\n", {}, 2, "finite"),
+])
+def test_read_ratings_names_the_line_of_a_grid_error(tmp_path, text, dims, line, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line {line}: .*{message}") as info:
+        read_ratings(path, **dims)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_groups_round_trip(tmp_path):
     groups = GroupAssignment(np.array([True, False, True]))
     path = tmp_path / "groups.tsv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from faircf.data import RatingSet
-from faircf.model import (Gradients, ModelParams, TrainConfig, accumulate_gradient,
+from faircf.model import (ModelParams, TrainConfig, accumulate_gradient,
                           load_params, mf_gradient, mf_objective, predict,
                           predict_entries, predict_matrix, save_params)
 from oracles import finite_difference, objective_fn, random_instance
@@ -89,7 +89,7 @@ def test_accumulate_gradient_matches_loop():
     ratings, _, params = random_instance(rng)
     weights = rng.normal(size=len(ratings))
     got = accumulate_gradient(params, ratings, weights)
-    want = Gradients.zeros_like(params)
+    want = ModelParams.zeros(params.num_users, params.num_items, params.d)
     for k, (u, i, _) in enumerate(ratings.entries):
         want.user_vectors[u] += weights[k] * params.item_vectors[i]
         want.item_vectors[i] += weights[k] * params.user_vectors[u]

@@ -6,10 +6,9 @@ import pytest
 from faircf.data import GroupAssignment, RatingSet
 from faircf.experiments import evaluate
 from faircf.fairness import penalty
-from faircf.model import Gradients, ModelParams, TrainConfig, mf_objective
+from faircf.model import ModelParams, TrainConfig, mf_objective
 from faircf.synthetic import builtin_specs, evaluation_set, generate
-from faircf.trainer import (AdamState, DivergenceError, adam_step, init_params,
-                            train)
+from faircf.trainer import DivergenceError, adam_step, init_params, train
 from oracles import random_instance
 
 
@@ -31,37 +30,30 @@ def test_init_params_shapes_and_scale():
 
 
 def test_adam_zero_gradient_is_a_no_op():
-    params = ModelParams([[1.0, -2.0]], [[0.5, 0.25]], [3.0], [-1.0])
-    state = AdamState.zeros(params)
-    stepped, new_state = adam_step(params, Gradients.zeros_like(params), state,
-                                   TrainConfig())
-    for got, want in zip(stepped.arrays(), params.arrays()):
-        assert np.array_equal(got, want)
-    assert new_state.step_count == 1
+    theta = np.array([1.0, -2.0, 0.5, 0.25, 3.0, -1.0])
+    zeros = np.zeros_like(theta)
+    stepped, first, second = adam_step(theta, zeros, zeros, zeros, 1, TrainConfig())
+    assert np.array_equal(stepped, theta)
+    assert not np.any(first) and not np.any(second)
 
 
 def test_adam_first_step_has_learning_rate_size():
     # with bias correction the first update is lr * g / (|g| + eps)
-    params = ModelParams([[0.0]], [[0.0]], [0.0], [0.0])
-    grad = Gradients(np.array([[0.5]]), np.array([[-2.0]]), np.array([4.0]),
-                     np.array([-0.125]))
+    theta = np.zeros(4)
+    grad = np.array([0.5, -2.0, 4.0, -0.125])
     config = TrainConfig(learning_rate=0.01)
-    stepped, _ = adam_step(params, grad, AdamState.zeros(params), config)
-    assert stepped.user_vectors[0, 0] == pytest.approx(-0.01, rel=1e-5)
-    assert stepped.item_vectors[0, 0] == pytest.approx(0.01, rel=1e-5)
-    assert stepped.user_bias[0] == pytest.approx(-0.01, rel=1e-5)
-    assert stepped.item_bias[0] == pytest.approx(0.01, rel=1e-5)
+    stepped, _, _ = adam_step(theta, grad, np.zeros(4), np.zeros(4), 1, config)
+    assert stepped == pytest.approx([-0.01, 0.01, -0.01, 0.01], rel=1e-5)
 
 
 def test_adam_step_leaves_inputs_alone():
-    params = ModelParams([[1.0]], [[2.0]], [0.5], [0.25])
-    grad = Gradients(np.array([[1.0]]), np.array([[1.0]]), np.array([1.0]),
-                     np.array([1.0]))
-    state = AdamState.zeros(params)
-    adam_step(params, grad, state, TrainConfig())
-    assert params.user_vectors[0, 0] == 1.0
-    assert state.step_count == 0
-    assert not state.first_moment.user_vectors[0, 0]
+    theta = np.array([1.0, 2.0, 0.5, 0.25])
+    grad = np.ones(4)
+    first, second = np.zeros(4), np.zeros(4)
+    adam_step(theta, grad, first, second, 1, TrainConfig())
+    assert np.array_equal(theta, [1.0, 2.0, 0.5, 0.25])
+    assert np.array_equal(grad, np.ones(4))
+    assert not np.any(first) and not np.any(second)
 
 
 def test_training_is_deterministic():
