@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import os
@@ -41,16 +41,20 @@ GENERATE_SCENARIOS = {
     "synthetic_U": "U", "synthetic_O": "O", "synthetic_P": "P", "synthetic_PO": "P+O",
 }
 
+# flag -> (TrainConfig field, help); the field gives the flag's type and default.
 _TRAIN_PARAMS = {
-    "dim": (int, 2, "latent dimension"),
-    "reg": (float, 1e-3, "L2 weight on the factor matrices"),
-    "iterations": (int, 250, "full-gradient update count"),
-    "learning-rate": (float, 0.01, "Adam learning rate"),
-    "beta1": (float, 0.9, "Adam first-moment decay"),
-    "beta2": (float, 0.999, "Adam second-moment decay"),
-    "epsilon": (float, 1e-8, "Adam denominator offset"),
-    "penalty-weight": (float, 1.0, "scale on the fairness penalty"),
+    "dim": ("d", "latent dimension"),
+    "reg": ("lambda_reg", "L2 weight on the factor matrices"),
+    "iterations": ("iterations", "full-gradient update count"),
+    "learning-rate": ("learning_rate", "Adam learning rate"),
+    "beta1": ("adam_beta1", "Adam first-moment decay"),
+    "beta2": ("adam_beta2", "Adam second-moment decay"),
+    "epsilon": ("adam_epsilon", "Adam denominator offset"),
+    "penalty-weight": ("penalty_weight", "scale on the fairness penalty"),
 }
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
+_TRAIN_SCHEMA = {flag: (type(_TRAIN_DEFAULTS[name]), _TRAIN_DEFAULTS[name], False, help_text)
+                 for flag, (name, help_text) in _TRAIN_PARAMS.items()}
 
 # name -> (type, default, required, help); None default means "unset".
 _SCHEMAS = {
@@ -67,7 +71,7 @@ _SCHEMAS = {
         "out": (str, None, True, "output directory"),
         "penalty": (str, "none", False, "fairness penalty kind"),
         "seed": (int, 0, False, "initialization seed"),
-        **{k: (t, d, False, h) for k, (t, d, h) in _TRAIN_PARAMS.items()},
+        **_TRAIN_SCHEMA,
     },
     "evaluate": {
         "model": (str, None, True, "saved model file"),
@@ -87,7 +91,7 @@ _SCHEMAS = {
         "test-fraction": (float, 0.2, False, "held-out fraction for movielens"),
         "jobs": (int, 1, False, "parallel trial workers"),
         "out": (str, None, True, "output directory"),
-        **{k: (t, d, False, h) for k, (t, d, h) in _TRAIN_PARAMS.items()},
+        **_TRAIN_SCHEMA,
     },
     "prepare-movielens": {
         "ml-dir": (str, None, True, "MovieLens-1M directory (users/movies/ratings.dat)"),
@@ -131,10 +135,10 @@ def _read_json_object(path, what: str) -> dict:
     return doc
 
 
-def _resolve(command: str, cli_values: dict, config_path: str | None) -> dict:
-    """Merge flags > config file > environment > defaults for one command."""
+def _resolve(command: str, cli_values: dict, file_values: dict) -> dict:
+    """Merge flags > file values (a config file or a manifest's params) >
+    environment > defaults for one command."""
     schema = _SCHEMAS[command]
-    file_values = _read_json_object(config_path, "config") if config_path else {}
     params = {}
     for name, (typ, default, required, _) in schema.items():
         key = name.replace("-", "_")
@@ -146,13 +150,17 @@ def _resolve(command: str, cli_values: dict, config_path: str | None) -> dict:
             value = file_values.get(name, file_values.get(key))
         if cli_values.get(key) is not None:
             value = cli_values[key]
-        if value is not None and not isinstance(value, typ):
+        if (value is not None and not isinstance(value, typ)) or isinstance(value, bool):
             try:
+                if isinstance(value, (bool, float)):     # JSON true, or 2.5 for an int
+                    raise TypeError
                 value = typ(value)
             except (TypeError, ValueError):
                 raise UsageError(f"--{name}: expected {typ.__name__}, got {value!r}") from None
         if required and value is None:
             raise UsageError(f"--{name} is required for '{command}'")
+        if value is None and default is not None:
+            raise UsageError(f"--{name}: expected {typ.__name__}, got null")
         choices = _CHOICES.get((command, name))
         if choices and value is not None and value not in choices:
             raise UsageError(f"--{name}: invalid choice {value!r} (choose from {', '.join(choices)})")
@@ -178,11 +186,9 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: dict,
 
 
 def _train_config(params: dict, penalty: str, seed: int) -> TrainConfig:
-    return TrainConfig(d=params["dim"], lambda_reg=params["reg"],
-                       iterations=params["iterations"], learning_rate=params["learning_rate"],
-                       adam_beta1=params["beta1"], adam_beta2=params["beta2"],
-                       adam_epsilon=params["epsilon"], seed=seed, penalty=penalty,
-                       penalty_weight=params["penalty_weight"])
+    return TrainConfig(seed=seed, penalty=penalty,
+                       **{name: params[flag.replace("-", "_")]
+                          for flag, (name, _) in _TRAIN_PARAMS.items()})
 
 
 def _dataset_dims(data_dir: Path):
@@ -392,14 +398,16 @@ def _cmd_rerun(manifest_path: str, out_override: str | None) -> int:
     checksums = doc.get("input_checksums", {})
     if not isinstance(params, dict) or not isinstance(checksums, dict):
         raise ValueError(f"{path}: manifest 'params' and 'input_checksums' must be JSON objects")
+    try:
+        params = _resolve(command, {"out": out_override}, params)
+    except UsageError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for input_path, recorded in checksums.items():
         if not Path(input_path).exists():
             raise FileNotFoundError(f"manifest input missing: {input_path}")
         actual = _checksum(input_path)
         if actual != recorded:
             raise ValueError(f"manifest input changed since the recorded run: {input_path}")
-    if out_override:
-        params["out"] = out_override
     return _run_command(command, params)
 
 
@@ -429,7 +437,8 @@ def main(argv=None) -> int:
         if args.command == "rerun":
             return _cmd_rerun(args.manifest, args.out)
         cli_values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-        params = _resolve(args.command, cli_values, args.config)
+        file_values = _read_json_object(args.config, "config") if args.config else {}
+        params = _resolve(args.command, cli_values, file_values)
         return _run_command(args.command, params)
     except UsageError as exc:
         print(f"faircf {args.command}: error: {exc}", file=sys.stderr)

@@ -8,11 +8,15 @@ tab-separated text:
 * ratings / expected values: ``user<TAB>item<TAB>value``, one entry per line
 * groups: ``user<TAB>flag`` with flag 1 = disadvantaged, 0 = advantaged
 
-Floats are written with ``repr`` so a read-back is bit-identical.
+Every report table is written by the two text helpers here: ``text_table``
+aligns columns for reading, ``csv_text`` emits CSV.  Floats are written with
+``repr`` in every file format, so a read-back is bit-identical.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -206,3 +210,20 @@ def read_groups(path) -> GroupAssignment:
     for user, flag in seen.items():
         flags[user] = flag
     return GroupAssignment(flags)
+
+
+def text_table(rows) -> str:
+    """Rows of cell strings as left-aligned columns two spaces apart, one
+    line per row, trailing blanks stripped."""
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+                   for row in rows)
+
+
+def csv_text(rows) -> str:
+    """Rows as CSV text, each line ending in a bare newline; floats are
+    written with ``repr``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows)
+    return buf.getvalue()

@@ -14,12 +14,13 @@ import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
-from .data import GroupAssignment, RatingSet
+from .data import GroupAssignment, RatingSet, csv_text, text_table
 from .fairness import (FairnessReport, METRIC_NAMES, group_item_averages, metric_absolute,
                        metric_nonparity, metric_over, metric_under, metric_value)
 from .ingest import FilteredDataset, filter_dataset, parse, split
@@ -125,16 +126,10 @@ class ExperimentResult:
             "indistinguishable": {m: sorted(s) for m, s in self.indistinguishable.items()},
             "trial_seeds": list(self.trial_seeds),
             "train_seeds": {p: list(s) for p, s in self.train_seeds.items()},
-            "config": {
-                "d": self.plan.config.d,
-                "lambda_reg": self.plan.config.lambda_reg,
-                "iterations": self.plan.config.iterations,
-                "learning_rate": self.plan.config.learning_rate,
-                "adam_beta1": self.plan.config.adam_beta1,
-                "adam_beta2": self.plan.config.adam_beta2,
-                "adam_epsilon": self.plan.config.adam_epsilon,
-                "penalty_weight": self.plan.config.penalty_weight,
-            },
+            # Each run overrides seed and penalty; train_seeds and the
+            # penalties list record those.
+            "config": {k: v for k, v in asdict(self.plan.config).items()
+                       if k not in ("seed", "penalty")},
             "seed": self.plan.seed,
         }
 
@@ -281,49 +276,52 @@ def run_bias_settings_study(trials: int = 5, num_users: int = 400, num_items: in
     return results
 
 
-def _row_order(penalties) -> list:
-    ordered = [p for p in PENALTY_ROW_ORDER if p in penalties]
-    ordered += [p for p in penalties if p not in ordered]
-    return ordered
+def _ordered(names, preferred) -> list:
+    """``names`` with the ``preferred`` ones first, in that order."""
+    return [n for n in preferred if n in names] + [n for n in names if n not in preferred]
+
+
+def _render_table(key: str, rows, fmt: str) -> str:
+    """Aggregate table over rows of (name, label, means, stderrs, best):
+    ``best`` is the set of metrics whose statistically-best set holds the
+    row, or None in a table without significance marks.
+
+    ``text``: aligned ``mean ± stderr`` cells under the row labels, with
+    ``*`` marking each best cell.  ``csv``: the row names with
+    full-precision mean/stderr (and 0/1 best) columns per metric, so parsing
+    it back reproduces the means exactly.
+    """
+    marked = any(best is not None for *_, best in rows)
+    if fmt == "csv":
+        header = [key]
+        for m in METRIC_NAMES:
+            header += [f"{m}_mean", f"{m}_stderr"] + ([f"{m}_best"] if marked else [])
+        table = [header]
+        for name, _, means, stderrs, best in rows:
+            row = [name]
+            for m in METRIC_NAMES:
+                row += [means[m], stderrs[m]] + ([int(m in best)] if marked else [])
+            table.append(row)
+        return csv_text(table)
+    if fmt != "text":
+        raise ValueError(f"unknown render format {fmt!r}")
+    table = [[key.capitalize()] + [METRIC_LABELS[m] for m in METRIC_NAMES]]
+    for _, label, means, stderrs, best in rows:
+        row = [label]
+        for m in METRIC_NAMES:
+            mark = ("*" if m in best else " ") if marked else ""
+            row.append(f"{mark}{means[m]:.3f} ± {stderrs[m]:.1e}")
+        table.append(row)
+    return text_table(table)
 
 
 def render(result: ExperimentResult, fmt: str = "text") -> str:
-    """Render the aggregate table.
-
-    ``text``: aligned rows of ``mean +/- stderr`` with ``*`` marking every
-    cell statistically indistinguishable from the column best.
-    ``csv``: one row per penalty with full-precision mean/stderr/best
-    columns per metric, so parsing it back reproduces the means exactly.
-    """
-    order = _row_order(result.penalties)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = ["penalty"]
-        for m in METRIC_NAMES:
-            header += [f"{m}_mean", f"{m}_stderr", f"{m}_best"]
-        writer.writerow(header)
-        for pen in order:
-            row = [pen]
-            for m in METRIC_NAMES:
-                row += [repr(result.means[pen][m]), repr(result.stderrs[pen][m]),
-                        int(pen in result.indistinguishable[m])]
-            writer.writerow(row)
-        return buf.getvalue()
-    if fmt != "text":
-        raise ValueError(f"unknown render format {fmt!r}")
-    headers = ["Penalty"] + [METRIC_LABELS[m] for m in METRIC_NAMES]
-    table = [headers]
-    for pen in order:
-        row = [PENALTY_LABELS.get(pen, pen)]
-        for m in METRIC_NAMES:
-            mark = "*" if pen in result.indistinguishable[m] else " "
-            row.append(f"{mark}{result.means[pen][m]:.3f} ± {result.stderrs[pen][m]:.1e}")
-        table.append(row)
-    widths = [max(len(row[c]) for row in table) for c in range(len(headers))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in table]
-    return "\n".join(lines) + "\n"
+    """Render the penalty table (``fmt`` is ``text`` or ``csv``), marking
+    every cell statistically indistinguishable from its column best."""
+    return _render_table("penalty", [
+        (pen, PENALTY_LABELS.get(pen, pen), result.means[pen], result.stderrs[pen],
+         {m for m in METRIC_NAMES if pen in result.indistinguishable[m]})
+        for pen in _ordered(result.penalties, PENALTY_ROW_ORDER)], fmt)
 
 
 def parse_table_csv(text: str) -> dict:
@@ -343,45 +341,17 @@ def parse_table_csv(text: str) -> dict:
 
 def render_settings(results: dict, fmt: str = "text") -> str:
     """Table over the four-setting study: one row per setting, single
-    penalty per result."""
-    names = [s for s in ("U", "O", "P", "P+O") if s in results] + \
-            [s for s in results if s not in ("U", "O", "P", "P+O")]
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = ["setting"]
-        for m in METRIC_NAMES:
-            header += [f"{m}_mean", f"{m}_stderr"]
-        writer.writerow(header)
-        for name in names:
-            res = results[name]
-            pen = res.penalties[0]
-            row = [name]
-            for m in METRIC_NAMES:
-                row += [repr(res.means[pen][m]), repr(res.stderrs[pen][m])]
-            writer.writerow(row)
-        return buf.getvalue()
-    if fmt != "text":
-        raise ValueError(f"unknown render format {fmt!r}")
-    headers = ["Setting"] + [METRIC_LABELS[m] for m in METRIC_NAMES]
-    table = [headers]
-    for name in names:
+    penalty per result, no significance marks."""
+    rows = []
+    for name in _ordered(results, SETTING_BY_SCENARIO.values()):
         res = results[name]
         pen = res.penalties[0]
-        row = [name]
-        for m in METRIC_NAMES:
-            row.append(f"{res.means[pen][m]:.3f} ± {res.stderrs[pen][m]:.1e}")
-        table.append(row)
-    widths = [max(len(row[c]) for row in table) for c in range(len(headers))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in table]
-    return "\n".join(lines) + "\n"
+        rows.append((name, name, res.means[pen], res.stderrs[pen], None))
+    return _render_table("setting", rows, fmt)
 
 
 def write_long_csv(rows, path):
     """Write (scenario, penalty, trial, metric, value) rows with a header."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario", "penalty", "trial", "metric", "value"])
-        for scenario, pen, trial, metric, value in rows:
-            writer.writerow([scenario, pen, trial, metric, repr(float(value))])
+    Path(path).write_text(csv_text([("scenario", "penalty", "trial", "metric", "value")] + [
+        (scenario, pen, trial, metric, float(value))
+        for scenario, pen, trial, metric, value in rows]), encoding="utf-8")

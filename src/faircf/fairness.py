@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupAssignment, RatingSet
+from .data import GroupAssignment, RatingSet, csv_text
 from .model import ModelParams, PENALTY_KINDS, accumulate_gradient, predict_entries
 
 # Report column order, fixed for every CSV/table writer in the package.
@@ -83,8 +83,7 @@ class FairnessReport:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
     def to_csv(self) -> str:
-        row = ",".join(repr(float(getattr(self, name))) for name in METRIC_NAMES)
-        return f"{self.CSV_HEADER}\n{row}\n"
+        return csv_text([METRIC_NAMES, [float(getattr(self, name)) for name in METRIC_NAMES]])
 
     @classmethod
     def from_csv(cls, text: str) -> "FairnessReport":
@@ -127,45 +126,33 @@ def group_item_averages(predictions, ratings: RatingSet, groups: GroupAssignment
                              count_dis, count_adv, overall_dis, overall_adv)
 
 
-def _signed_errors(avgs: GroupItemAverages):
-    with np.errstate(invalid="ignore"):
-        return (avgs.avg_pred_dis - avgs.avg_rating_dis,
-                avgs.avg_pred_adv - avgs.avg_rating_adv)
-
-
-def _outer_mean(avgs: GroupItemAverages, per_item) -> float:
+def _mean_gap(kind: str, avgs: GroupItemAverages) -> float:
+    """Mean of |d_j| over the items rated by both groups, with d_j the
+    per-item gap that the ``kind`` penalty smooths; 0 if no item qualifies."""
     valid = avgs.both_observed
     if not valid.any():
         return 0.0
-    return float(np.mean(per_item[valid]))
+    return float(np.mean(np.abs(_inner_terms(kind, avgs)[0][valid])))
 
 
 def metric_value(avgs: GroupItemAverages) -> float:
     """Mean absolute gap between the two groups' signed per-item errors."""
-    err_dis, err_adv = _signed_errors(avgs)
-    with np.errstate(invalid="ignore"):
-        return _outer_mean(avgs, np.abs(err_dis - err_adv))
+    return _mean_gap("value", avgs)
 
 
 def metric_absolute(avgs: GroupItemAverages) -> float:
     """Mean absolute gap between the groups' per-item error magnitudes."""
-    err_dis, err_adv = _signed_errors(avgs)
-    with np.errstate(invalid="ignore"):
-        return _outer_mean(avgs, np.abs(np.abs(err_dis) - np.abs(err_adv)))
+    return _mean_gap("absolute", avgs)
 
 
 def metric_under(avgs: GroupItemAverages) -> float:
     """Mean absolute gap between the groups' per-item underestimation."""
-    err_dis, err_adv = _signed_errors(avgs)
-    with np.errstate(invalid="ignore"):
-        return _outer_mean(avgs, np.abs(np.maximum(0.0, -err_dis) - np.maximum(0.0, -err_adv)))
+    return _mean_gap("under", avgs)
 
 
 def metric_over(avgs: GroupItemAverages) -> float:
     """Mean absolute gap between the groups' per-item overestimation."""
-    err_dis, err_adv = _signed_errors(avgs)
-    with np.errstate(invalid="ignore"):
-        return _outer_mean(avgs, np.abs(np.maximum(0.0, err_dis) - np.maximum(0.0, err_adv)))
+    return _mean_gap("over", avgs)
 
 
 def metric_nonparity(avgs: GroupItemAverages) -> float:
@@ -200,8 +187,9 @@ def _inner_terms(kind: str, avgs: GroupItemAverages):
     """Outer argument d_j per item plus its partials with respect to each
     group's average prediction.  Invalid items yield NaN and are masked by
     the callers."""
-    err_dis, err_adv = _signed_errors(avgs)
     with np.errstate(invalid="ignore"):
+        err_dis = avgs.avg_pred_dis - avgs.avg_rating_dis
+        err_adv = avgs.avg_pred_adv - avgs.avg_rating_adv
         if kind == "value":
             d = err_dis - err_adv
             fac_dis = np.ones_like(d)

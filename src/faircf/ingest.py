@@ -10,12 +10,12 @@ mapped to the disadvantaged group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import GroupAssignment, RatingSet
+from .data import GroupAssignment, RatingSet, csv_text, text_table
 
 DEFAULT_GENRES = ("Action", "Crime", "Musical", "Romance", "Sci-Fi")
 DEFAULT_MIN_RATINGS = 50
@@ -83,25 +83,17 @@ class GenreStats:
         raise KeyError(genre)
 
     def to_csv(self) -> str:
-        lines = ["genre,movie_count,ratings_per_female,ratings_per_male,"
-                 "avg_rating_female,avg_rating_male"]
-        for r in self.rows:
-            lines.append(f"{r.genre},{r.movie_count},{r.ratings_per_female!r},"
-                         f"{r.ratings_per_male!r},{r.avg_rating_female!r},{r.avg_rating_male!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text([("genre", "movie_count", "ratings_per_female", "ratings_per_male",
+                          "avg_rating_female", "avg_rating_male")]
+                        + [astuple(r) for r in self.rows])
 
     def render(self) -> str:
-        headers = ("Genre", "Movies", "Ratings/female", "Ratings/male",
-                   "Avg female", "Avg male")
-        table = [headers]
-        for r in self.rows:
-            table.append((r.genre, str(r.movie_count),
-                          f"{r.ratings_per_female:.2f}", f"{r.ratings_per_male:.2f}",
-                          f"{r.avg_rating_female:.2f}", f"{r.avg_rating_male:.2f}"))
-        widths = [max(len(row[c]) for row in table) for c in range(len(headers))]
-        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                 for row in table]
-        return "\n".join(lines) + "\n"
+        return text_table([("Genre", "Movies", "Ratings/female", "Ratings/male",
+                            "Avg female", "Avg male")]
+                          + [(r.genre, str(r.movie_count),
+                              f"{r.ratings_per_female:.2f}", f"{r.ratings_per_male:.2f}",
+                              f"{r.avg_rating_female:.2f}", f"{r.avg_rating_male:.2f}")
+                             for r in self.rows])
 
 
 def _split_line(line: str, n_fields: int, path, lineno: int):

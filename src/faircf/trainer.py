@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GroupAssignment, RatingSet
+from .data import GroupAssignment, RatingSet, csv_text
 from .fairness import penalty_terms
 from .model import (ModelParams, TrainConfig, accumulate_gradient, mf_objective_terms,
                     predict_entries)
@@ -55,11 +55,9 @@ class TrainTrace:
         return int(self.objective.shape[0])
 
     def write_csv(self, path):
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write("iteration,objective,penalty\n")
-            for t, (obj, pen) in enumerate(zip(self.objective.tolist(), self.penalty.tolist()),
-                                           start=1):
-                fh.write(f"{t},{obj!r},{pen!r}\n")
+        rows = zip(range(1, len(self) + 1), self.objective.tolist(), self.penalty.tolist())
+        Path(path).write_text(csv_text([("iteration", "objective", "penalty"), *rows]),
+                              encoding="utf-8")
 
 
 def init_params(num_users: int, num_items: int, d: int, rng: np.random.Generator) -> ModelParams:

@@ -1,12 +1,16 @@
 """Command-line flows: exit codes, produced files, manifests, and reruns."""
 
+import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import faircf
 from faircf.cli import main
 from faircf.data import read_ratings
 from faircf.model import load_params
@@ -135,13 +139,14 @@ def test_prepare_movielens_flow(tmp_path, mini_ml_dir):
     assert load_params(model_dir / "model.txt").num_items == 4
 
 
-def test_rerun_reproduces_bytes(tmp_path):
+def test_rerun_reproduces_bytes(tmp_path, monkeypatch):
     data = make_dataset(tmp_path)
     model_dir = tmp_path / "model"
     run_ok(["train", "--data", str(data), "--iterations", "30",
             "--out", str(model_dir)])
     before = {name: (model_dir / name).read_bytes()
               for name in ("model.txt", "trace.csv")}
+    monkeypatch.setenv("FAIRCF_ITERATIONS", "5")    # recorded params win
     redo = tmp_path / "redo"
     run_ok(["rerun", str(model_dir / "manifest.json"), "--out", str(redo)])
     for name, blob in before.items():
@@ -184,10 +189,36 @@ def test_precedence_flag_over_config_over_env(tmp_path, monkeypatch):
 
 
 def test_console_script_is_installed():
+    # The subprocess must import the same faircf as this test run.
+    src = str(Path(faircf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "faircf.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "faircf" in proc.stdout
+
+
+def test_fig1_experiment_flow(tmp_path):
+    out = tmp_path / "fig1"
+    run_ok(["experiment", "--scenario", "fig1", "--trials", "2", "--users", "15",
+            "--items", "12", "--iterations", "15", "--out", str(out)])
+    table = (out / "table.txt").read_text(encoding="utf-8").splitlines()
+    assert table[0].split()[:2] == ["Setting", "Error"]
+    assert [line.split()[0] for line in table[1:]] == ["U", "O", "P", "P+O"]
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    with (out / "table.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["setting"] for row in rows] == ["U", "O", "P", "P+O"]
+    for row in rows:
+        means = summary["settings"][row["setting"]]["means"]["none"]
+        for metric, mean in means.items():
+            assert float(row[f"{metric}_mean"]) == mean
+    outputs = ("results.csv", "table.txt", "table.csv", "summary.json")
+    redo = tmp_path / "redo"
+    run_ok(["rerun", str(out / "manifest.json"), "--out", str(redo)])
+    for name in outputs:
+        assert (redo / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_jobs_flag_gives_identical_tables(tmp_path):
@@ -207,6 +238,11 @@ def test_jobs_flag_gives_identical_tables(tmp_path):
     {"command": ["train"]},                                   # command not a string
     {"command": "train", "params": [1]},                      # params not an object
     {"command": "train", "params": {}, "input_checksums": [1]},
+    {"command": "train", "params": {"data": "d", "out": "o", "iterations": "abc"}},
+    {"command": "train", "params": {"data": "d", "out": "o", "iterations": None}},
+    {"command": "train", "params": {"data": "d", "out": "o", "iterations": True}},
+    {"command": "train", "params": {"data": "d", "out": "o", "iterations": 2.5}},
+    {"command": "train", "params": {"data": "d", "out": "o", "penalty": "fairest"}},
 ])
 def test_rerun_rejects_malformed_manifest(tmp_path, capsys, doc):
     manifest = tmp_path / "manifest.json"
