@@ -54,13 +54,13 @@ def write_stand_in_archive(directory):
 
 archive = find_real_archive()
 if archive is None:
-    workdir = tempfile.mkdtemp(prefix="faircf-demo-")
-    archive = write_stand_in_archive(workdir)
-    print(f"real archive not found; using a generated stand-in at {archive}")
+    # parse reads the whole archive, so the stand-in can go right after it.
+    with tempfile.TemporaryDirectory(prefix="faircf-demo-") as workdir:
+        print(f"real archive not found; using a generated stand-in at {workdir}")
+        raw = parse(write_stand_in_archive(workdir))
 else:
     print(f"using the MovieLens-1M archive at {archive}")
-
-raw = parse(archive)
+    raw = parse(archive)
 print(f"parsed {len(raw.users)} users, {len(raw.movies)} movies, "
       f"{raw.num_ratings} ratings")
 

@@ -8,6 +8,10 @@ tab-separated text:
 * ratings / expected values: ``user<TAB>item<TAB>value``, one entry per line
 * groups: ``user<TAB>flag`` with flag 1 = disadvantaged, 0 = advantaged
 
+Every input file, these and the model and MovieLens files elsewhere, is read
+through ``read_fields``: a blank or whitespace-only line holds no entry, and
+bad input raises ``<path>: line N: <reason>``.
+
 Every report table is written by the two text helpers here: ``text_table``
 aligns columns for reading, ``csv_text`` emits CSV.  Floats are written with
 ``repr`` in every file format, so a read-back is bit-identical.
@@ -18,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +35,13 @@ class RatingEntryError(ValueError):
     def __init__(self, message, bad):
         super().__init__(message)
         self.entry = int(np.argmax(bad))
+
+
+def _repeats(keys):
+    """True at every entry whose key already appeared earlier."""
+    repeated = np.ones(keys.size, dtype=bool)
+    repeated[np.unique(keys, return_index=True)[1]] = False
+    return repeated
 
 
 class RatingSet:
@@ -71,9 +83,7 @@ class RatingSet:
                                        (items < 0) | (items >= self.num_items))
             keys = users * self.num_items + items
             if np.unique(keys).size != keys.size:
-                repeated = np.ones(keys.size, dtype=bool)
-                repeated[np.unique(keys, return_index=True)[1]] = False
-                raise RatingEntryError("duplicate (user, item) pair", repeated)
+                raise RatingEntryError("duplicate (user, item) pair", _repeats(keys))
         finite = np.isfinite(self.values)
         if not np.all(finite):
             raise RatingEntryError("rating values must be finite", ~finite)
@@ -85,14 +95,6 @@ class RatingSet:
     def entries(self):
         """Ratings as a list of (user, item, value) tuples."""
         return list(zip(self.users.tolist(), self.items.tolist(), self.values.tolist()))
-
-    @classmethod
-    def from_entries(cls, entries, num_users, num_items):
-        entries = list(entries)
-        users = np.array([e[0] for e in entries], dtype=np.int64)
-        items = np.array([e[1] for e in entries], dtype=np.int64)
-        values = np.array([e[2] for e in entries], dtype=np.float64)
-        return cls(users, items, values, num_users, num_items)
 
     def subset(self, index):
         """New RatingSet holding the entries selected by ``index`` (same grid)."""
@@ -143,35 +145,17 @@ def read_ratings(path, num_users=None, num_items=None) -> RatingSet:
     Grid dimensions default to max index + 1 when not given, which is only
     safe if the highest-numbered user/item actually appears in the file.
     """
-    path = Path(path)
-    users, items, values = [], [], []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-            try:
-                users.append(int(fields[0]))
-                items.append(int(fields[1]))
-                values.append(float(fields[2]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    if not users and (num_users is None or num_items is None):
+    lines, (users, items, values) = read_fields(path, "\t", (int, int, float))
+    if not lines.size and (num_users is None or num_items is None):
         raise ValueError(f"{path}: empty rating file needs explicit grid dimensions")
-    if num_users is None:
-        num_users = max(users) + 1
-    if num_items is None:
-        num_items = max(items) + 1
     try:
-        return RatingSet(np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
-                         np.array(values, dtype=np.float64), num_users, num_items)
+        return RatingSet(users, items, values,
+                         users.max() + 1 if num_users is None else num_users,
+                         items.max() + 1 if num_items is None else num_items)
     except RatingEntryError as exc:
-        with path.open("r", encoding="utf-8") as fh:     # blank lines hold no entry
-            linenos = [n for n, line in enumerate(fh, start=1) if line.rstrip("\n")]
-        raise ValueError(f"{path}: line {linenos[exc.entry]}: {exc}") from None
+        raise ValueError(f"{path}: line {lines[exc.entry]}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_groups(groups: GroupAssignment, path):
@@ -183,33 +167,83 @@ def write_groups(groups: GroupAssignment, path):
 
 def read_groups(path) -> GroupAssignment:
     """Read a group file; every user index 0..m-1 must appear exactly once."""
-    path = Path(path)
-    seen = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or fields[1] not in ("0", "1"):
-                raise ValueError(f"{path}: line {lineno}: expected 'user<TAB>0|1'")
-            try:
-                user = int(fields[0])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad user index") from None
-            if user in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate user {user}")
-            seen[user] = fields[1] == "1"
-    if not seen:
+    lines, (users, flags) = read_fields(path, "\t", (int, str))
+    if not lines.size:
         raise ValueError(f"{path}: empty group file")
-    num_users = max(seen) + 1
-    if len(seen) != num_users:
-        missing = next(u for u in range(num_users) if u not in seen)
+    reject(path, lines, ~np.isin(flags, ("0", "1")), "expected 'user<TAB>0|1'")
+    reject(path, lines, users < 0, "bad user index")
+    reject(path, lines, _repeats(users), "duplicate user {}", users)
+    if users.max() + 1 != users.size:       # unique and >= 0, so some index is missing
+        missing = np.argmax(np.sort(users) != np.arange(users.size))
         raise ValueError(f"{path}: user {missing} has no group label")
-    flags = np.zeros(num_users, dtype=bool)
-    for user, flag in seen.items():
-        flags[user] = flag
-    return GroupAssignment(flags)
+    disadvantaged = np.zeros(users.size, dtype=bool)
+    disadvantaged[users] = flags == "1"
+    return GroupAssignment(disadvantaged)
+
+
+_DTYPES = {int: np.int64, float: np.float64, str: object}
+_SEP_NAMES = {"\t": "tab", " ": "space"}
+
+
+def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
+    """Read a text file of ``sep``-separated fields, one entry per line,
+    after its first ``skip`` lines.
+
+    ``kinds`` holds the type of each field (int, float or str), so its length
+    is the field count.  A blank or whitespace-only line holds no entry.
+    Returns the line number of every entry and one array per field.  A line
+    with another field count, or a field that does not convert, raises
+    ``<path>: line N: <reason>``.
+
+    Lines are read in blocks of about 1 MB.  Each block is split once and
+    converted a column at a time with ``map``, so no Python statement runs
+    per field, nor per line unless the block holds blank lines.
+    """
+    n = len(kinds)
+    numbers = [np.zeros(0, dtype=np.int64)]
+    columns = [[np.zeros(0, dtype=_DTYPES[kind])] for kind in kinds]
+    with open(path, "r", encoding=encoding) as fh:
+        for _ in range(skip):
+            fh.readline()
+        first = skip + 1
+        while block := fh.readlines(1 << 20):
+            blank = np.fromiter(map(str.isspace, block), bool, len(block))
+            kept = np.flatnonzero(~blank)
+            block_numbers = kept + first
+            first += len(block)
+            if blank.any():
+                block = [block[i] for i in kept.tolist()]
+            counts = np.fromiter(map(str.count, block, repeat(sep)), np.int64, len(block))
+            reject(path, block_numbers, counts != n - 1,
+                   f"expected {n} {_SEP_NAMES.get(sep, repr(sep))}-separated fields")
+            text = "".join(block)
+            # No field holds a newline, so a newline can stand in for sep;
+            # the cut drops the empty string after the last line's newline.
+            fields = text.replace(sep, "\n").split("\n")
+            del fields[n * len(block):]
+            for k, kind in enumerate(kinds):
+                column = fields[k::n]
+                try:
+                    columns[k].append(np.fromiter(map(kind, column), _DTYPES[kind], len(column)))
+                except (ValueError, OverflowError):
+                    for number, field in zip(block_numbers.tolist(), column):
+                        try:
+                            np.array(kind(field), dtype=_DTYPES[kind])
+                        except (ValueError, OverflowError) as exc:
+                            raise ValueError(f"{path}: line {number}: field {k + 1}: {exc}") from None
+                    raise
+            numbers.append(block_numbers)
+    return np.concatenate(numbers), [np.concatenate(column) for column in columns]
+
+
+def reject(path, lines, bad, reason, values=None):
+    """Raise ``<path>: line N: <reason>`` for the first entry where ``bad``
+    holds, N taken from ``lines``; ``{}`` in ``reason`` stands for that
+    entry of ``values``."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{path}: line {lines[i]}: "
+                         + reason.format(None if values is None else values[i]))
 
 
 def text_table(rows) -> str:

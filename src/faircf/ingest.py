@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GroupAssignment, RatingSet, csv_text, text_table
+from .data import GroupAssignment, RatingSet, csv_text, read_fields, reject, text_table
 
 DEFAULT_GENRES = ("Action", "Crime", "Musical", "Romance", "Sci-Fi")
 DEFAULT_MIN_RATINGS = 50
@@ -96,13 +96,6 @@ class GenreStats:
                              for r in self.rows])
 
 
-def _split_line(line: str, n_fields: int, path, lineno: int):
-    fields = line.rstrip("\n").split("::")
-    if len(fields) != n_fields:
-        raise ValueError(f"{path}: line {lineno}: expected {n_fields} '::'-separated fields")
-    return fields
-
-
 def parse(ml_dir) -> MovieLensRaw:
     """Parse users.dat, movies.dat, ratings.dat from the archive directory."""
     ml_dir = Path(ml_dir)
@@ -113,58 +106,25 @@ def parse(ml_dir) -> MovieLensRaw:
         if not p.exists():
             raise FileNotFoundError(f"missing MovieLens file: {p}")
 
-    users = {}
-    with users_path.open("r", encoding="latin-1") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            uid, gender, age, occupation, zipcode = _split_line(line, 5, users_path, lineno)
-            if gender not in ("F", "M"):
-                raise ValueError(f"{users_path}: line {lineno}: gender must be F or M")
-            try:
-                users[int(uid)] = (gender, int(age), int(occupation), zipcode)
-            except ValueError:
-                raise ValueError(f"{users_path}: line {lineno}: bad numeric field") from None
+    lines, (uids, gender, age, occupation, zipcode) = read_fields(
+        users_path, "::", (int, str, int, int, str), encoding="latin-1")
+    reject(users_path, lines, ~np.isin(gender, ("F", "M")), "gender must be F or M")
+    users = dict(zip(uids.tolist(), zip(gender.tolist(), age.tolist(), occupation.tolist(),
+                                        zipcode.tolist())))
 
-    movies = {}
-    with movies_path.open("r", encoding="latin-1") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            mid, title, genres = _split_line(line, 3, movies_path, lineno)
-            try:
-                movies[int(mid)] = (title, tuple(genres.split("|")))
-            except ValueError:
-                raise ValueError(f"{movies_path}: line {lineno}: bad movie id") from None
+    _, (mids, titles, genres) = read_fields(movies_path, "::", (int, str, str),
+                                            encoding="latin-1")
+    movies = {mid: (title, tuple(g.split("|")))
+              for mid, title, g in zip(mids.tolist(), titles.tolist(), genres.tolist())}
 
-    r_users, r_movies, r_values, r_times = [], [], [], []
-    with ratings_path.open("r", encoding="latin-1") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            uid, mid, value, ts = _split_line(line, 4, ratings_path, lineno)
-            try:
-                uid, mid, value, ts = int(uid), int(mid), int(value), int(ts)
-            except ValueError:
-                raise ValueError(f"{ratings_path}: line {lineno}: bad numeric field") from None
-            if not 1 <= value <= 5:
-                raise ValueError(f"{ratings_path}: line {lineno}: rating outside 1..5")
-            if uid not in users:
-                raise ValueError(f"{ratings_path}: line {lineno}: unknown user {uid}")
-            if mid not in movies:
-                raise ValueError(f"{ratings_path}: line {lineno}: unknown movie {mid}")
-            r_users.append(uid)
-            r_movies.append(mid)
-            r_values.append(value)
-            r_times.append(ts)
-    if not r_values:
+    lines, (r_users, r_movies, r_values, r_times) = read_fields(
+        ratings_path, "::", (int, int, int, int), encoding="latin-1")
+    if not lines.size:
         raise ValueError(f"{ratings_path}: no ratings found")
-
-    return MovieLensRaw(users, movies,
-                        np.array(r_users, dtype=np.int64),
-                        np.array(r_movies, dtype=np.int64),
-                        np.array(r_values, dtype=np.float64),
-                        np.array(r_times, dtype=np.int64))
+    reject(ratings_path, lines, (r_values < 1) | (r_values > 5), "rating outside 1..5")
+    reject(ratings_path, lines, ~np.isin(r_users, uids), "unknown user {}", r_users)
+    reject(ratings_path, lines, ~np.isin(r_movies, mids), "unknown movie {}", r_movies)
+    return MovieLensRaw(users, movies, r_users, r_movies, r_values.astype(np.float64), r_times)
 
 
 def filter_dataset(raw: MovieLensRaw, genres=DEFAULT_GENRES,
@@ -190,31 +150,21 @@ def filter_dataset(raw: MovieLensRaw, genres=DEFAULT_GENRES,
 
     # User pass: activity counted on the kept movies only.
     kept_movie_mask = np.isin(raw.rating_movies, np.array(sorted(movie_selected), dtype=np.int64))
-    counts = {}
-    for uid in raw.rating_users[kept_movie_mask].tolist():
-        counts[uid] = counts.get(uid, 0) + 1
-    kept_users = sorted(uid for uid, c in counts.items() if c >= min_ratings)
-    if not kept_users:
+    active, counts = np.unique(raw.rating_users[kept_movie_mask], return_counts=True)
+    user_ids = active[counts >= min_ratings]
+    if not user_ids.size:
         raise ValueError("no user passes the activity threshold")
 
     # Rating pass plus contiguous reindexing.
-    user_ids = np.array(kept_users, dtype=np.int64)
-    user_index = {uid: i for i, uid in enumerate(kept_users)}
-    kept_user_mask = np.isin(raw.rating_users, user_ids)
-    final_mask = kept_movie_mask & kept_user_mask
-    kept_movies = sorted(set(raw.rating_movies[final_mask].tolist()))
-    movie_ids = np.array(kept_movies, dtype=np.int64)
-    movie_index = {mid: j for j, mid in enumerate(kept_movies)}
-
-    users = np.array([user_index[u] for u in raw.rating_users[final_mask].tolist()],
-                     dtype=np.int64)
-    items = np.array([movie_index[mid] for mid in raw.rating_movies[final_mask].tolist()],
-                     dtype=np.int64)
+    final_mask = kept_movie_mask & np.isin(raw.rating_users, user_ids)
+    movie_ids, items = np.unique(raw.rating_movies[final_mask], return_inverse=True)
+    users = np.searchsorted(user_ids, raw.rating_users[final_mask])
     ratings = RatingSet(users, items, raw.rating_values[final_mask],
-                        len(kept_users), len(kept_movies))
+                        len(user_ids), len(movie_ids))
 
-    disadvantaged = np.array([raw.users[uid][0] == "F" for uid in kept_users], dtype=bool)
-    movie_genres = [movie_selected[mid] for mid in kept_movies]
+    disadvantaged = np.array([raw.users[uid][0] == "F" for uid in user_ids.tolist()],
+                             dtype=bool)
+    movie_genres = [movie_selected[mid] for mid in movie_ids.tolist()]
     return FilteredDataset(ratings, GroupAssignment(disadvantaged), movie_genres,
                            user_ids, movie_ids, display_genres, min_ratings)
 

@@ -15,11 +15,13 @@ The bias vectors are deliberately left out of the norm term.
 
 from __future__ import annotations
 
+import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingSet
+from .data import RatingSet, read_fields
 
 # Valid penalty selectors for TrainConfig and the fairness module.
 PENALTY_KINDS = ("none", "value", "absolute", "under", "over", "nonparity", "under_plus_over")
@@ -210,21 +212,17 @@ def save_params(params: ModelParams, path):
 
 
 def load_params(path) -> ModelParams:
+    """Read a file written by save_params."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: expected 'num_users num_items d' header")
-        m, n, d = (int(x) for x in header)
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split()
-            if len(cells) != d + 1:
-                raise ValueError(f"{path}: line {lineno}: expected {d + 1} values")
-            rows.append([float(x) for x in cells])
-    if len(rows) != m + n:
-        raise ValueError(f"{path}: expected {m + n} entity rows, found {len(rows)}")
-    table = np.array(rows, dtype=np.float64)
+        header = re.fullmatch(r"(\d+) (\d+) (\d+)\s*", fh.readline())
+    m, n, d = map(int, header.groups()) if header else (0, 0, 0)
+    if min(m, n, d) < 1:
+        raise ValueError(f"{path}: line 1: expected a 'num_users num_items d' header "
+                         "of three positive integers")
+    if (m + n) * (d + 1) * 2 > os.path.getsize(path) + 1:   # a value takes at least 2 bytes
+        raise ValueError(f"{path}: line 1: the header declares more values than the file holds")
+    lines, columns = read_fields(path, " ", (float,) * (d + 1), skip=1)
+    if lines.size != m + n:
+        raise ValueError(f"{path}: expected {m + n} entity rows, found {lines.size}")
+    table = np.column_stack(columns)
     return ModelParams(table[:m, :d], table[m:, :d], table[:m, d], table[m:, d])

@@ -188,15 +188,38 @@ def test_precedence_flag_over_config_over_env(tmp_path, monkeypatch):
     assert read_manifest(with_flag)["params"]["seed"] == 9
 
 
-def test_console_script_is_installed():
-    # The subprocess must import the same faircf as this test run.
+def subprocess_env(**changes):
+    """os.environ with ``changes`` applied (None unsets) and the faircf of
+    this test run first on PYTHONPATH, so a subprocess imports the same one."""
     src = str(Path(faircf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def test_console_script_is_installed():
     proc = subprocess.run([sys.executable, "-m", "faircf.cli", "--version"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0
     assert "faircf" in proc.stdout
+
+
+def test_movielens_demo_leaves_no_temp_files(tmp_path):
+    # Without the real archive the demo writes a stand-in into the temp dir.
+    temp, cwd = tmp_path / "tmp", tmp_path / "cwd"
+    temp.mkdir()
+    cwd.mkdir()
+    demo = Path(__file__).resolve().parents[1] / "demos" / "06_movielens_pipeline.py"
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, cwd=cwd,
+                          env=subprocess_env(TMPDIR=str(temp), FAIRCF_ML1M_DIR=None))
+    assert proc.returncode == 0, proc.stderr
+    assert "generated stand-in" in proc.stdout
+    assert list(temp.iterdir()) == []
 
 
 def test_fig1_experiment_flow(tmp_path):
@@ -271,3 +294,24 @@ def test_train_without_dataset_manifest_infers_grid(tmp_path):
     run_ok(["train", "--data", str(data), "--iterations", "2",
             "--out", str(tmp_path / "model")])
     assert load_params(tmp_path / "model" / "model.txt").num_users == 20
+
+
+def test_train_rejects_a_negative_group_index(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    groups = data / "groups.tsv"
+    groups.write_text("-1" + groups.read_text(encoding="utf-8")[1:], encoding="utf-8")
+    assert main(["train", "--data", str(data), "--iterations", "2",
+                 "--out", str(tmp_path / "model")]) == 1
+    assert f"{groups}: line 1: bad user index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["0 0 2", "a b c"])
+def test_evaluate_rejects_a_bad_model_header(tmp_path, capsys, header):
+    data = make_dataset(tmp_path)
+    model = tmp_path / "model" / "model.txt"
+    run_ok(["train", "--data", str(data), "--iterations", "2", "--out", str(model.parent)])
+    rows = model.read_text(encoding="utf-8").split("\n", 1)[1]
+    model.write_text(f"{header}\n{rows}", encoding="utf-8")
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--out", str(tmp_path / "report")]) == 1
+    assert f"{model}: line 1: " in capsys.readouterr().err

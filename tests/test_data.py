@@ -1,10 +1,16 @@
-"""Rating-set containers and the TSV interchange formats."""
+"""Rating-set containers, the TSV interchange formats, and the one field
+reader behind every input file."""
+
+import re
 
 import numpy as np
 import pytest
 
 from faircf.data import (GroupAssignment, RatingSet, read_groups, read_ratings,
                          write_groups, write_ratings)
+from faircf.ingest import parse
+from faircf.model import ModelParams, load_params, save_params
+from conftest import write_ml_corpus
 
 
 def small_set():
@@ -16,14 +22,6 @@ def test_basic_properties():
     assert len(rs) == 3
     assert rs.users.dtype == np.int64 and rs.values.dtype == np.float64
     assert rs.entries == [(0, 1, 1.0), (0, 2, -1.0), (2, 0, 0.25)]
-
-
-def test_from_entries_round_trip():
-    rs = small_set()
-    again = RatingSet.from_entries(rs.entries, rs.num_users, rs.num_items)
-    assert np.array_equal(again.users, rs.users)
-    assert np.array_equal(again.items, rs.items)
-    assert np.array_equal(again.values, rs.values)
 
 
 def test_subset_keeps_grid():
@@ -110,3 +108,73 @@ def test_group_file_rejects_gaps(tmp_path):
     path.write_text("0\t1\n2\t0\n", encoding="utf-8")  # user 1 missing
     with pytest.raises(ValueError):
         read_groups(path)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("-1\t1\n1\t0\n", 1),
+    ("0\t1\n-1\t0\n", 2),
+])
+def test_group_file_rejects_negative_users(tmp_path, text, line):
+    path = tmp_path / "groups.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line}: bad user index$"):
+        read_groups(path)
+
+
+def test_read_ratings_names_the_line_of_an_index_beyond_int64(tmp_path):
+    path = tmp_path / "ratings.tsv"
+    path.write_text("0\t0\t1.0\n99999999999999999999999\t1\t2.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: field 1: "):
+        read_ratings(path)
+
+
+def test_extreme_floats_round_trip_bit_for_bit(tmp_path):
+    extremes = [5e-324, -0.0, 1.7976931348623157e308, -2.2250738585072014e-308, 0.1]
+    rs = RatingSet([0, 0, 1, 1, 2], [0, 1, 0, 1, 0], extremes, 3, 2)
+    write_ratings(rs, tmp_path / "ratings.tsv")
+    assert read_ratings(tmp_path / "ratings.tsv").values.tobytes() == rs.values.tobytes()
+    params = ModelParams([[5e-324], [-0.0]], [[1.7976931348623157e308]], [0.1, -0.0], [1 / 3])
+    save_params(params, tmp_path / "model.txt")
+    assert load_params(tmp_path / "model.txt").flat.tobytes() == params.flat.tobytes()
+
+
+def _dat_reader(attr):
+    return lambda path: len(getattr(parse(path.parent), attr))
+
+
+# name -> (file, header lines for n rows, row i, reader returning the entry
+# count, a line with a wrong field count, a line whose field does not convert)
+FORMATS = {
+    "ratings": ("ratings.tsv", lambda n: [], lambda i: f"{i}\t{i % 7}\t{i / 7!r}",
+                lambda path: len(read_ratings(path)), "0\t1", "0\tx\t1.0"),
+    "groups": ("groups.tsv", lambda n: [], lambda i: f"{i}\t{i % 2}",
+               lambda path: read_groups(path).num_users, "7", "x\t1"),
+    "model rows": ("model.txt", lambda n: [f"{n - 1} 1 1\n"], lambda i: f"{i / 7!r} -0.5",
+                   lambda path: load_params(path).num_users + 1, "0.5", "0.5 x"),
+    "users.dat": ("users.dat", lambda n: [], lambda i: f"{i + 1}::F::25::10::48067",
+                  _dat_reader("users"), "1::F::25", "x::F::25::10::48067"),
+    "movies.dat": ("movies.dat", lambda n: [], lambda i: f"{i + 1}::Film {i} (1995)::Action",
+                   _dat_reader("movies"), "1::Film", "x::Film::Action"),
+    "ratings.dat": ("ratings.dat", lambda n: [],
+                    lambda i: f"{i % 6 + 1}::{i % 5 + 1}::{i % 5 + 1}::{978300000 + i}",
+                    _dat_reader("rating_values"), "1::1::5", "1::1::x::978300760"),
+}
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS))
+def test_every_input_format_skips_blank_lines_and_names_the_faulty_line(tmp_path, fmt):
+    name, header, row, read, short, unconvertible = FORMATS[fmt]
+    write_ml_corpus(tmp_path)                   # the .dat formats read the whole archive
+    path = tmp_path / name
+    rows, size = [], 0
+    while size < 1.3 * (1 << 20):               # longer than one 1 MB read block
+        rows.append(row(len(rows)) + "\n")
+        size += len(rows[-1])
+    lines = header(len(rows)) + rows[:2] + ["\n", " \t \n"] + rows[2:]
+    path.write_text("".join(lines).rstrip("\n"), encoding="latin-1")
+    assert read(path) == len(rows)
+    for fault in (short, unconvertible):
+        for at in (len(lines) - len(rows) + 5, len(lines) - 2):   # one block, then past it
+            path.write_text("".join(lines[:at] + [fault + "\n"] + lines[at:]), encoding="latin-1")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {at + 1}: "):
+                read(path)

@@ -132,3 +132,24 @@ def test_filter_rejects_empty_results(mini_ml_dir):
         filter_dataset(raw, genres=())
     with pytest.raises(ValueError):
         filter_dataset(raw, min_ratings=50)       # nobody is that active here
+
+
+def test_filter_matches_a_per_rating_reference(bulk_ml_dir):
+    # The dict-and-loop form of the filter, kept as the reference for the
+    # vectorized one: both must give the same arrays and ids exactly.
+    raw = parse(bulk_ml_dir)
+    data = filter_dataset(raw)
+    selected = {mid for mid, (_, gs) in raw.movies.items() if set(gs) & set(data.genres)}
+    counts = {}
+    for uid, mid in zip(raw.rating_users.tolist(), raw.rating_movies.tolist()):
+        if mid in selected:
+            counts[uid] = counts.get(uid, 0) + 1
+    kept = [(uid, mid, value) for uid, mid, value in zip(raw.rating_users.tolist(),
+                                                         raw.rating_movies.tolist(),
+                                                         raw.rating_values.tolist())
+            if mid in selected and counts[uid] >= data.min_ratings]
+    user_ids = sorted({uid for uid, _, _ in kept})
+    movie_ids = sorted({mid for _, mid, _ in kept})
+    assert data.user_ids.tolist() == user_ids and data.movie_ids.tolist() == movie_ids
+    assert data.ratings.entries == [(user_ids.index(uid), movie_ids.index(mid), value)
+                                    for uid, mid, value in kept]

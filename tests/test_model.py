@@ -1,5 +1,7 @@
 """Prediction, squared objective, and analytic gradients of the base model."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,14 @@ def test_train_config_validation():
                 dict(learning_rate=0.0), dict(adam_beta1=1.0), dict(penalty="bogus")):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+
+
+@pytest.mark.parametrize("header", ["0 0 2", "a b c", "3 4", "", "2 1 -1", "2 1 100000000"])
+def test_load_params_names_a_bad_header(tmp_path, header):
+    path = tmp_path / "model.txt"
+    path.write_text(header + "\n0.5 1.0 0.0\n0.25 0.5 1.0\n0.0 0.0 0.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: "):
+        load_params(path)
 
 
 def test_save_load_round_trip(tmp_path):
