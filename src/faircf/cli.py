@@ -206,6 +206,14 @@ def _dataset_dims(data_dir: Path):
     return dims
 
 
+def _check_group_count(groups, groups_path: Path, num_users: int, grid_path: Path):
+    """Raise, naming both files, unless the group file labels exactly the
+    users of the grid that ``grid_path`` sets."""
+    if groups.num_users != num_users:
+        raise ValueError(f"{groups_path} labels {groups.num_users} users, "
+                         f"but the grid of {grid_path} has {num_users} users")
+
+
 def _load_dataset(data_dir: Path):
     ratings_path = data_dir / "ratings.tsv"
     groups_path = data_dir / "groups.tsv"
@@ -217,7 +225,7 @@ def _load_dataset(data_dir: Path):
     num_users, num_items = _dataset_dims(data_dir)
     ratings = read_ratings(ratings_path, num_users=num_users or groups.num_users,
                            num_items=num_items)
-    groups.check_against(ratings)
+    _check_group_count(groups, groups_path, ratings.num_users, ratings_path)
     return ratings, groups, {str(ratings_path): _checksum(ratings_path),
                              str(groups_path): _checksum(groups_path)}
 
@@ -275,6 +283,7 @@ def _cmd_evaluate(params: dict):
     model = load_params(model_path)
     groups_path = data_dir / "groups.tsv"
     groups = read_groups(groups_path)
+    _check_group_count(groups, groups_path, model.num_users, model_path)
     targets_path = Path(params["targets"]) if params["targets"] else data_dir / "expected.tsv"
     if not targets_path.exists():
         raise FileNotFoundError(

@@ -22,10 +22,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 
 class RatingEntryError(ValueError):
@@ -82,7 +84,8 @@ class RatingSet:
                 raise RatingEntryError("item index out of range",
                                        (items < 0) | (items >= self.num_items))
             keys = users * self.num_items + items
-            if np.unique(keys).size != keys.size:
+            ordered = np.sort(keys)
+            if not np.all(ordered[1:] - ordered[:-1]):
                 raise RatingEntryError("duplicate (user, item) pair", _repeats(keys))
         finite = np.isfinite(self.values)
         if not np.all(finite):
@@ -130,6 +133,72 @@ class GroupAssignment:
                 f"group labels cover {self.num_users} users, ratings declare {ratings.num_users}")
         if self.item_group is not None and self.item_group.shape[0] != ratings.num_items:
             raise ValueError("item_group length does not match the rating grid")
+
+
+class RatingPlan:
+    """Everything a training run or an evaluation derives from ``(ratings,
+    groups)`` alone, built once and then read by every pass over the entries.
+
+    It exposes the rating arrays like a RatingSet does.  The group labels
+    are checked against the grid when the plan is built; ``groups`` may be
+    None when no group statistic is wanted.  The rest is built on first use:
+
+    * ``dis``: True at the entries of disadvantaged users;
+    * ``key``: the (item, group) cell of each entry, ``2 * item + dis``,
+      with per-key entry counts ``key_counts`` and rating sums
+      ``key_rating_sums`` (bincount sums in entry order);
+    * ``pattern``: ``(A, order)``, the user-major CSR matrix of the grid
+      whose slot s holds entry ``order[s]`` (``order`` is None when the
+      entries are already in user order).  Each accumulate_gradient call
+      refills ``A.data``.  ``A.T`` is the CSC view of the same arrays, so
+      no item-major pattern is ever built.
+    """
+
+    def __init__(self, ratings: RatingSet, groups: GroupAssignment | None = None):
+        if groups is not None:
+            groups.check_against(ratings)
+        self.groups = groups
+        self.users, self.items, self.values = ratings.users, ratings.items, ratings.values
+        self.num_users, self.num_items = ratings.num_users, ratings.num_items
+
+    @classmethod
+    def of(cls, ratings, groups: GroupAssignment | None = None) -> "RatingPlan":
+        """``ratings`` itself if it is a plan already (``groups`` is then
+        ignored), else a fresh plan of ``(ratings, groups)``."""
+        return ratings if isinstance(ratings, cls) else cls(ratings, groups)
+
+    def __len__(self):
+        return int(self.values.shape[0])
+
+    @cached_property
+    def dis(self) -> np.ndarray:
+        if self.groups is None:
+            raise ValueError("group statistics need group labels")
+        return self.groups.disadvantaged[self.users]
+
+    @cached_property
+    def key(self) -> np.ndarray:
+        return 2 * self.items + self.dis
+
+    @cached_property
+    def key_counts(self) -> np.ndarray:
+        return np.bincount(self.key, minlength=2 * self.num_items)
+
+    @cached_property
+    def key_rating_sums(self) -> np.ndarray:
+        return np.bincount(self.key, weights=self.values, minlength=2 * self.num_items)
+
+    @cached_property
+    def pattern(self):
+        users, items = self.users, self.items
+        order = None
+        if np.any(users[1:] < users[:-1]):
+            order = np.argsort(users, kind="stable")
+            items = items[order]
+        indptr = np.zeros(self.num_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(users, minlength=self.num_users), out=indptr[1:])
+        shape = (self.num_users, self.num_items)
+        return sparse.csr_matrix((np.zeros(len(self)), items, indptr), shape=shape), order
 
 
 def write_ratings(ratings: RatingSet, path):

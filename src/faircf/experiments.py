@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .data import GroupAssignment, RatingSet, csv_text, text_table
+from .data import GroupAssignment, RatingPlan, RatingSet, csv_text, text_table
 from .fairness import (FairnessReport, METRIC_NAMES, group_item_averages, metric_absolute,
                        metric_nonparity, metric_over, metric_under, metric_value)
 from .ingest import FilteredDataset, filter_dataset, parse, split
@@ -139,9 +139,10 @@ def evaluate(params: ModelParams, targets: RatingSet, groups: GroupAssignment) -
     five unfairness metrics computed on the target set."""
     if len(targets) == 0:
         raise ValueError("cannot evaluate on an empty target set")
-    preds = predict_entries(params, targets.users, targets.items)
-    error = float(np.mean((preds - targets.values) ** 2))
-    avgs = group_item_averages(preds, targets, groups)
+    plan = RatingPlan(targets, groups)
+    preds = predict_entries(params, plan.users, plan.items)
+    error = float(np.mean((preds - plan.values) ** 2))
+    avgs = group_item_averages(preds, plan)
     return FairnessReport(error, metric_value(avgs), metric_absolute(avgs),
                           metric_under(avgs), metric_over(avgs), metric_nonparity(avgs))
 

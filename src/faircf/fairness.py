@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupAssignment, RatingSet, csv_text
+from .data import GroupAssignment, RatingPlan, RatingSet, csv_text
 from .model import ModelParams, PENALTY_KINDS, accumulate_gradient, predict_entries
 
 # Report column order, fixed for every CSV/table writer in the package.
@@ -96,34 +96,31 @@ class FairnessReport:
         return cls(*(float(c) for c in cells))
 
 
-def group_item_averages(predictions, ratings: RatingSet, groups: GroupAssignment) -> GroupItemAverages:
+def group_item_averages(predictions, ratings, groups: GroupAssignment | None = None
+                        ) -> GroupItemAverages:
     """Per-item and overall group means of predictions and observed scores.
 
-    ``predictions`` is aligned with ``ratings`` entries.
+    ``predictions`` is aligned with the entries of ``ratings``: a RatingSet
+    with its ``groups``, or a RatingPlan that holds them.  One bincount over
+    the plan's (item, group) key gives every per-item prediction sum; the
+    counts and the rating sums come with the plan.
     """
+    plan = RatingPlan.of(ratings, groups)
     predictions = np.asarray(predictions, dtype=np.float64)
-    if predictions.shape != ratings.values.shape:
+    if predictions.shape != plan.values.shape:
         raise ValueError("predictions must align with the rating entries")
-    groups.check_against(ratings)
-    n = ratings.num_items
-    dis = groups.disadvantaged[ratings.users]
-
-    def sums(mask, weights):
-        return np.bincount(ratings.items[mask], weights=weights[mask], minlength=n)
-
-    count_dis = np.bincount(ratings.items[dis], minlength=n).astype(np.int64)
-    count_adv = np.bincount(ratings.items[~dis], minlength=n).astype(np.int64)
+    n = plan.num_items
+    counts = plan.key_counts.reshape(n, 2)
+    pred_sums = np.bincount(plan.key, weights=predictions, minlength=2 * n)
     with np.errstate(invalid="ignore", divide="ignore"):
-        avg_pred_dis = sums(dis, predictions) / count_dis
-        avg_pred_adv = sums(~dis, predictions) / count_adv
-        avg_rating_dis = sums(dis, ratings.values) / count_dis
-        avg_rating_adv = sums(~dis, ratings.values) / count_adv
-    n_dis = int(dis.sum())
-    n_adv = len(ratings) - n_dis
+        avg_pred = pred_sums.reshape(n, 2) / counts
+        avg_rating = plan.key_rating_sums.reshape(n, 2) / counts
+    dis = plan.dis
+    n_dis = int(counts[:, 1].sum())
     overall_dis = float(predictions[dis].mean()) if n_dis else float("nan")
-    overall_adv = float(predictions[~dis].mean()) if n_adv else float("nan")
-    return GroupItemAverages(avg_pred_dis, avg_pred_adv, avg_rating_dis, avg_rating_adv,
-                             count_dis, count_adv, overall_dis, overall_adv)
+    overall_adv = float(predictions[~dis].mean()) if n_dis < len(plan) else float("nan")
+    return GroupItemAverages(avg_pred[:, 1], avg_pred[:, 0], avg_rating[:, 1], avg_rating[:, 0],
+                             counts[:, 1], counts[:, 0], overall_dis, overall_adv)
 
 
 def _mean_gap(kind: str, avgs: GroupItemAverages) -> float:
@@ -211,54 +208,50 @@ def _inner_terms(kind: str, avgs: GroupItemAverages):
     return d, fac_dis, fac_adv
 
 
-def _smoothed_terms(kind: str, avgs: GroupItemAverages, ratings: RatingSet,
-                    groups: GroupAssignment) -> tuple[float, np.ndarray]:
-    """Smoothed metric and its derivative d metric / d yhat_k for every
-    rating entry k."""
-    n_entries = len(ratings)
+def _smoothed_terms(kind: str, avgs: GroupItemAverages) -> tuple[float, np.ndarray]:
+    """Smoothed metric and its derivative d metric / d yhat_k.  All entries
+    of one (item, group) cell share that derivative, so it comes as a table
+    of one coefficient per item (rows) and group (columns advantaged,
+    disadvantaged), in the layout of RatingPlan.key."""
     if kind == "under_plus_over":
-        under, w_under = _smoothed_terms("under", avgs, ratings, groups)
-        over, w_over = _smoothed_terms("over", avgs, ratings, groups)
-        return under + over, w_under + w_over
-    dis = groups.disadvantaged[ratings.users]
+        under, c_under = _smoothed_terms("under", avgs)
+        over, c_over = _smoothed_terms("over", avgs)
+        return under + over, c_under + c_over
+    coeff = np.zeros((avgs.count_dis.shape[0], 2))
     if kind == "nonparity":
-        n_dis = int(dis.sum())
-        n_adv = n_entries - n_dis
+        n_dis, n_adv = int(avgs.count_dis.sum()), int(avgs.count_adv.sum())
         if n_dis == 0 or n_adv == 0:
-            return 0.0, np.zeros(n_entries)
+            return 0.0, coeff
         gap = avgs.overall_pred_dis - avgs.overall_pred_adv
         slope = float(_smoothed_slope(gap))
-        return float(smoothed_penalty_term(gap)), np.where(dis, slope / n_dis, -slope / n_adv)
+        coeff[:] = -slope / n_adv, slope / n_dis
+        return float(smoothed_penalty_term(gap)), coeff
     valid = avgs.both_observed
     n_valid = int(valid.sum())
     if n_valid == 0:
-        return 0.0, np.zeros(n_entries)
+        return 0.0, coeff
     d, fac_dis, fac_adv = _inner_terms(kind, avgs)
     slope = _smoothed_slope(d[valid])
-    # Per-item coefficient = outer slope * inner partial / (|valid| * group count);
-    # an entry's weight is just the coefficient of its (item, group) cell.
-    coeff_dis = np.zeros(ratings.num_items)
-    coeff_adv = np.zeros(ratings.num_items)
-    coeff_dis[valid] = slope * fac_dis[valid] / (n_valid * avgs.count_dis[valid])
-    coeff_adv[valid] = slope * fac_adv[valid] / (n_valid * avgs.count_adv[valid])
-    return (float(np.mean(smoothed_penalty_term(d[valid]))),
-            np.where(dis, coeff_dis[ratings.items], coeff_adv[ratings.items]))
+    # outer slope * inner partial / (|valid| * group count)
+    coeff[valid, 1] = slope * fac_dis[valid] / (n_valid * avgs.count_dis[valid])
+    coeff[valid, 0] = slope * fac_adv[valid] / (n_valid * avgs.count_adv[valid])
+    return float(np.mean(smoothed_penalty_term(d[valid]))), coeff
 
 
-def penalty_terms(kind: str, predictions, ratings: RatingSet, groups: GroupAssignment,
+def penalty_terms(kind: str, predictions, ratings, groups: GroupAssignment | None,
                   weight: float = 1.0) -> tuple[float, np.ndarray]:
     """The weighted smoothed penalty and its derivative d penalty / d yhat_k
     for every rating entry, from ``predictions`` already made for
-    ``ratings``."""
+    ``ratings`` (a RatingSet with its ``groups``, or a RatingPlan)."""
     if kind not in PENALTY_KINDS:
         raise ValueError(f"unknown penalty {kind!r}; valid: {', '.join(PENALTY_KINDS)}")
+    plan = RatingPlan.of(ratings, groups)
     if kind == "none":
-        return 0.0, np.zeros(len(ratings))
-    if len(ratings) == 0:
+        return 0.0, np.zeros(len(plan))
+    if len(plan) == 0:
         raise ValueError("cannot evaluate a penalty on an empty rating set")
-    value, weights = _smoothed_terms(kind, group_item_averages(predictions, ratings, groups),
-                                     ratings, groups)
-    return weight * value, weight * weights
+    value, coeff = _smoothed_terms(kind, group_item_averages(predictions, plan))
+    return weight * value, (weight * coeff).ravel()[plan.key]
 
 
 def penalty(kind: str, params: ModelParams, ratings: RatingSet,
@@ -272,6 +265,6 @@ def penalty_gradient(kind: str, params: ModelParams, ratings: RatingSet,
                      groups: GroupAssignment, weight: float = 1.0) -> ModelParams:
     """Analytic (sub)gradient of ``penalty`` with respect to every parameter,
     in the parameter layout."""
-    preds = predict_entries(params, ratings.users, ratings.items)
-    return accumulate_gradient(params, ratings,
-                               penalty_terms(kind, preds, ratings, groups, weight)[1])
+    plan = RatingPlan(ratings, groups)
+    preds = predict_entries(params, plan.users, plan.items)
+    return accumulate_gradient(params, plan, penalty_terms(kind, preds, plan, None, weight)[1])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingSet, read_fields
+from .data import RatingPlan, RatingSet, read_fields
 
 # Valid penalty selectors for TrainConfig and the fairness module.
 PENALTY_KINDS = ("none", "value", "absolute", "under", "over", "nonparity", "under_plus_over")
@@ -136,9 +136,24 @@ def predict(params: ModelParams, user: int, item: int) -> float:
 
 
 def predict_entries(params: ModelParams, users, items) -> np.ndarray:
-    """Predicted scores for parallel index arrays (indices assumed valid)."""
+    """Predicted scores for parallel index arrays (indices assumed valid).
+
+    Each factor column is gathered from a contiguous copy of the transposed
+    factor matrix.  The products of even and of odd k go to two running sums
+    that meet at the end, the order in which ``einsum("ij,ij->i")`` sums
+    them on two-lane SIMD for d < 8; then come the user and the item bias.
+    """
     p, q, u, v = params.arrays()
-    return np.einsum("ij,ij->i", p[users], q[items]) + u[users] + v[items]
+    pt, qt = p.T.copy(), q.T.copy()
+    dot = [pt[k][users] * qt[k][items] for k in range(min(params.d, 2))]
+    for k in range(2, params.d):
+        dot[k % 2] += pt[k][users] * qt[k][items]
+    out = dot[0]
+    if params.d > 1:
+        out += dot[1]
+    out += u[users]
+    out += v[items]
+    return out
 
 
 def predict_matrix(params: ModelParams) -> np.ndarray:
@@ -147,16 +162,20 @@ def predict_matrix(params: ModelParams) -> np.ndarray:
             + params.user_bias[:, None] + params.item_bias[None, :])
 
 
-def mf_objective_terms(params: ModelParams, ratings: RatingSet, predictions,
+def mf_objective_terms(params: ModelParams, ratings, predictions,
                        lambda_reg: float) -> tuple[float, np.ndarray]:
     """The objective and its derivative dJ/dyhat_k for every rating entry,
-    from ``predictions`` already made for ``ratings``.  The L2 part of the
-    gradient is added by accumulate_gradient."""
+    from ``predictions`` already made for ``ratings`` (a RatingSet or a
+    RatingPlan).  The L2 part of the gradient is added by
+    accumulate_gradient."""
     if len(ratings) == 0:
         raise ValueError("cannot evaluate the objective on an empty rating set")
     residual = predictions - ratings.values
     reg = 0.5 * lambda_reg * (np.sum(params.user_vectors ** 2) + np.sum(params.item_vectors ** 2))
-    return float(reg + np.mean(residual ** 2)), 2.0 * residual / len(ratings)
+    objective = float(reg + np.mean(residual ** 2))
+    residual *= 2.0
+    residual /= len(ratings)
+    return objective, residual
 
 
 def mf_objective(params: ModelParams, ratings: RatingSet, lambda_reg: float) -> float:
@@ -165,26 +184,28 @@ def mf_objective(params: ModelParams, ratings: RatingSet, lambda_reg: float) -> 
     return mf_objective_terms(params, ratings, preds, lambda_reg)[0]
 
 
-def accumulate_gradient(params: ModelParams, ratings: RatingSet, weights,
+def accumulate_gradient(params: ModelParams, ratings, weights,
                         lambda_reg: float = 0.0) -> ModelParams:
     """Chain per-entry prediction-space derivatives dL/dyhat_k back to the
     parameters, plus ``lambda_reg`` times the factor matrices (the gradient
-    of the L2 term).  ``weights`` is aligned with ``ratings`` entries; the
-    gradient comes back in the parameter layout.
+    of the L2 term).  ``weights`` is aligned with the entries of ``ratings``,
+    a RatingSet or a RatingPlan; the gradient comes back in the parameter
+    layout.
 
-    Accumulation uses bincount, which sums in index order, so results are
-    reproducible bit-for-bit.
+    The weights fill the plan's user-major CSR matrix A (one gather), and
+    ``A @ [Q, 1]`` and ``A.T @ [P, 1]`` give the user and the item gradients,
+    factors and bias together.  Each output sums its terms in a fixed order
+    (a user's entries in entry order; an item's in user order, then entry
+    order), so results are reproducible bit for bit.
     """
-    users, items = ratings.users, ratings.items
+    a, order = RatingPlan.of(ratings).pattern
+    a.data = weights if order is None else weights[order]
     m, n, d = params.num_users, params.num_items, params.d
-    grad = ModelParams.from_flat(np.empty_like(params.flat), m, n, d)
-    gp, gq, gu, gv = grad.arrays()
     p, q, _, _ = params.arrays()
-    for k in range(d):
-        gp[:, k] = np.bincount(users, weights=weights * q[items, k], minlength=m)
-        gq[:, k] = np.bincount(items, weights=weights * p[users, k], minlength=n)
-    gu[:] = np.bincount(users, weights=weights, minlength=m)
-    gv[:] = np.bincount(items, weights=weights, minlength=n)
+    by_user = a @ np.column_stack([q, np.ones(n)])
+    by_item = a.T @ np.column_stack([p, np.ones(m)])
+    grad = ModelParams.from_flat(np.concatenate(
+        [by_user[:, :d].ravel(), by_item[:, :d].ravel(), by_user[:, d], by_item[:, d]]), m, n, d)
     if lambda_reg:
         factors = (m + n) * d
         grad.flat[:factors] += lambda_reg * params.flat[:factors]

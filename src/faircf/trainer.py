@@ -5,9 +5,12 @@ Each iteration computes the exact gradient of
     L = mf_objective(params) + penalty_weight * penalty(kind, params)
 
 over the whole training set (no minibatching) and applies one Adam update.
-One pass per update predicts the observed cells once, reads the objective,
-the penalty and dL/dyhat per entry off that prediction, and chains the
-latter back to the parameters once.  Parameters are initialized i.i.d.
+Everything that depends only on the ratings and the group labels (the group
+check, each entry's (item, group) key with its counts and rating sums, the
+CSR pattern of the grid) is built once per run, as a RatingPlan.  One pass
+per update then predicts the observed cells once, reads the objective, the
+penalty and dL/dyhat per entry off that prediction, and chains the latter
+back to the parameters once.  Parameters are initialized i.i.d.
 normal with standard deviation 0.1 from the seeded generator, in one draw
 over the flat layout (user vectors, item vectors, user biases, item
 biases), so a given (data, config) pair always trains to bit-identical
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GroupAssignment, RatingSet, csv_text
+from .data import GroupAssignment, RatingPlan, RatingSet, csv_text
 from .fairness import penalty_terms
 from .model import (ModelParams, TrainConfig, accumulate_gradient, mf_objective_terms,
                     predict_entries)
@@ -79,18 +82,20 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, first_moment: np.ndarray,
     return theta, m, v
 
 
-def loss_terms(params: ModelParams, ratings: RatingSet, groups: GroupAssignment,
+def loss_terms(params: ModelParams, ratings, groups: GroupAssignment | None,
                config: TrainConfig) -> tuple[float, float, np.ndarray]:
     """One prediction pass: the objective, the weighted penalty and
     dL/dyhat for every rating entry; ``accumulate_gradient(params, ratings,
-    weights, config.lambda_reg)`` turns the last into the gradient of L."""
-    preds = predict_entries(params, ratings.users, ratings.items)
-    objective, weights = mf_objective_terms(params, ratings, preds, config.lambda_reg)
+    weights, config.lambda_reg)`` turns the last into the gradient of L.
+    ``ratings`` is a RatingSet with its ``groups``, or a RatingPlan."""
+    plan = RatingPlan.of(ratings, groups)
+    preds = predict_entries(params, plan.users, plan.items)
+    objective, weights = mf_objective_terms(params, plan, preds, config.lambda_reg)
     if config.penalty == "none":
         return objective, 0.0, weights
-    pen, pen_weights = penalty_terms(config.penalty, preds, ratings, groups,
-                                     config.penalty_weight)
-    return objective, pen, weights + pen_weights
+    pen, pen_weights = penalty_terms(config.penalty, preds, plan, None, config.penalty_weight)
+    weights += pen_weights
+    return objective, pen, weights
 
 
 def train(ratings: RatingSet, groups: GroupAssignment,
@@ -104,7 +109,7 @@ def train(ratings: RatingSet, groups: GroupAssignment,
     config.validate()
     if len(ratings) == 0:
         raise ValueError("cannot train on an empty rating set")
-    groups.check_against(ratings)
+    plan = RatingPlan(ratings, groups)
     rng = np.random.default_rng(config.seed)
     m, n, d = ratings.num_users, ratings.num_items, config.d
     params = init_params(m, n, d, rng)
@@ -113,13 +118,13 @@ def train(ratings: RatingSet, groups: GroupAssignment,
     start = time.perf_counter()
     first = np.zeros_like(params.flat)
     second = np.zeros_like(params.flat)
-    _, _, weights = loss_terms(params, ratings, groups, config)
+    _, _, weights = loss_terms(params, plan, None, config)
     for t in range(1, config.iterations + 1):
-        grad = accumulate_gradient(params, ratings, weights, config.lambda_reg).flat
+        grad = accumulate_gradient(params, plan, weights, config.lambda_reg).flat
         theta, first, second = adam_step(params.flat, grad, first, second, t, config)
         params = ModelParams.from_flat(theta, m, n, d)
         # The pass that starts update t + 1 also gives the trace entry of update t.
-        obj, pen, weights = loss_terms(params, ratings, groups, config)
+        obj, pen, weights = loss_terms(params, plan, None, config)
         if not (math.isfinite(obj) and math.isfinite(pen)):
             raise DivergenceError(t, obj + pen)
         objectives[t - 1] = obj

@@ -315,3 +315,30 @@ def test_evaluate_rejects_a_bad_model_header(tmp_path, capsys, header):
     assert main(["evaluate", "--model", str(model), "--data", str(data),
                  "--out", str(tmp_path / "report")]) == 1
     assert f"{model}: line 1: " in capsys.readouterr().err
+
+
+def truncate_groups(data, users):
+    groups = data / "groups.tsv"
+    lines = groups.read_text(encoding="utf-8").splitlines(keepends=True)
+    groups.write_text("".join(lines[:users]), encoding="utf-8")
+    return groups
+
+
+def test_train_names_both_files_on_a_group_count_mismatch(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    groups = truncate_groups(data, 10)
+    assert main(["train", "--data", str(data), "--iterations", "2",
+                 "--out", str(tmp_path / "model")]) == 1
+    assert (f"{groups} labels 10 users, but the grid of {data / 'ratings.tsv'} has 20 users"
+            in capsys.readouterr().err)
+
+
+def test_evaluate_names_both_files_on_a_group_count_mismatch(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    model = tmp_path / "model" / "model.txt"
+    run_ok(["train", "--data", str(data), "--iterations", "2", "--out", str(model.parent)])
+    groups = truncate_groups(data, 10)
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--out", str(tmp_path / "report")]) == 1
+    assert (f"{groups} labels 10 users, but the grid of {model} has 20 users"
+            in capsys.readouterr().err)

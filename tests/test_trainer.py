@@ -1,8 +1,12 @@
-"""Adam loop behavior: determinism, trace bookkeeping, and actual learning."""
+"""Adam loop behavior: determinism, trace bookkeeping, call counts, and
+actual learning."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from faircf import experiments, fairness, model, trainer
 from faircf.data import GroupAssignment, RatingSet
 from faircf.experiments import evaluate
 from faircf.fairness import penalty
@@ -141,3 +145,30 @@ def test_train_checks_group_coverage():
     bad = GroupAssignment(np.zeros(ratings.num_users + 2, dtype=bool))
     with pytest.raises(ValueError):
         train(ratings, bad, TrainConfig(iterations=1))
+
+
+@pytest.mark.parametrize("penalty, penalized", [("none", 0), ("value", 1)])
+def test_train_runs_one_pass_per_update_over_one_plan(monkeypatch, penalty, penalized):
+    """Calls inside one train of N updates: N + 1 predictions (the last one
+    gives the final trace entry), N accumulations, group averages only when
+    penalized, and the group labels checked once, when the plan is built."""
+    ratings, groups = tiny_problem(4)
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for module in (model, fairness, trainer, experiments):
+        for name in ("predict_entries", "accumulate_gradient", "group_item_averages"):
+            if hasattr(module, name):
+                count(module, name)
+    count(GroupAssignment, "check_against")
+    n = 7
+    train(ratings, groups, TrainConfig(iterations=n, penalty=penalty))
+    assert calls == Counter(predict_entries=n + 1, accumulate_gradient=n,
+                            group_item_averages=(n + 1) * penalized, check_against=1)
