@@ -56,28 +56,38 @@ _TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 _TRAIN_SCHEMA = {flag: (type(_TRAIN_DEFAULTS[name]), _TRAIN_DEFAULTS[name], False, help_text)
                  for flag, (name, help_text) in _TRAIN_PARAMS.items()}
 
+
+class AbsolutePath(str):
+    """A path parameter, made absolute as it is resolved, so that a manifest
+    names its files for a rerun from any working directory."""
+
+    def __new__(cls, value):
+        return super().__new__(cls, os.path.abspath(value))
+
+
 # name -> (type, default, required, help); None default means "unset".
 _SCHEMAS = {
     "generate": {
         "scenario": (str, None, False, "builtin setting: " + ", ".join(sorted(set(GENERATE_SCENARIOS)))),
-        "spec": (str, None, False, "JSON block-model spec file (instead of --scenario)"),
+        "spec": (AbsolutePath, None, False, "JSON block-model spec file (instead of --scenario)"),
         "users": (int, None, False, "number of users (default 400, or the spec file's)"),
         "items": (int, None, False, "number of items (default 300, or the spec file's)"),
         "seed": (int, None, False, "root seed (default 0, or the spec file's)"),
-        "out": (str, None, True, "output directory"),
+        "out": (AbsolutePath, None, True, "output directory"),
     },
     "train": {
-        "data": (str, None, True, "dataset directory with ratings.tsv and groups.tsv"),
-        "out": (str, None, True, "output directory"),
+        "data": (AbsolutePath, None, True, "dataset directory with ratings.tsv and groups.tsv"),
+        "out": (AbsolutePath, None, True, "output directory"),
         "penalty": (str, "none", False, "fairness penalty kind"),
         "seed": (int, 0, False, "initialization seed"),
         **_TRAIN_SCHEMA,
     },
     "evaluate": {
-        "model": (str, None, True, "saved model file"),
-        "data": (str, None, True, "dataset directory with groups.tsv"),
-        "targets": (str, None, False, "target rating file (default: <data>/expected.tsv)"),
-        "out": (str, None, True, "output directory"),
+        "model": (AbsolutePath, None, True, "saved model file"),
+        "data": (AbsolutePath, None, True, "dataset directory with groups.tsv"),
+        "targets": (AbsolutePath, None, False,
+                    "target rating file (default: <data>/expected.tsv)"),
+        "out": (AbsolutePath, None, True, "output directory"),
     },
     "experiment": {
         "scenario": (str, None, True, "one of " + ", ".join(SCENARIOS) + ", fig1"),
@@ -87,15 +97,15 @@ _SCHEMAS = {
         "users": (int, 400, False, "synthetic user count"),
         "items": (int, 300, False, "synthetic item count"),
         "seed": (int, 0, False, "root seed"),
-        "ml-dir": (str, None, False, "MovieLens-1M directory (movielens scenario)"),
+        "ml-dir": (AbsolutePath, None, False, "MovieLens-1M directory (movielens scenario)"),
         "test-fraction": (float, 0.2, False, "held-out fraction for movielens"),
         "jobs": (int, 1, False, "parallel trial workers"),
-        "out": (str, None, True, "output directory"),
+        "out": (AbsolutePath, None, True, "output directory"),
         **_TRAIN_SCHEMA,
     },
     "prepare-movielens": {
-        "ml-dir": (str, None, True, "MovieLens-1M directory (users/movies/ratings.dat)"),
-        "out": (str, None, True, "output directory"),
+        "ml-dir": (AbsolutePath, None, True, "MovieLens-1M directory (users/movies/ratings.dat)"),
+        "out": (AbsolutePath, None, True, "output directory"),
         "genres": (str, "action,crime,musical,romance,sci-fi", False,
                    "comma-separated genre filter"),
         "min-ratings": (int, 50, False, "activity threshold on selected-genre ratings"),
@@ -237,17 +247,10 @@ def _cmd_generate(params: dict):
     if params["spec"]:
         spec = load_spec(params["spec"])
         inputs[params["spec"]] = _checksum(params["spec"])
-        if params["seed"] is not None:
-            spec = replace(spec, seed=params["seed"])
-        if params["users"] is not None:
-            spec = replace(spec, num_users=params["users"])
-        if params["items"] is not None:
-            spec = replace(spec, num_items=params["items"])
     else:
-        setting = GENERATE_SCENARIOS[params["scenario"]]
-        spec = builtin_specs(params["users"] if params["users"] is not None else 400,
-                             params["items"] if params["items"] is not None else 300,
-                             seed=params["seed"] if params["seed"] is not None else 0)[setting]
+        spec = builtin_specs()[GENERATE_SCENARIOS[params["scenario"]]]
+    flags = {"seed": params["seed"], "num_users": params["users"], "num_items": params["items"]}
+    spec = replace(spec, **{name: value for name, value in flags.items() if value is not None})
     ds = generate(spec)
     held_out = evaluation_set(ds)
     out = Path(params["out"])
@@ -413,10 +416,10 @@ def _cmd_rerun(manifest_path: str, out_override: str | None) -> int:
         raise ValueError(f"{path}: {exc}") from None
     for input_path, recorded in checksums.items():
         if not Path(input_path).exists():
-            raise FileNotFoundError(f"manifest input missing: {input_path}")
-        actual = _checksum(input_path)
-        if actual != recorded:
-            raise ValueError(f"manifest input changed since the recorded run: {input_path}")
+            raise FileNotFoundError(f"{path}: manifest input missing: {input_path}")
+        if _checksum(input_path) != recorded:
+            raise ValueError(
+                f"{path}: manifest input changed since the recorded run: {input_path}")
     return _run_command(command, params)
 
 

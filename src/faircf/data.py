@@ -108,19 +108,14 @@ class RatingSet:
 @dataclass(eq=False)
 class GroupAssignment:
     """Binary per-user group labels; ``disadvantaged[i]`` is True for the
-    disadvantaged group.  ``item_group`` optionally carries per-item labels
-    (integer indices) for generators that have them; the model and the
-    fairness metrics never look at it."""
+    disadvantaged group."""
 
     disadvantaged: np.ndarray
-    item_group: np.ndarray | None = None
 
     def __post_init__(self):
         self.disadvantaged = np.ascontiguousarray(self.disadvantaged, dtype=bool)
         if self.disadvantaged.ndim != 1:
             raise ValueError("disadvantaged must be a 1-d boolean array")
-        if self.item_group is not None:
-            self.item_group = np.ascontiguousarray(self.item_group, dtype=np.int64)
 
     @property
     def num_users(self):
@@ -131,8 +126,6 @@ class GroupAssignment:
         if self.num_users != ratings.num_users:
             raise ValueError(
                 f"group labels cover {self.num_users} users, ratings declare {ratings.num_users}")
-        if self.item_group is not None and self.item_group.shape[0] != ratings.num_items:
-            raise ValueError("item_group length does not match the rating grid")
 
 
 class RatingPlan:

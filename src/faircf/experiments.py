@@ -15,14 +15,14 @@ import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
 from .data import GroupAssignment, RatingPlan, RatingSet, csv_text, text_table
-from .fairness import (FairnessReport, METRIC_NAMES, group_item_averages, metric_absolute,
-                       metric_nonparity, metric_over, metric_under, metric_value)
+from .fairness import FairnessReport, METRIC_NAMES, group_item_averages, metric
 from .ingest import FilteredDataset, filter_dataset, parse, split
 from .model import ModelParams, TrainConfig, predict_entries
 from .seeding import derive_seed
@@ -143,8 +143,7 @@ def evaluate(params: ModelParams, targets: RatingSet, groups: GroupAssignment) -
     preds = predict_entries(params, plan.users, plan.items)
     error = float(np.mean((preds - plan.values) ** 2))
     avgs = group_item_averages(preds, plan)
-    return FairnessReport(error, metric_value(avgs), metric_absolute(avgs),
-                          metric_under(avgs), metric_over(avgs), metric_nonparity(avgs))
+    return FairnessReport(error, *(metric(k, avgs) for k in METRIC_NAMES[1:]))
 
 
 def paired_t_statistic(a, b) -> tuple[float, float]:
@@ -222,17 +221,13 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     if plan.scenario == "movielens":
         filtered = filter_dataset(parse(plan.ml_dir))
 
-    trial_outputs = {}
+    trials = range(plan.trials)
     if plan.jobs > 1:
         with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
-            futures = [pool.submit(_run_trial, plan, t, filtered) for t in range(plan.trials)]
-            for fut in futures:
-                trial, data_seed, seeds, out = fut.result()
-                trial_outputs[trial] = (data_seed, seeds, out)
+            outputs = list(pool.map(_run_trial, repeat(plan), trials, repeat(filtered)))
     else:
-        for t in range(plan.trials):
-            trial, data_seed, seeds, out = _run_trial(plan, t, filtered)
-            trial_outputs[trial] = (data_seed, seeds, out)
+        outputs = map(_run_trial, repeat(plan), trials, repeat(filtered))
+    trial_outputs = {trial: rest for trial, *rest in outputs}
 
     reports = {pen: [trial_outputs[t][2][pen] for t in range(plan.trials)]
                for pen in plan.penalties}

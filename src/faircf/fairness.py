@@ -1,25 +1,24 @@
 """Group-conditioned unfairness metrics and their differentiable penalties.
 
 Every metric compares prediction behaviour between the disadvantaged and the
-advantaged user group.  The shared statistic is the per-item group average:
-for item j and each group, the mean predicted score and the mean observed
-score over exactly the (user, item) pairs present in the supplied RatingSet.
-With signed per-item errors
+advantaged user group.  The shared statistic is a table with one row per item
+and one column per group (0 advantaged, 1 disadvantaged), the layout of
+``RatingPlan.key``: the mean predicted score, the mean observed score and the
+entry count of each (item, group) cell, over exactly the (user, item) pairs
+present in the supplied RatingSet, plus each group's overall mean
+prediction.  With e_g(j) the signed error of group g on item j, mean
+prediction minus mean score, each metric ``metric(kind, avgs)`` is the mean
+of |d| over the rows of one gap d between the groups:
 
-    e_g(j)  = avg prediction by disadvantaged raters - avg score they gave
-    e_a(j)  = the same for advantaged raters
+    value     d_j = e_dis(j) - e_adv(j)
+    absolute  d_j = |e_dis(j)| - |e_adv(j)|
+    under     d_j = max(0, -e_dis(j)) - max(0, -e_adv(j))
+    over      d_j = max(0,  e_dis(j)) - max(0,  e_adv(j))
+    nonparity d   = overall mean prediction (dis) - overall (adv), one row
 
-the five metrics are
-
-    value     mean_j | e_g(j) - e_a(j) |
-    absolute  mean_j | |e_g(j)| - |e_a(j)| |
-    under     mean_j | max(0, -e_g(j)) - max(0, -e_a(j)) |
-    over      mean_j | max(0,  e_g(j)) - max(0,  e_a(j)) |
-    nonparity | overall avg prediction (disadvantaged) - overall (advantaged) |
-
-Per-item means run over the items rated by BOTH groups; items seen by only
-one group have undefined averages and are skipped.  If no item qualifies the
-metric is 0.
+The per-item gaps run over the items rated by BOTH groups; items seen by only
+one group have undefined averages and are skipped.  Non-parity needs both
+groups present.  A gap with no row gives the metric 0.
 
 For gradient-based training each metric gets a smoothed variant: the outer
 absolute value |d| is replaced by d**2 while |d| < 1 and kept as |d|
@@ -39,31 +38,34 @@ import numpy as np
 from .data import GroupAssignment, RatingPlan, RatingSet, csv_text
 from .model import ModelParams, PENALTY_KINDS, accumulate_gradient, predict_entries
 
+# kind -> (transform of a group's signed error, its slope); slope 0 at the
+# kinks of |e| and of the hinges.  Non-parity compares the overall means.
+_GAPS = {
+    "value": (lambda e: e, np.ones_like),
+    "absolute": (np.abs, np.sign),
+    "under": (lambda e: np.maximum(0.0, -e), lambda e: (e < 0) * -1.0),
+    "over": (lambda e: np.maximum(0.0, e), lambda e: (e > 0) * 1.0),
+    "nonparity": (lambda e: e, np.ones_like),
+}
+
 # Report column order, fixed for every CSV/table writer in the package.
-METRIC_NAMES = ("error", "value", "absolute", "under", "over", "nonparity")
+METRIC_NAMES = ("error", *_GAPS)
 
 
 @dataclass(eq=False)
 class GroupItemAverages:
-    """Per-item group means plus the overall per-group prediction means.
+    """(num_items, 2) tables of per-(item, group) mean prediction, mean
+    observed score and entry count, columns advantaged and disadvantaged,
+    plus ``overall_pred``, the mean prediction of each group.
 
-    Array slots are NaN wherever the corresponding count is zero; callers
-    must consult the counts (or ``both_observed``) before using them.
+    Means are NaN wherever the count is zero; callers must consult the
+    counts before using them.
     """
 
-    avg_pred_dis: np.ndarray
-    avg_pred_adv: np.ndarray
-    avg_rating_dis: np.ndarray
-    avg_rating_adv: np.ndarray
-    count_dis: np.ndarray
-    count_adv: np.ndarray
-    overall_pred_dis: float
-    overall_pred_adv: float
-
-    @property
-    def both_observed(self) -> np.ndarray:
-        """Mask of items rated by at least one user of each group."""
-        return (self.count_dis > 0) & (self.count_adv > 0)
+    avg_pred: np.ndarray
+    avg_rating: np.ndarray
+    counts: np.ndarray
+    overall_pred: np.ndarray
 
 
 @dataclass
@@ -115,52 +117,37 @@ def group_item_averages(predictions, ratings, groups: GroupAssignment | None = N
     with np.errstate(invalid="ignore", divide="ignore"):
         avg_pred = pred_sums.reshape(n, 2) / counts
         avg_rating = plan.key_rating_sums.reshape(n, 2) / counts
-    dis = plan.dis
-    n_dis = int(counts[:, 1].sum())
-    overall_dis = float(predictions[dis].mean()) if n_dis else float("nan")
-    overall_adv = float(predictions[~dis].mean()) if n_dis < len(plan) else float("nan")
-    return GroupItemAverages(avg_pred[:, 1], avg_pred[:, 0], avg_rating[:, 1], avg_rating[:, 0],
-                             counts[:, 1], counts[:, 0], overall_dis, overall_adv)
+    overall = [predictions[mask].mean() if size else np.nan
+               for mask, size in zip((~plan.dis, plan.dis), counts.sum(axis=0))]
+    return GroupItemAverages(avg_pred, avg_rating, counts, np.array(overall))
 
 
-def _mean_gap(kind: str, avgs: GroupItemAverages) -> float:
-    """Mean of |d_j| over the items rated by both groups, with d_j the
-    per-item gap that the ``kind`` penalty smooths; 0 if no item qualifies."""
-    valid = avgs.both_observed
-    if not valid.any():
-        return 0.0
-    return float(np.mean(np.abs(_inner_terms(kind, avgs)[0][valid])))
+def _gap(kind: str, avgs: GroupItemAverages):
+    """The gap d of the ``kind`` metric, one per row, with its partials with
+    respect to the two averaged predictions of the row, the entry count
+    behind each of those averages (columns as in ``avgs``), and the items
+    the row's partials apply to."""
+    if kind not in _GAPS:
+        raise ValueError(f"unknown fairness metric {kind!r}; valid: {', '.join(_GAPS)}")
+    if kind == "nonparity":
+        # One row: the overall means, against 0; its partials reach every item.
+        pred, rating = avgs.overall_pred[None], 0.0
+        counts = avgs.counts.sum(axis=0, keepdims=True)
+    else:
+        pred, rating, counts = avgs.avg_pred, avgs.avg_rating, avgs.counts
+    rows = (counts[:, 0] > 0) & (counts[:, 1] > 0)
+    error = (pred - rating)[rows]
+    transform, slope = _GAPS[kind]
+    d = transform(error[:, 1]) - transform(error[:, 0])
+    items = slice(None) if kind == "nonparity" else rows
+    return d, slope(error) * (-1.0, 1.0), counts[rows], items
 
 
-def metric_value(avgs: GroupItemAverages) -> float:
-    """Mean absolute gap between the two groups' signed per-item errors."""
-    return _mean_gap("value", avgs)
-
-
-def metric_absolute(avgs: GroupItemAverages) -> float:
-    """Mean absolute gap between the groups' per-item error magnitudes."""
-    return _mean_gap("absolute", avgs)
-
-
-def metric_under(avgs: GroupItemAverages) -> float:
-    """Mean absolute gap between the groups' per-item underestimation."""
-    return _mean_gap("under", avgs)
-
-
-def metric_over(avgs: GroupItemAverages) -> float:
-    """Mean absolute gap between the groups' per-item overestimation."""
-    return _mean_gap("over", avgs)
-
-
-def metric_nonparity(avgs: GroupItemAverages) -> float:
-    """Absolute gap between the groups' overall average predictions.
-
-    Returns 0 when either group contributed no entries at all (the overall
-    average is then undefined), mirroring the empty-item-set convention.
-    """
-    if np.isnan(avgs.overall_pred_dis) or np.isnan(avgs.overall_pred_adv):
-        return 0.0
-    return abs(avgs.overall_pred_dis - avgs.overall_pred_adv)
+def metric(kind: str, avgs: GroupItemAverages) -> float:
+    """The ``kind`` unfairness metric (one of METRIC_NAMES after "error"):
+    the mean of |d| over the rows of its gap, 0 when it has none."""
+    d = _gap(kind, avgs)[0]
+    return float(np.mean(np.abs(d))) if d.size else 0.0
 
 
 def smoothed_penalty_term(d):
@@ -180,72 +167,30 @@ def _smoothed_slope(d):
     return np.where(np.abs(arr) < 1.0, 2.0 * arr, np.sign(arr))
 
 
-def _inner_terms(kind: str, avgs: GroupItemAverages):
-    """Outer argument d_j per item plus its partials with respect to each
-    group's average prediction.  Invalid items yield NaN and are masked by
-    the callers."""
-    with np.errstate(invalid="ignore"):
-        err_dis = avgs.avg_pred_dis - avgs.avg_rating_dis
-        err_adv = avgs.avg_pred_adv - avgs.avg_rating_adv
-        if kind == "value":
-            d = err_dis - err_adv
-            fac_dis = np.ones_like(d)
-            fac_adv = -np.ones_like(d)
-        elif kind == "absolute":
-            d = np.abs(err_dis) - np.abs(err_adv)
-            fac_dis = np.sign(err_dis)
-            fac_adv = -np.sign(err_adv)
-        elif kind == "under":
-            d = np.maximum(0.0, -err_dis) - np.maximum(0.0, -err_adv)
-            fac_dis = -(err_dis < 0).astype(np.float64)
-            fac_adv = (err_adv < 0).astype(np.float64)
-        elif kind == "over":
-            d = np.maximum(0.0, err_dis) - np.maximum(0.0, err_adv)
-            fac_dis = (err_dis > 0).astype(np.float64)
-            fac_adv = -(err_adv > 0).astype(np.float64)
-        else:
-            raise ValueError(f"no per-item form for penalty kind {kind!r}")
-    return d, fac_dis, fac_adv
-
-
 def _smoothed_terms(kind: str, avgs: GroupItemAverages) -> tuple[float, np.ndarray]:
     """Smoothed metric and its derivative d metric / d yhat_k.  All entries
     of one (item, group) cell share that derivative, so it comes as a table
-    of one coefficient per item (rows) and group (columns advantaged,
-    disadvantaged), in the layout of RatingPlan.key."""
+    in the layout of ``avgs``."""
     if kind == "under_plus_over":
         under, c_under = _smoothed_terms("under", avgs)
         over, c_over = _smoothed_terms("over", avgs)
         return under + over, c_under + c_over
-    coeff = np.zeros((avgs.count_dis.shape[0], 2))
-    if kind == "nonparity":
-        n_dis, n_adv = int(avgs.count_dis.sum()), int(avgs.count_adv.sum())
-        if n_dis == 0 or n_adv == 0:
-            return 0.0, coeff
-        gap = avgs.overall_pred_dis - avgs.overall_pred_adv
-        slope = float(_smoothed_slope(gap))
-        coeff[:] = -slope / n_adv, slope / n_dis
-        return float(smoothed_penalty_term(gap)), coeff
-    valid = avgs.both_observed
-    n_valid = int(valid.sum())
-    if n_valid == 0:
+    d, partial, counts, items = _gap(kind, avgs)
+    coeff = np.zeros(avgs.counts.shape)
+    if not d.size:
         return 0.0, coeff
-    d, fac_dis, fac_adv = _inner_terms(kind, avgs)
-    slope = _smoothed_slope(d[valid])
-    # outer slope * inner partial / (|valid| * group count)
-    coeff[valid, 1] = slope * fac_dis[valid] / (n_valid * avgs.count_dis[valid])
-    coeff[valid, 0] = slope * fac_adv[valid] / (n_valid * avgs.count_adv[valid])
-    return float(np.mean(smoothed_penalty_term(d[valid]))), coeff
+    # outer slope * inner partial / (gap count * cell count)
+    coeff[items] = (_smoothed_slope(d)[:, None] * partial) / (d.size * counts)
+    return float(np.mean(smoothed_penalty_term(d))), coeff
 
 
-def penalty_terms(kind: str, predictions, ratings, groups: GroupAssignment | None,
+def penalty_terms(kind: str, predictions, plan: RatingPlan,
                   weight: float = 1.0) -> tuple[float, np.ndarray]:
     """The weighted smoothed penalty and its derivative d penalty / d yhat_k
-    for every rating entry, from ``predictions`` already made for
-    ``ratings`` (a RatingSet with its ``groups``, or a RatingPlan)."""
+    for every rating entry, from ``predictions`` already made for the
+    entries of ``plan``."""
     if kind not in PENALTY_KINDS:
         raise ValueError(f"unknown penalty {kind!r}; valid: {', '.join(PENALTY_KINDS)}")
-    plan = RatingPlan.of(ratings, groups)
     if kind == "none":
         return 0.0, np.zeros(len(plan))
     if len(plan) == 0:
@@ -257,8 +202,8 @@ def penalty_terms(kind: str, predictions, ratings, groups: GroupAssignment | Non
 def penalty(kind: str, params: ModelParams, ratings: RatingSet,
             groups: GroupAssignment, weight: float = 1.0) -> float:
     """Smoothed unfairness penalty of the model on the given rating set."""
-    preds = predict_entries(params, ratings.users, ratings.items)
-    return penalty_terms(kind, preds, ratings, groups, weight)[0]
+    plan = RatingPlan(ratings, groups)
+    return penalty_terms(kind, predict_entries(params, plan.users, plan.items), plan, weight)[0]
 
 
 def penalty_gradient(kind: str, params: ModelParams, ratings: RatingSet,
@@ -267,4 +212,4 @@ def penalty_gradient(kind: str, params: ModelParams, ratings: RatingSet,
     in the parameter layout."""
     plan = RatingPlan(ratings, groups)
     preds = predict_entries(params, plan.users, plan.items)
-    return accumulate_gradient(params, plan, penalty_terms(kind, preds, plan, None, weight)[1])
+    return accumulate_gradient(params, plan, penalty_terms(kind, preds, plan, weight)[1])

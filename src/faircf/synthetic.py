@@ -25,7 +25,7 @@ matrix never changes which ratings would have been liked.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +57,6 @@ OBS_BIASED = np.array([
 POP_UNIFORM = np.full(4, 0.25)
 POP_IMBALANCED = np.array([0.4, 0.1, 0.4, 0.1])
 
-SETTING_NAMES = ("U", "O", "P", "P+O")
-
 
 @dataclass(eq=False)
 class BlockModelSpec:
@@ -85,16 +83,18 @@ class BlockModelSpec:
         n_ug, n_ig = len(self.user_group_labels), len(self.item_group_labels)
         if self.num_users <= 0 or self.num_items <= 0:
             raise ValueError("num_users and num_items must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         for name, props, count in (("user", self.user_group_proportions, n_ug),
                                    ("item", self.item_group_proportions, n_ig)):
             if props.shape != (count,):
                 raise ValueError(f"{name} group proportions must match the labels")
-            if np.any(props < 0) or abs(props.sum() - 1.0) > 1e-9:
+            if not (np.all(props >= 0) and abs(props.sum() - 1.0) <= 1e-9):
                 raise ValueError(f"{name} group proportions must be nonnegative and sum to 1")
         for name, probs in (("like_probs", self.like_probs), ("obs_probs", self.obs_probs)):
             if probs.shape != (n_ug, n_ig):
                 raise ValueError(f"{name} must be shaped (user groups, item groups)")
-            if np.any(probs < 0) or np.any(probs > 1):
+            if not np.all((probs >= 0) & (probs <= 1)):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
         unknown = set(self.disadvantaged_user_groups) - set(self.user_group_labels)
         if unknown:
@@ -104,12 +104,13 @@ class BlockModelSpec:
 @dataclass(eq=False)
 class SyntheticDataset:
     """Generated data: the observed ratings, the binary labels the model may
-    see, the hidden four-way user blocks, and the expected score
-    (2 * like_prob - 1) for every grid cell."""
+    see, the hidden user and item blocks (indices into the spec's labels),
+    and the expected score (2 * like_prob - 1) for every grid cell."""
 
     observed: RatingSet
     groups: GroupAssignment
     user_group: np.ndarray
+    item_group: np.ndarray
     expected_ratings: np.ndarray
     spec: BlockModelSpec
 
@@ -166,9 +167,9 @@ def generate(spec: BlockModelSpec) -> SyntheticDataset:
 
     disadvantaged = np.isin(np.asarray(spec.user_group_labels)[user_group],
                             spec.disadvantaged_user_groups)
-    groups = GroupAssignment(disadvantaged, item_group)
     expected = 2.0 * cell_like - 1.0
-    return SyntheticDataset(observed, groups, user_group, expected, spec)
+    return SyntheticDataset(observed, GroupAssignment(disadvantaged), user_group, item_group,
+                            expected, spec)
 
 
 def evaluation_set(data: SyntheticDataset) -> RatingSet:
@@ -183,42 +184,53 @@ def evaluation_set(data: SyntheticDataset) -> RatingSet:
 
 def spec_to_json(spec: BlockModelSpec) -> str:
     """Serialize a spec so custom distributions can ride through the CLI."""
-    payload = {
-        "user_group_labels": list(spec.user_group_labels),
-        "user_group_proportions": spec.user_group_proportions.tolist(),
-        "item_group_labels": list(spec.item_group_labels),
-        "item_group_proportions": spec.item_group_proportions.tolist(),
-        "like_probs": spec.like_probs.tolist(),
-        "obs_probs": spec.obs_probs.tolist(),
-        "num_users": spec.num_users,
-        "num_items": spec.num_items,
-        "seed": spec.seed,
-        "disadvantaged_user_groups": list(spec.disadvantaged_user_groups),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    payload = {f.name: getattr(spec, f.name) for f in fields(BlockModelSpec)}
+    return json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
+
+
+# Fields a spec file may leave out; every other field is required.
+_OPTIONAL_FIELDS = ("seed", "disadvantaged_user_groups")
+
+
+def _field_value(f, value):
+    """A spec file's ``value`` for field ``f``, in the type the field holds."""
+    if f.type == "int" and type(value) is int:
+        return value
+    if f.type == "tuple" and isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    if f.type == "np.ndarray":
+        try:
+            return np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError):
+            pass
+    expected = {"int": "an integer", "tuple": "a list of strings"}.get(f.type, "numbers")
+    raise ValueError(f"field {f.name!r} must hold {expected}, not {value!r}")
 
 
 def spec_from_json(text: str) -> BlockModelSpec:
-    payload = json.loads(text)
+    """Parse a spec written by spec_to_json.  A malformed, missing or
+    unknown field raises ValueError naming it."""
     try:
-        spec = BlockModelSpec(
-            user_group_labels=tuple(payload["user_group_labels"]),
-            user_group_proportions=np.asarray(payload["user_group_proportions"]),
-            item_group_labels=tuple(payload["item_group_labels"]),
-            item_group_proportions=np.asarray(payload["item_group_proportions"]),
-            like_probs=np.asarray(payload["like_probs"]),
-            obs_probs=np.asarray(payload["obs_probs"]),
-            num_users=int(payload["num_users"]),
-            num_items=int(payload["num_items"]),
-            seed=int(payload.get("seed", 0)),
-            disadvantaged_user_groups=tuple(payload.get("disadvantaged_user_groups",
-                                                        DISADVANTAGED_USER_GROUPS)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"block-model spec JSON is missing field {exc}") from None
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError("a block-model spec must be a JSON object")
+    known = {f.name: f for f in fields(BlockModelSpec)}
+    unknown = sorted(payload.keys() - known.keys())
+    missing = [name for name in known if name not in payload and name not in _OPTIONAL_FIELDS]
+    if unknown or missing:
+        raise ValueError(f"unknown field {unknown[0]!r}" if unknown
+                         else f"block-model spec JSON is missing field {missing[0]!r}")
+    spec = BlockModelSpec(**{name: _field_value(known[name], value)
+                             for name, value in payload.items()})
     spec.validate()
     return spec
 
 
 def load_spec(path) -> BlockModelSpec:
-    return spec_from_json(Path(path).read_text(encoding="utf-8"))
+    """Read a spec file; any fault in it raises ``<path>: <reason>``."""
+    try:
+        return spec_from_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -93,7 +93,7 @@ def loss_terms(params: ModelParams, ratings, groups: GroupAssignment | None,
     objective, weights = mf_objective_terms(params, plan, preds, config.lambda_reg)
     if config.penalty == "none":
         return objective, 0.0, weights
-    pen, pen_weights = penalty_terms(config.penalty, preds, plan, None, config.penalty_weight)
+    pen, pen_weights = penalty_terms(config.penalty, preds, plan, config.penalty_weight)
     weights += pen_weights
     return objective, pen, weights
 

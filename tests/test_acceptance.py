@@ -22,7 +22,7 @@ from faircf.data import GroupAssignment, RatingSet
 from faircf.experiments import (PAPER_PENALTIES, ExperimentPlan, evaluate,
                                 paired_t_statistic, run_bias_settings_study,
                                 run_experiment)
-from faircf.fairness import group_item_averages, metric_nonparity, penalty_gradient
+from faircf.fairness import group_item_averages, metric, penalty_gradient
 from faircf.ingest import filter_dataset, genre_stats, parse
 from faircf.model import TrainConfig, mf_gradient
 from faircf.synthetic import builtin_specs, evaluation_set, generate
@@ -115,7 +115,7 @@ def added_nonparity(result, setting):
     for report, data_seed in zip(result.reports["none"], result.trial_seeds):
         data = generate(builtin_specs(plan.num_users, plan.num_items, seed=data_seed)[setting])
         held = evaluation_set(data)
-        truth = metric_nonparity(group_item_averages(held.values, held, data.groups))
+        truth = metric("nonparity", group_item_averages(held.values, held, data.groups))
         added.append(report.nonparity - truth)
     return np.array(added)
 

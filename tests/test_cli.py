@@ -342,3 +342,74 @@ def test_evaluate_names_both_files_on_a_group_count_mismatch(tmp_path, capsys):
                  "--out", str(tmp_path / "report")]) == 1
     assert (f"{groups} labels 10 users, but the grid of {model} has 20 users"
             in capsys.readouterr().err)
+
+
+def spec_payload(**changes):
+    """A valid spec file's JSON object with ``changes`` applied; a value of
+    None drops the field."""
+    from faircf.synthetic import builtin_specs, spec_to_json
+    payload = json.loads(spec_to_json(builtin_specs(num_users=12, num_items=9)["P"]))
+    payload.update(changes)
+    return {name: value for name, value in payload.items() if value is not None}
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1, 2]",
+    json.dumps(spec_payload(num_users=[12])),
+    json.dumps(spec_payload(num_users=12.5)),
+    json.dumps(spec_payload(user_group_labels=4)),
+    json.dumps(spec_payload(user_group_labels=[1, 2, 3, 4])),
+    json.dumps(spec_payload(disadvantaged_user_groups=1)),
+    json.dumps(spec_payload(seed="abc")),
+    json.dumps(spec_payload(seed=-1)),
+    json.dumps(spec_payload(like_probs=None)),
+    json.dumps(spec_payload(colour="red")),
+    json.dumps(spec_payload(like_probs="high")),
+    json.dumps(spec_payload(obs_probs=[[0.1, 0.2], [0.3]])),
+    json.dumps(spec_payload(user_group_proportions=[float("nan")] * 4)),
+], ids=["invalid-json", "array", "num_users-list", "num_users-float", "labels-int",
+        "labels-not-strings", "disadvantaged-int", "seed-string", "seed-negative",
+        "missing-field", "unknown-field", "probs-string", "probs-ragged", "proportions-nan"])
+def test_generate_rejects_a_malformed_spec(tmp_path, capsys, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    assert f"{spec}: " in capsys.readouterr().err
+
+
+def relative_run(tmp_path, monkeypatch):
+    """Generate and train with relative paths from ``tmp_path``; returns the
+    train manifest's path relative to a sibling working directory."""
+    monkeypatch.chdir(tmp_path)
+    run_ok(["generate", "--scenario", "P+O", "--users", "20", "--items", "15",
+            "--out", "data/po"])
+    run_ok(["train", "--data", "data/po", "--iterations", "5", "--out", "runs/t"])
+    (tmp_path / "elsewhere").mkdir()
+    return Path("..") / "runs" / "t" / "manifest.json"
+
+
+def test_rerun_from_another_directory(tmp_path, monkeypatch):
+    manifest = relative_run(tmp_path, monkeypatch)
+    doc = read_manifest(tmp_path / "runs" / "t")
+    assert doc["params"]["data"] == str(tmp_path / "data" / "po")
+    assert str(tmp_path / "data" / "po" / "groups.tsv") in doc["input_checksums"]
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    run_ok(["rerun", str(manifest), "--out", "redo"])
+    for name in ("model.txt", "trace.csv"):
+        assert ((tmp_path / "elsewhere" / "redo" / name).read_bytes()
+                == (tmp_path / "runs" / "t" / name).read_bytes())
+
+
+def test_rerun_of_a_relative_manifest(tmp_path, monkeypatch, capsys):
+    manifest = relative_run(tmp_path, monkeypatch)
+    path = tmp_path / "runs" / "t" / "manifest.json"
+    doc = read_manifest(path.parent)        # as written before paths were made absolute
+    doc["params"].update(data="data/po", out="runs/t")
+    doc["input_checksums"] = {os.path.relpath(name, tmp_path): digest
+                              for name, digest in doc["input_checksums"].items()}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    run_ok(["rerun", str(path), "--out", "redo"])          # from the recording directory
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert main(["rerun", str(manifest), "--out", "redo"]) == 1
+    assert f"{manifest}: manifest input missing: " in capsys.readouterr().err

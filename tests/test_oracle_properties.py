@@ -1,9 +1,11 @@
-"""The trainer's loss pass against the independent oracles.
+"""The trainer's loss pass and the fairness metrics against the
+independent oracles.
 
 ``trainer.loss_terms`` plus ``model.accumulate_gradient`` give the
-objective, the weighted penalty and the gradient of their sum.  Here they
-are checked against ``tests/oracles.py``, which shares no code with the
-package: the objective and the penalty against the brute-force formulas,
+objective, the weighted penalty and the gradient of their sum;
+``fairness.metric`` gives each unfairness metric.  Here they are checked
+against ``tests/oracles.py``, which shares no code with the package: the
+objective, the penalty and the metrics against the brute-force formulas,
 the gradient against central finite differences of those formulas wherever
 no kink sits nearby.  Hypothesis draws random rating sets, with one group
 possibly empty, items possibly rated by one group only, and entries in
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faircf.data import GroupAssignment, RatingSet
+from faircf.fairness import group_item_averages, metric
 from faircf.model import PENALTY_KINDS, ModelParams, TrainConfig, accumulate_gradient
 from faircf.trainer import loss_terms
 from oracles import (away_from_kinks, brute_force_metrics, brute_force_penalty,
@@ -167,3 +170,27 @@ def test_unit_gap_takes_the_absolute_branch(kind):
                 + weight * sum(table[m] for m in metrics))
 
     assert_gradient(grad, loss, params)
+
+
+@pytest.mark.parametrize("kind", PER_ITEM_KINDS + ("nonparity",))
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=instances())
+@example(case=ONE_GROUP_EMPTY)
+@example(case=ONE_SIDED_ITEMS)
+@example(case=SINGLE_RATING)
+@example(case=SHUFFLED)
+@example(case=ZERO_ERRORS)
+def test_metric_matches_oracle(kind, case):
+    params, ratings, groups, _, _ = case
+    preds = predictions_for(params, ratings)
+    want = brute_force_metrics(preds, ratings, groups.disadvantaged)[kind]
+    got = metric(kind, group_item_averages(preds, ratings, groups))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["error", "parity", "under_plus_over"])
+def test_metric_rejects_other_kinds(kind):
+    params, ratings, groups, _, _ = SHUFFLED
+    avgs = group_item_averages(predictions_for(params, ratings), ratings, groups)
+    with pytest.raises(ValueError, match="unknown fairness metric"):
+        metric(kind, avgs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from faircf.data import RatingSet
-from faircf.fairness import group_item_averages, metric_nonparity
+from faircf.fairness import group_item_averages, metric
 from faircf.synthetic import (LIKE_PROBS, OBS_BIASED, OBS_UNIFORM, POP_IMBALANCED,
                               POP_UNIFORM, BlockModelSpec, builtin_specs,
                               evaluation_set, generate, load_spec, spec_from_json,
@@ -50,7 +50,7 @@ def test_group_quotas_are_exact():
     assert counts.tolist() == [160, 40, 160, 40]
     # W and WS form the disadvantaged side
     assert np.array_equal(data.groups.disadvantaged, data.user_group <= 1)
-    items = np.bincount(data.groups.item_group, minlength=3)
+    items = np.bincount(data.item_group, minlength=3)
     assert items.tolist() == [100, 100, 100]
 
 
@@ -65,8 +65,8 @@ def test_quota_remainders_go_to_largest():
 def test_expected_ratings_follow_like_table():
     data = generate(builtin_specs(num_users=40, num_items=30, seed=3)["U"])
     w_users = np.nonzero(data.user_group == 0)[0]
-    fem_items = np.nonzero(data.groups.item_group == 0)[0]
-    stem_items = np.nonzero(data.groups.item_group == 1)[0]
+    fem_items = np.nonzero(data.item_group == 0)[0]
+    stem_items = np.nonzero(data.item_group == 1)[0]
     # 2 * 0.8 - 1 and 2 * 0.2 - 1
     assert data.expected_ratings[np.ix_(w_users, fem_items)] == pytest.approx(0.6)
     assert data.expected_ratings[np.ix_(w_users, stem_items)] == pytest.approx(-0.6)
@@ -102,7 +102,7 @@ def test_block_rates_land_near_probabilities():
     assert abs(rate - 0.4) < 3 * se
     # like rate inside the (W, Fem) block
     w = data.user_group == 0
-    fem = data.groups.item_group == 0
+    fem = data.item_group == 0
     block = w[data.observed.users] & fem[data.observed.items]
     likes = np.mean(data.observed.values[block] == 1.0)
     se = np.sqrt(0.8 * 0.2 / block.sum())
@@ -127,7 +127,7 @@ def test_population_mix_puts_nonparity_in_the_truth():
         data = generate(builtin_specs(num_users=400, num_items=300, seed=0)[setting])
         rows, cols = np.indices(data.expected_ratings.shape).reshape(2, -1)
         grid = RatingSet(rows, cols, data.expected_ratings[rows, cols], 400, 300)
-        truth = metric_nonparity(group_item_averages(grid.values, grid, data.groups))
+        truth = metric("nonparity", group_item_averages(grid.values, grid, data.groups))
         assert truth == pytest.approx(want, abs=1e-12)
 
 
