@@ -6,11 +6,11 @@ Commands: ``generate`` (synthetic datasets), ``train`` (one model),
 run from its manifest).
 
 Every command writes a ``manifest.json`` into its output directory holding
-the resolved parameters, input checksums, output names, tool version, and
-wall-clock time; ``rerun`` replays it and reproduces the result files byte
-for byte.  Parameter precedence: explicit flags > --config file > FAIRCF_*
-environment variables > built-in defaults.  Exit codes: 0 success, 2 usage
-error, 1 data/runtime error.
+the resolved parameters, input checksums, output names, tool version,
+wall-clock time, environment and peak RSS; ``rerun`` replays it and
+reproduces the result files byte for byte.  Parameter precedence: explicit
+flags > --config file > FAIRCF_* environment variables > built-in defaults.
+Exit codes: 0 success, 2 usage error, 1 data/runtime error.
 """
 
 from __future__ import annotations
@@ -18,12 +18,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import sys
 import time
 from dataclasses import fields, replace
 from pathlib import Path
 
 import os
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .data import read_groups, read_ratings, write_groups, write_ratings
@@ -189,6 +193,9 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: dict,
         "outputs": sorted(outputs),
         "dataset": dataset,
         "wall_clock_seconds": seconds,
+        "environment": {"python": sys.version.split()[0], "numpy": np.__version__,
+                        "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,   # KiB on Linux
     }
     with (out_dir / "manifest.json").open("w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -410,6 +417,9 @@ def _cmd_rerun(manifest_path: str, out_override: str | None) -> int:
     checksums = doc.get("input_checksums", {})
     if not isinstance(params, dict) or not isinstance(checksums, dict):
         raise ValueError(f"{path}: manifest 'params' and 'input_checksums' must be JSON objects")
+    recorded_out = params.get("out")
+    if out_override is None and isinstance(recorded_out, str) and not os.path.isabs(recorded_out):
+        out_override = str(path.parent)     # an old relative out: the manifest lies in it
     try:
         params = _resolve(command, {"out": out_override}, params)
     except UsageError as exc:

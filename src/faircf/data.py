@@ -10,7 +10,8 @@ tab-separated text:
 
 Every input file, these and the model and MovieLens files elsewhere, is read
 through ``read_fields``: a blank or whitespace-only line holds no entry, and
-bad input raises ``<path>: line N: <reason>``.
+bad input raises ``<path>: line N: <reason>``.  Numeric files go through
+``np.loadtxt`` by blocks; a pure-Python fallback applies those rules.
 
 Every report table is written by the two text helpers here: ``text_table``
 aligns columns for reading, ``csv_text`` emits CSV.  Floats are written with
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -141,10 +142,11 @@ class RatingPlan:
       with per-key entry counts ``key_counts`` and rating sums
       ``key_rating_sums`` (bincount sums in entry order);
     * ``pattern``: ``(A, order)``, the user-major CSR matrix of the grid
-      whose slot s holds entry ``order[s]`` (``order`` is None when the
-      entries are already in user order).  Each accumulate_gradient call
-      refills ``A.data``.  ``A.T`` is the CSC view of the same arrays, so
-      no item-major pattern is ever built.
+      whose slot s holds entry ``order[s]`` (``order``, a stable argsort of
+      the users in their smallest unsigned type, radix-sorted up to 65536
+      users, is None for entries in user order).  Each accumulate_gradient
+      call refills ``A.data``.  ``A.T`` is the CSC view of the same arrays,
+      so no item-major pattern is ever built.
     """
 
     def __init__(self, ratings: RatingSet, groups: GroupAssignment | None = None):
@@ -186,7 +188,7 @@ class RatingPlan:
         users, items = self.users, self.items
         order = None
         if np.any(users[1:] < users[:-1]):
-            order = np.argsort(users, kind="stable")
+            order = np.argsort(users.astype(np.min_scalar_type(self.num_users - 1)), kind="stable")
             items = items[order]
         indptr = np.zeros(self.num_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(users, minlength=self.num_users), out=indptr[1:])
@@ -195,8 +197,7 @@ class RatingPlan:
 
 
 def write_ratings(ratings: RatingSet, path):
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for u, i, v in zip(ratings.users.tolist(), ratings.items.tolist(), ratings.values.tolist()):
             fh.write(f"{u}\t{i}\t{v!r}\n")
 
@@ -221,8 +222,7 @@ def read_ratings(path, num_users=None, num_items=None) -> RatingSet:
 
 
 def write_groups(groups: GroupAssignment, path):
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for u, flag in enumerate(groups.disadvantaged.tolist()):
             fh.write(f"{u}\t{1 if flag else 0}\n")
 
@@ -257,11 +257,15 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
     with another field count, or a field that does not convert, raises
     ``<path>: line N: <reason>``.
 
-    Lines are read in blocks of about 1 MB.  Each block is split once and
-    converted a column at a time with ``map``, so no Python statement runs
-    per field, nor per line unless the block holds blank lines.
+    Lines are read in blocks of about 1 MB.  If every field is a number, a
+    block goes to ``np.loadtxt``, which takes only what ``int``/``float``
+    take, to the same value.  A block it fails, warns on, or gets another
+    row count for (it skips blank lines) goes to the block parser, which
+    alone applies the rules above: it splits the block once and converts a
+    column at a time with ``map``, so no Python statement runs per field.
     """
     n = len(kinds)
+    dtype = None if str in kinds else [(f"f{k}", _DTYPES[kind]) for k, kind in enumerate(kinds)]
     numbers = [np.zeros(0, dtype=np.int64)]
     columns = [[np.zeros(0, dtype=_DTYPES[kind])] for kind in kinds]
     with open(path, "r", encoding=encoding) as fh:
@@ -269,10 +273,25 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
             fh.readline()
         first = skip + 1
         while block := fh.readlines(1 << 20):
+            start, first, table = first, first + len(block), ()
+            if dtype is not None and (len(sep) == 1 or "\t" not in (text := "".join(block))):
+                # loadtxt splits on one character, so "::" is rewritten to a tab
+                source = block if len(sep) == 1 else io.StringIO(text.replace(sep, "\t"))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # e.g. "no data" for a block of blank lines
+                    try:
+                        table = np.loadtxt(source, delimiter=sep if len(sep) == 1 else "\t",
+                                           dtype=dtype, comments=None, ndmin=1)
+                    except (ValueError, OverflowError, Warning):
+                        pass
+            if len(table) == len(block):
+                numbers.append(np.arange(start, first))
+                for k, column in enumerate(columns):
+                    column.append(table[f"f{k}"])
+                continue
             blank = np.fromiter(map(str.isspace, block), bool, len(block))
             kept = np.flatnonzero(~blank)
-            block_numbers = kept + first
-            first += len(block)
+            block_numbers = kept + start
             if blank.any():
                 block = [block[i] for i in kept.tolist()]
             counts = np.fromiter(map(str.count, block, repeat(sep)), np.int64, len(block))

@@ -211,3 +211,29 @@ def away_from_kinks(kind, params, ratings, disadvantaged, margin=1e-3):
             if abs(abs(d) - 1.0) < margin:
                 return False
     return True
+
+
+def read_fields_line_by_line(path, sep, kinds, encoding="utf-8", skip=0):
+    """``data.read_fields`` one line at a time: after the first ``skip``
+    lines, every line that is not blank or whitespace-only is split on
+    ``sep`` and each field converted by its kind (int or float).  Raises
+    ``<path>: line N: <reason>`` for the first line at fault."""
+    dtypes = {int: np.int64, float: np.float64}
+    numbers, rows = [], []
+    with open(path, "r", encoding=encoding) as fh:
+        for number, line in enumerate(fh, start=1):
+            if number <= skip or line.isspace():
+                continue
+            fields = line.removesuffix("\n").split(sep)
+            if len(fields) != len(kinds):
+                raise ValueError(f"{path}: line {number}: {len(fields)} fields")
+            try:
+                row = [np.array(kind(field), dtype=dtypes[kind])
+                       for kind, field in zip(kinds, fields)]
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from None
+            numbers.append(number)
+            rows.append(row)
+    columns = [np.array([row[k] for row in rows], dtype=dtypes[kind])
+               for k, kind in enumerate(kinds)]
+    return np.array(numbers, dtype=np.int64), columns

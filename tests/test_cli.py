@@ -413,3 +413,32 @@ def test_rerun_of_a_relative_manifest(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path / "elsewhere")
     assert main(["rerun", str(manifest), "--out", "redo"]) == 1
     assert f"{manifest}: manifest input missing: " in capsys.readouterr().err
+
+
+def test_rerun_of_a_relative_out_writes_beside_the_manifest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_ok(["generate", "--scenario", "P+O", "--users", "20", "--items", "15", "--out", "gen"])
+    path = tmp_path / "gen" / "manifest.json"
+    doc = read_manifest(path.parent)        # as written before paths were made absolute
+    doc["params"]["out"] = "gen"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    names = ("ratings.tsv", "groups.tsv", "expected.tsv")
+    before = {name: (path.parent / name).read_bytes() for name in names}
+    for name in names:
+        (path.parent / name).unlink()
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    run_ok(["rerun", str(Path("..") / "gen" / "manifest.json")])
+    assert not any((tmp_path / "elsewhere").iterdir())
+    for name, blob in before.items():
+        assert (path.parent / name).read_bytes() == blob
+
+
+def test_manifest_records_the_environment_and_peak_rss(tmp_path):
+    doc = read_manifest(make_dataset(tmp_path))
+    env = doc["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "cpu_count"}
+    assert env["numpy"] == np.__version__
+    assert all(isinstance(env[key], str) for key in ("python", "numpy", "scipy"))
+    assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
+    assert isinstance(doc["peak_rss_mb"], float) and doc["peak_rss_mb"] > 0

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from faircf.data import (GroupAssignment, RatingSet, read_groups, read_ratings,
+from faircf.data import (GroupAssignment, RatingPlan, RatingSet, read_groups, read_ratings,
                          write_groups, write_ratings)
 from faircf.ingest import parse
 from faircf.model import ModelParams, load_params, save_params
@@ -178,3 +178,15 @@ def test_every_input_format_skips_blank_lines_and_names_the_faulty_line(tmp_path
             path.write_text("".join(lines[:at] + [fault + "\n"] + lines[at:]), encoding="latin-1")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {at + 1}: "):
                 read(path)
+
+
+@pytest.mark.parametrize("num_users", [3, 300, 70_000])      # uint8, uint16, uint32 users
+def test_plan_order_is_the_stable_argsort_of_shuffled_entries(num_users):
+    users = np.repeat(np.arange(num_users), 4)
+    items = np.tile(np.arange(4), num_users)
+    shuffle = np.random.default_rng(num_users).permutation(users.size)
+    users, items = users[shuffle], items[shuffle]
+    pattern, order = RatingPlan(RatingSet(users, items, np.ones(users.size), num_users, 4)).pattern
+    assert order.dtype == np.intp
+    assert np.array_equal(order, np.argsort(users.astype(np.int64), kind="stable"))
+    assert np.array_equal(pattern.indices, items[order])
