@@ -7,9 +7,9 @@ run from its manifest).
 
 Every command writes a ``manifest.json`` into its output directory holding
 the resolved parameters, input checksums, output names, tool version,
-wall-clock time, environment and peak RSS; ``rerun`` replays it and
-reproduces the result files byte for byte.  Parameter precedence: explicit
-flags > --config file > FAIRCF_* environment variables > built-in defaults.
+wall-clock time, environment and peak RSS, its own and its workers';
+``rerun`` replays it and reproduces the result files byte for byte.
+Precedence: flags > --config file > FAIRCF_* environment variables > defaults.
 Exit codes: 0 success, 2 usage error, 1 data/runtime error.
 """
 
@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import read_groups, read_ratings, write_groups, write_ratings
+from .data import read_groups, read_ratings, write_fields, write_groups, write_ratings
 from .experiments import (ExperimentPlan, SCENARIOS, evaluate, render, render_settings,
                           run_bias_settings_study, run_experiment, write_long_csv)
 from .ingest import filter_dataset, genre_stats, parse, split
@@ -135,10 +135,6 @@ def _checksum(path) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _sha256_text(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _read_json_object(path, what: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -196,6 +192,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: dict,
         "environment": {"python": sys.version.split()[0], "numpy": np.__version__,
                         "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,   # KiB on Linux
+        "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
     }
     with (out_dir / "manifest.json").open("w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -368,10 +365,8 @@ def _cmd_prepare_movielens(params: dict):
     out = Path(params["out"])
     write_ratings(data.ratings, out / "ratings.tsv")
     write_groups(data.groups, out / "groups.tsv")
-    user_map = "".join(f"{i}\t{uid}\n" for i, uid in enumerate(data.user_ids.tolist()))
-    movie_map = "".join(f"{j}\t{mid}\n" for j, mid in enumerate(data.movie_ids.tolist()))
-    (out / "user_map.tsv").write_text(user_map, encoding="utf-8")
-    (out / "movie_map.tsv").write_text(movie_map, encoding="utf-8")
+    for name, ids in (("user_map.tsv", data.user_ids), ("movie_map.tsv", data.movie_ids)):
+        write_fields(out / name, "\t", (np.arange(ids.size), ids))
     (out / "genre_stats.csv").write_text(stats.to_csv(), encoding="utf-8")
     (out / "genre_stats.txt").write_text(stats.render(), encoding="utf-8")
     inputs = {str(ml_dir / n): _checksum(ml_dir / n)
@@ -380,8 +375,8 @@ def _cmd_prepare_movielens(params: dict):
         "num_users": data.ratings.num_users,
         "num_items": data.ratings.num_items,
         "num_ratings": len(data.ratings),
-        "user_map_sha256": _sha256_text(user_map),
-        "movie_map_sha256": _sha256_text(movie_map),
+        "user_map_sha256": _checksum(out / "user_map.tsv"),
+        "movie_map_sha256": _checksum(out / "movie_map.tsv"),
     }
     outputs = ["ratings.tsv", "groups.tsv", "user_map.tsv", "movie_map.tsv",
                "genre_stats.csv", "genre_stats.txt"]

@@ -13,9 +13,9 @@ through ``read_fields``: a blank or whitespace-only line holds no entry, and
 bad input raises ``<path>: line N: <reason>``.  Numeric files go through
 ``np.loadtxt`` by blocks; a pure-Python fallback applies those rules.
 
-Every report table is written by the two text helpers here: ``text_table``
-aligns columns for reading, ``csv_text`` emits CSV.  Floats are written with
-``repr`` in every file format, so a read-back is bit-identical.
+Every numeric file (these, the model, the MovieLens id maps) is written by
+``write_fields``, every report table by ``text_table`` or ``csv_text``.
+Floats are written with ``repr`` everywhere, so a read-back is bit-identical.
 """
 
 from __future__ import annotations
@@ -197,9 +197,7 @@ class RatingPlan:
 
 
 def write_ratings(ratings: RatingSet, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, i, v in zip(ratings.users.tolist(), ratings.items.tolist(), ratings.values.tolist()):
-            fh.write(f"{u}\t{i}\t{v!r}\n")
+    write_fields(path, "\t", (ratings.users, ratings.items, ratings.values))
 
 
 def read_ratings(path, num_users=None, num_items=None) -> RatingSet:
@@ -222,9 +220,7 @@ def read_ratings(path, num_users=None, num_items=None) -> RatingSet:
 
 
 def write_groups(groups: GroupAssignment, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, flag in enumerate(groups.disadvantaged.tolist()):
-            fh.write(f"{u}\t{1 if flag else 0}\n")
+    write_fields(path, "\t", (np.arange(groups.num_users), groups.disadvantaged.astype(np.int64)))
 
 
 def read_groups(path) -> GroupAssignment:
@@ -245,6 +241,7 @@ def read_groups(path) -> GroupAssignment:
 
 _DTYPES = {int: np.int64, float: np.float64, str: object}
 _SEP_NAMES = {"\t": "tab", " ": "space"}
+BLOCK_BYTES = 1 << 20           # text read or written per block
 
 
 def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
@@ -272,7 +269,7 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
         for _ in range(skip):
             fh.readline()
         first = skip + 1
-        while block := fh.readlines(1 << 20):
+        while block := fh.readlines(BLOCK_BYTES):
             start, first, table = first, first + len(block), ()
             if dtype is not None and (len(sep) == 1 or "\t" not in (text := "".join(block))):
                 # loadtxt splits on one character, so "::" is rewritten to a tab
@@ -315,6 +312,29 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
                     raise
             numbers.append(block_numbers)
     return np.concatenate(numbers), [np.concatenate(column) for column in columns]
+
+
+def write_fields(path, sep, columns, header=""):
+    """Write ``header``, then a line of ``sep``-joined fields per entry of the
+    equal-length 1-d int or float ``columns``.  Each distinct value is
+    formatted once (a float, keyed by its bits so that -0.0 keeps its sign,
+    with ``repr``) into a NUL-padded token table; blocks of BLOCK_BYTES are
+    gathered from the tables by index and written without the NULs."""
+    tables = []
+    for k, column in enumerate(map(np.asarray, columns)):
+        floats = column.dtype.kind == "f"
+        keys = np.ascontiguousarray(column, np.float64).view(np.int64) if floats else column
+        distinct, index = np.unique(keys, return_inverse=True)
+        end = "\n" if k == len(columns) - 1 else sep
+        values = (distinct.view(np.float64) if floats else distinct).tolist()
+        tokens = np.array([f"{x}{end}" for x in values], "S")     # str(float) is repr
+        tables.append((tokens.view(np.uint8).reshape(tokens.size, tokens.itemsize), index))
+    step = max(1, BLOCK_BYTES // sum(table.shape[1] for table, _ in tables))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8"))
+        for start in range(0, len(tables[0][1]), step):
+            rows = np.hstack([table[index[start:start + step]] for table, index in tables])
+            fh.write(rows[rows != 0].tobytes())
 
 
 def reject(path, lines, bad, reason, values=None):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingPlan, RatingSet, read_fields
+from .data import RatingPlan, RatingSet, read_fields, write_fields
 
 # Valid penalty selectors for TrainConfig and the fairness module.
 PENALTY_KINDS = ("none", "value", "absolute", "under", "over", "nonparity", "under_plus_over")
@@ -223,13 +223,9 @@ def save_params(params: ModelParams, path):
     """Write parameters as text: a ``num_users num_items d`` header line,
     then one row per user and per item holding the factor vector followed by
     the bias, space-separated with full float precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{params.num_users} {params.num_items} {params.d}\n")
-        for vecs, bias in ((params.user_vectors, params.user_bias),
-                           (params.item_vectors, params.item_bias)):
-            for row, b in zip(vecs, bias):
-                cells = [repr(float(x)) for x in row] + [repr(float(b))]
-                fh.write(" ".join(cells) + "\n")
+    p, q, u, v = params.arrays()
+    table = np.vstack([np.column_stack([p, u]), np.column_stack([q, v])])
+    write_fields(path, " ", table.T, header=f"{params.num_users} {params.num_items} {params.d}\n")
 
 
 def load_params(path) -> ModelParams:

@@ -35,10 +35,14 @@ INIT_SCALE = 0.1
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the objective stops being finite during training."""
+    """The objective stopped being finite; the message names the non-finite parameter blocks."""
 
-    def __init__(self, iteration: int, value: float):
-        super().__init__(f"objective became non-finite at iteration {iteration} (value {value})")
+    def __init__(self, iteration: int, value: float, params: ModelParams):
+        bad = [name for name in ("user_vectors", "item_vectors", "user_bias", "item_bias")
+               if not np.all(np.isfinite(getattr(params, name)))]
+        cause = "non-finite " + ", ".join(bad) if bad else "all parameters finite, objective overflowed"
+        super().__init__(f"objective became non-finite at iteration {iteration} "
+                         f"(value {value}; {cause})")
         self.iteration = iteration
 
 
@@ -126,7 +130,7 @@ def train(ratings: RatingSet, groups: GroupAssignment,
         # The pass that starts update t + 1 also gives the trace entry of update t.
         obj, pen, weights = loss_terms(params, plan, None, config)
         if not (math.isfinite(obj) and math.isfinite(pen)):
-            raise DivergenceError(t, obj + pen)
+            raise DivergenceError(t, obj + pen, params)
         objectives[t - 1] = obj
         penalties[t - 1] = pen
     trace = TrainTrace(objectives, penalties, time.perf_counter() - start)

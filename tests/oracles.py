@@ -237,3 +237,35 @@ def read_fields_line_by_line(path, sep, kinds, encoding="utf-8", skip=0):
     columns = [np.array([row[k] for row in rows], dtype=dtypes[kind])
                for k, kind in enumerate(kinds)]
     return np.array(numbers, dtype=np.int64), columns
+
+
+def write_fields_line_by_line(path, sep, columns, header=""):
+    """``data.write_fields`` one line at a time with f-strings: ints as
+    ``str``, floats as ``repr``, fields joined by ``sep``."""
+    cells = [[repr(x) if isinstance(x, float) else str(x) for x in np.asarray(c).tolist()]
+             for c in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for row in zip(*cells):
+            fh.write(sep.join(row) + "\n")
+
+
+def write_ratings_line_by_line(ratings, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for u, i, v in ratings.entries:
+            fh.write(f"{u}\t{i}\t{v!r}\n")
+
+
+def write_groups_line_by_line(groups, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for u, flag in enumerate(groups.disadvantaged.tolist()):
+            fh.write(f"{u}\t{1 if flag else 0}\n")
+
+
+def save_params_line_by_line(params, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{params.num_users} {params.num_items} {params.d}\n")
+        for vecs, bias in ((params.user_vectors, params.user_bias),
+                           (params.item_vectors, params.item_bias)):
+            for row, b in zip(vecs, bias):
+                fh.write(" ".join([repr(float(x)) for x in row] + [repr(float(b))]) + "\n")

@@ -442,3 +442,13 @@ def test_manifest_records_the_environment_and_peak_rss(tmp_path):
     assert all(isinstance(env[key], str) for key in ("python", "numpy", "scipy"))
     assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
     assert isinstance(doc["peak_rss_mb"], float) and doc["peak_rss_mb"] > 0
+
+
+def test_manifest_records_the_peak_rss_of_worker_processes(tmp_path):
+    args = ["experiment", "--scenario", "synthetic_U", "--trials", "2", "--users", "15",
+            "--items", "12", "--iterations", "5", "--penalties", "none"]
+    run_ok(args + ["--out", str(tmp_path / "serial")])
+    run_ok(args + ["--jobs", "2", "--out", str(tmp_path / "parallel")])
+    assert isinstance(read_manifest(tmp_path / "serial")["peak_rss_children_mb"], float)
+    children = read_manifest(tmp_path / "parallel")["peak_rss_children_mb"]
+    assert isinstance(children, float) and children > 0

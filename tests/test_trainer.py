@@ -138,6 +138,18 @@ def test_divergence_is_reported():
     with pytest.raises(DivergenceError) as info:
         train(ratings, groups, TrainConfig(iterations=5, seed=0))
     assert info.value.iteration == 1
+    assert str(info.value).endswith("all parameters finite, objective overflowed)")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_names_the_non_finite_parameter_blocks():
+    # an infinite step sends every parameter block to +/-inf or nan
+    ratings, groups = tiny_problem(2)
+    with pytest.raises(DivergenceError) as info:
+        train(ratings, groups, TrainConfig(iterations=5, learning_rate=float("inf")))
+    assert info.value.iteration == 1
+    assert str(info.value).endswith(
+        "non-finite user_vectors, item_vectors, user_bias, item_bias)")
 
 
 def test_train_checks_group_coverage():
