@@ -31,19 +31,18 @@ import scipy
 
 from . import __version__
 from .data import read_groups, read_ratings, write_fields, write_groups, write_ratings
-from .experiments import (ExperimentPlan, SCENARIOS, evaluate, render, render_settings,
-                          run_bias_settings_study, run_experiment, write_long_csv)
-from .ingest import filter_dataset, genre_stats, parse, split
+from .experiments import (PAPER_PENALTIES, SCENARIOS, SETTING_BY_SCENARIO, ExperimentPlan,
+                          evaluate, render, render_settings, run_bias_settings_study,
+                          run_experiment, write_long_csv)
+from .ingest import ARCHIVE_FILES, filter_dataset, genre_stats, parse
 from .model import PENALTY_KINDS, TrainConfig, load_params, save_params
 from .synthetic import builtin_specs, evaluation_set, generate, load_spec
 from .trainer import train
 
 ENV_PREFIX = "FAIRCF_"
 
-GENERATE_SCENARIOS = {
-    "U": "U", "O": "O", "P": "P", "P+O": "P+O",
-    "synthetic_U": "U", "synthetic_O": "O", "synthetic_P": "P", "synthetic_PO": "P+O",
-}
+# Each builtin setting by its own name or by its experiment scenario's.
+GENERATE_SCENARIOS = {**{s: s for s in SETTING_BY_SCENARIO.values()}, **SETTING_BY_SCENARIO}
 
 # flag -> (TrainConfig field, help); the field gives the flag's type and default.
 _TRAIN_PARAMS = {
@@ -96,8 +95,7 @@ _SCHEMAS = {
     "experiment": {
         "scenario": (str, None, True, "one of " + ", ".join(SCENARIOS) + ", fig1"),
         "trials": (int, None, False, "trial count (default 3 synthetic, 5 fig1/movielens)"),
-        "penalties": (str, "none,value,absolute,under,over,nonparity", False,
-                      "comma-separated penalty kinds"),
+        "penalties": (str, ",".join(PAPER_PENALTIES), False, "comma-separated penalty kinds"),
         "users": (int, 400, False, "synthetic user count"),
         "items": (int, 300, False, "synthetic item count"),
         "seed": (int, 0, False, "root seed"),
@@ -125,6 +123,10 @@ _CHOICES = {
 
 class UsageError(Exception):
     pass
+
+
+def _archive_checksums(ml_dir) -> dict:
+    return {str(p): _checksum(p) for p in map(Path(ml_dir).joinpath, ARCHIVE_FILES)}
 
 
 def _checksum(path) -> str:
@@ -304,33 +306,19 @@ def _cmd_evaluate(params: dict):
     return inputs, ["report.csv"], dataset
 
 
-def _experiment_trials(params: dict) -> int:
-    if params["trials"] is not None:
-        return params["trials"]
-    return 3 if params["scenario"].startswith("synthetic") else 5
-
-
 def _cmd_experiment(params: dict):
     scenario = params["scenario"]
-    trials = _experiment_trials(params)
+    default_trials = 3 if scenario.startswith("synthetic") else 5
+    trials = default_trials if params["trials"] is None else params["trials"]
     config = _train_config(params, "none", 0)
-    inputs = {}
-    if scenario == "movielens":
-        ml_dir = params["ml_dir"]
-        if not ml_dir:
-            raise UsageError("--ml-dir is required for the movielens scenario")
-        for name in ("users.dat", "movies.dat", "ratings.dat"):
-            p = Path(ml_dir) / name
-            if p.exists():
-                inputs[str(p)] = _checksum(p)
+    if scenario == "movielens" and not params["ml_dir"]:
+        raise UsageError("--ml-dir is required for the movielens scenario")
     out = Path(params["out"])
     if scenario == "fig1":
         results = run_bias_settings_study(trials=trials, num_users=params["users"],
                                           num_items=params["items"], config=config,
                                           seed=params["seed"], jobs=params["jobs"])
-        rows = []
-        for setting in ("U", "O", "P", "P+O"):
-            rows.extend(results[setting].long_rows())
+        rows = [row for res in results.values() for row in res.long_rows()]
         table = render_settings(results)
         csv_table = render_settings(results, fmt="csv")
         summary = {"settings": {name: res.summary_dict() for name, res in results.items()}}
@@ -347,6 +335,7 @@ def _cmd_experiment(params: dict):
         csv_table = render(result, fmt="csv")
         summary = result.summary_dict()
         dataset = {"trials": trials, "penalties": list(penalties)}
+    inputs = _archive_checksums(params["ml_dir"]) if scenario == "movielens" else {}
     write_long_csv(rows, out / "results.csv")
     (out / "table.txt").write_text(table, encoding="utf-8")
     (out / "table.csv").write_text(csv_table, encoding="utf-8")
@@ -369,8 +358,7 @@ def _cmd_prepare_movielens(params: dict):
         write_fields(out / name, "\t", (np.arange(ids.size), ids))
     (out / "genre_stats.csv").write_text(stats.to_csv(), encoding="utf-8")
     (out / "genre_stats.txt").write_text(stats.render(), encoding="utf-8")
-    inputs = {str(ml_dir / n): _checksum(ml_dir / n)
-              for n in ("users.dat", "movies.dat", "ratings.dat")}
+    inputs = _archive_checksums(ml_dir)
     dataset = {
         "num_users": data.ratings.num_users,
         "num_items": data.ratings.num_items,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -244,6 +245,24 @@ _SEP_NAMES = {"\t": "tab", " ": "space"}
 BLOCK_BYTES = 1 << 20           # text read or written per block
 
 
+@contextmanager
+def open_text(path, encoding="utf-8"):
+    """``open(path)`` for reading text; a byte that does not decode raises
+    ``<path>: line N: not valid <encoding>``, N found by a second, lenient
+    read, since the text layer decodes ahead of the line it returns."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "r", encoding=encoding, errors="surrogateescape") as fh:
+            for number, line in enumerate(fh, 1):
+                try:
+                    line.encode(encoding)
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}: line {number}: not valid {encoding.upper()}") from None
+        raise
+
+
 def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
     """Read a text file of ``sep``-separated fields, one entry per line,
     after its first ``skip`` lines.
@@ -265,7 +284,7 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
     dtype = None if str in kinds else [(f"f{k}", _DTYPES[kind]) for k, kind in enumerate(kinds)]
     numbers = [np.zeros(0, dtype=np.int64)]
     columns = [[np.zeros(0, dtype=_DTYPES[kind])] for kind in kinds]
-    with open(path, "r", encoding=encoding) as fh:
+    with open_text(path, encoding) as fh:
         for _ in range(skip):
             fh.readline()
         first = skip + 1

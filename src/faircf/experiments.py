@@ -6,6 +6,10 @@ trial share the same dataset (synthetic draw or train/test split), so
 per-trial differences between penalties are paired observations; the
 significance marking in the rendered tables uses a two-sided paired t-test
 against the best-mean penalty of each metric column.
+
+A result is its plan plus one FairnessReport per penalty and trial.  The
+seeds are functions of the plan (``ExperimentPlan.data_seed``/``train_seed``)
+and the statistics are computed from the reports, so neither is stored.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -24,7 +29,7 @@ from scipy import stats
 from .data import GroupAssignment, RatingPlan, RatingSet, csv_text, text_table
 from .fairness import FairnessReport, METRIC_NAMES, group_item_averages, metric
 from .ingest import FilteredDataset, filter_dataset, parse, split
-from .model import ModelParams, TrainConfig, predict_entries
+from .model import PENALTY_KINDS, ModelParams, TrainConfig, predict_entries
 from .seeding import derive_seed
 from .synthetic import builtin_specs, evaluation_set, generate
 from .trainer import train
@@ -39,7 +44,6 @@ SETTING_BY_SCENARIO = {
 
 # The six penalties reported in the reference tables, in row order.
 PAPER_PENALTIES = ("none", "value", "absolute", "under", "over", "nonparity")
-PENALTY_ROW_ORDER = PAPER_PENALTIES + ("under_plus_over",)
 PENALTY_LABELS = {
     "none": "None", "value": "Value", "absolute": "Absolute", "under": "Under",
     "over": "Over", "nonparity": "Non-Parity", "under_plus_over": "Under+Over",
@@ -72,40 +76,75 @@ class ExperimentPlan:
             raise ValueError("at least 2 trials are needed for standard errors")
         if not self.penalties:
             raise ValueError("at least one penalty is required")
-        seen = set()
-        for p in self.penalties:
-            if p in seen:
+        for i, p in enumerate(self.penalties):
+            if p in self.penalties[:i]:
                 raise ValueError(f"duplicate penalty {p!r}")
-            seen.add(p)
             replace(self.config, penalty=p)  # reuses TrainConfig validation
         if self.scenario == "movielens" and not self.ml_dir:
             raise ValueError("the movielens scenario needs ml_dir")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
+    def data_seed(self, trial: int) -> int:
+        """Seed of the dataset of ``trial``: the synthetic draw, or the
+        MovieLens train/test split."""
+        if self.scenario == "movielens":
+            return derive_seed(self.seed, "split", trial)
+        return derive_seed(self.seed, "data", self.scenario, trial)
+
+    def train_seed(self, penalty: str, trial: int) -> int:
+        """Initialization seed of the ``penalty`` model of ``trial``."""
+        return derive_seed(self.seed, "train", self.scenario, penalty, trial)
+
 
 @dataclass(eq=False)
 class ExperimentResult:
-    """Per-trial reports plus aggregates and significance sets.
+    """The plan and its per-trial reports, ``reports[penalty][trial]``;
+    everything else is derived from them.
 
     ``indistinguishable[metric]`` holds every penalty whose trial values are
     statistically indistinguishable from the best-mean penalty of that
     column (always including the best itself).
     """
 
-    scenario: str
-    penalties: tuple
-    trials: int
-    reports: dict
-    means: dict
-    stderrs: dict
-    indistinguishable: dict
-    trial_seeds: list
-    train_seeds: dict
     plan: ExperimentPlan
+    reports: dict
+
+    scenario = property(lambda self: self.plan.scenario)
+    penalties = property(lambda self: tuple(self.plan.penalties))
+    trials = property(lambda self: self.plan.trials)
+
+    @property
+    def trial_seeds(self) -> list:
+        return [self.plan.data_seed(t) for t in range(self.trials)]
+
+    @property
+    def train_seeds(self) -> dict:
+        return {p: [self.plan.train_seed(p, t) for t in range(self.trials)]
+                for p in self.penalties}
 
     def metric_values(self, penalty: str, metric: str) -> np.ndarray:
         return np.array([getattr(r, metric) for r in self.reports[penalty]])
+
+    @cached_property
+    def means(self) -> dict:
+        return {p: {m: float(np.mean(self.metric_values(p, m))) for m in METRIC_NAMES}
+                for p in self.penalties}
+
+    @cached_property
+    def stderrs(self) -> dict:
+        return {p: {m: float(np.std(self.metric_values(p, m), ddof=1) / math.sqrt(self.trials))
+                    for m in METRIC_NAMES} for p in self.penalties}
+
+    @cached_property
+    def indistinguishable(self) -> dict:
+        out = {}
+        for metric in METRIC_NAMES:
+            best = min(self.penalties, key=lambda p: self.means[p][metric])
+            best_vals = self.metric_values(best, metric)
+            out[metric] = {p for p in self.penalties if p == best or paired_t_test(
+                self.metric_values(p, metric), best_vals) == "indistinguishable"}
+        return out
 
     def long_rows(self):
         """(scenario, penalty, trial, metric, value) rows for results.csv."""
@@ -121,11 +160,11 @@ class ExperimentResult:
             "scenario": self.scenario,
             "penalties": list(self.penalties),
             "trials": self.trials,
-            "means": {p: dict(self.means[p]) for p in self.penalties},
-            "stderrs": {p: dict(self.stderrs[p]) for p in self.penalties},
+            "means": self.means,
+            "stderrs": self.stderrs,
             "indistinguishable": {m: sorted(s) for m, s in self.indistinguishable.items()},
-            "trial_seeds": list(self.trial_seeds),
-            "train_seeds": {p: list(s) for p, s in self.train_seeds.items()},
+            "trial_seeds": self.trial_seeds,
+            "train_seeds": self.train_seeds,
             # Each run overrides seed and penalty; train_seeds and the
             # penalties list record those.
             "config": {k: v for k, v in asdict(self.plan.config).items()
@@ -178,35 +217,21 @@ def paired_t_test(a, b, alpha: float = 0.05) -> str:
     return "indistinguishable" if p >= alpha else "distinct"
 
 
-def _synthetic_trial(plan: ExperimentPlan, trial: int):
-    data_seed = derive_seed(plan.seed, "data", plan.scenario, trial)
-    setting = SETTING_BY_SCENARIO[plan.scenario]
-    spec = builtin_specs(plan.num_users, plan.num_items, seed=data_seed)[setting]
-    ds = generate(spec)
-    return ds.observed, ds.groups, evaluation_set(ds), data_seed
-
-
-def _movielens_trial(filtered: FilteredDataset, plan: ExperimentPlan, trial: int):
-    split_seed = derive_seed(plan.seed, "split", trial)
-    train_set, test_set = split(filtered.ratings, plan.test_fraction, split_seed)
-    return train_set, filtered.groups, test_set, split_seed
-
-
-def _run_trial(plan: ExperimentPlan, trial: int, filtered: FilteredDataset | None):
-    """Train every penalty of one trial on that trial's shared dataset."""
+def _run_trial(plan: ExperimentPlan, trial: int, filtered: FilteredDataset | None) -> dict:
+    """Train every penalty of one trial on that trial's shared dataset;
+    returns penalty -> FairnessReport."""
+    seed = plan.data_seed(trial)
     if plan.scenario == "movielens":
-        train_set, groups, targets, data_seed = _movielens_trial(filtered, plan, trial)
+        (train_set, targets), groups = split(filtered, plan.test_fraction, seed), filtered.groups
     else:
-        train_set, groups, targets, data_seed = _synthetic_trial(plan, trial)
-    out = {}
-    seeds = {}
+        spec = builtin_specs(plan.num_users, plan.num_items, seed=seed)
+        ds = generate(spec[SETTING_BY_SCENARIO[plan.scenario]])
+        train_set, groups, targets = ds.observed, ds.groups, evaluation_set(ds)
+    reports = {}
     for pen in plan.penalties:
-        train_seed = derive_seed(plan.seed, "train", plan.scenario, pen, trial)
-        config = replace(plan.config, penalty=pen, seed=train_seed)
-        params, _ = train(train_set, groups, config)
-        out[pen] = evaluate(params, targets, groups)
-        seeds[pen] = train_seed
-    return trial, data_seed, seeds, out
+        config = replace(plan.config, penalty=pen, seed=plan.train_seed(pen, trial))
+        reports[pen] = evaluate(train(train_set, groups, config)[0], targets, groups)
+    return reports
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
@@ -214,48 +239,17 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
 
     Trials are independent and may run in parallel (``plan.jobs``); results
     are identical for any job count because every random choice is derived
-    from the plan seed and aggregation order is fixed.
+    from the plan seed and the trials come back in order.
     """
     plan.validate()
-    filtered = None
-    if plan.scenario == "movielens":
-        filtered = filter_dataset(parse(plan.ml_dir))
-
-    trials = range(plan.trials)
+    filtered = filter_dataset(parse(plan.ml_dir)) if plan.scenario == "movielens" else None
+    args = (repeat(plan), range(plan.trials), repeat(filtered))
     if plan.jobs > 1:
         with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
-            outputs = list(pool.map(_run_trial, repeat(plan), trials, repeat(filtered)))
+            outputs = list(pool.map(_run_trial, *args))
     else:
-        outputs = map(_run_trial, repeat(plan), trials, repeat(filtered))
-    trial_outputs = {trial: rest for trial, *rest in outputs}
-
-    reports = {pen: [trial_outputs[t][2][pen] for t in range(plan.trials)]
-               for pen in plan.penalties}
-    trial_seeds = [trial_outputs[t][0] for t in range(plan.trials)]
-    train_seeds = {pen: [trial_outputs[t][1][pen] for t in range(plan.trials)]
-                   for pen in plan.penalties}
-
-    means = {pen: {m: float(np.mean([getattr(r, m) for r in reports[pen]]))
-                   for m in METRIC_NAMES} for pen in plan.penalties}
-    stderrs = {pen: {m: float(np.std([getattr(r, m) for r in reports[pen]], ddof=1)
-                              / math.sqrt(plan.trials))
-                     for m in METRIC_NAMES} for pen in plan.penalties}
-
-    indistinguishable = {}
-    for metric in METRIC_NAMES:
-        best = min(plan.penalties, key=lambda p: means[p][metric])
-        best_vals = np.array([getattr(r, metric) for r in reports[best]])
-        members = {best}
-        for pen in plan.penalties:
-            if pen == best:
-                continue
-            vals = np.array([getattr(r, metric) for r in reports[pen]])
-            if paired_t_test(vals, best_vals) == "indistinguishable":
-                members.add(pen)
-        indistinguishable[metric] = members
-
-    return ExperimentResult(plan.scenario, tuple(plan.penalties), plan.trials, reports,
-                            means, stderrs, indistinguishable, trial_seeds, train_seeds, plan)
+        outputs = list(map(_run_trial, *args))
+    return ExperimentResult(plan, {pen: [out[pen] for out in outputs] for pen in plan.penalties})
 
 
 def run_bias_settings_study(trials: int = 5, num_users: int = 400, num_items: int = 300,
@@ -270,11 +264,6 @@ def run_bias_settings_study(trials: int = 5, num_users: int = 400, num_items: in
                               seed=seed, num_users=num_users, num_items=num_items, jobs=jobs)
         results[setting] = run_experiment(plan)
     return results
-
-
-def _ordered(names, preferred) -> list:
-    """``names`` with the ``preferred`` ones first, in that order."""
-    return [n for n in preferred if n in names] + [n for n in names if n not in preferred]
 
 
 def _render_table(key: str, rows, fmt: str) -> str:
@@ -312,12 +301,13 @@ def _render_table(key: str, rows, fmt: str) -> str:
 
 
 def render(result: ExperimentResult, fmt: str = "text") -> str:
-    """Render the penalty table (``fmt`` is ``text`` or ``csv``), marking
-    every cell statistically indistinguishable from its column best."""
+    """Render the penalty table (``fmt`` is ``text`` or ``csv``), rows in
+    PENALTY_KINDS order, marking every cell statistically indistinguishable
+    from its column best."""
     return _render_table("penalty", [
-        (pen, PENALTY_LABELS.get(pen, pen), result.means[pen], result.stderrs[pen],
+        (pen, PENALTY_LABELS[pen], result.means[pen], result.stderrs[pen],
          {m for m in METRIC_NAMES if pen in result.indistinguishable[m]})
-        for pen in _ordered(result.penalties, PENALTY_ROW_ORDER)], fmt)
+        for pen in PENALTY_KINDS if pen in result.penalties], fmt)
 
 
 def parse_table_csv(text: str) -> dict:
@@ -336,11 +326,10 @@ def parse_table_csv(text: str) -> dict:
 
 
 def render_settings(results: dict, fmt: str = "text") -> str:
-    """Table over the four-setting study: one row per setting, single
-    penalty per result, no significance marks."""
+    """Table over the four-setting study: one row per setting in the
+    study's order, single penalty per result, no significance marks."""
     rows = []
-    for name in _ordered(results, SETTING_BY_SCENARIO.values()):
-        res = results[name]
+    for name, res in results.items():
         pen = res.penalties[0]
         rows.append((name, name, res.means[pen], res.stderrs[pen], None))
     return _render_table("setting", rows, fmt)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import GroupAssignment, RatingSet, csv_text, read_fields, reject, text_table
 
+ARCHIVE_FILES = ("users.dat", "movies.dat", "ratings.dat")
 DEFAULT_GENRES = ("Action", "Crime", "Musical", "Romance", "Sci-Fi")
 DEFAULT_MIN_RATINGS = 50
 
@@ -97,14 +98,12 @@ class GenreStats:
 
 
 def parse(ml_dir) -> MovieLensRaw:
-    """Parse users.dat, movies.dat, ratings.dat from the archive directory."""
-    ml_dir = Path(ml_dir)
-    users_path = ml_dir / "users.dat"
-    movies_path = ml_dir / "movies.dat"
-    ratings_path = ml_dir / "ratings.dat"
-    for p in (users_path, movies_path, ratings_path):
+    """Parse the ARCHIVE_FILES of the archive directory."""
+    paths = [Path(ml_dir) / name for name in ARCHIVE_FILES]
+    for p in paths:
         if not p.exists():
             raise FileNotFoundError(f"missing MovieLens file: {p}")
+    users_path, movies_path, ratings_path = paths
 
     lines, (uids, gender, age, occupation, zipcode) = read_fields(
         users_path, "::", (int, str, int, int, str), encoding="latin-1")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingPlan, RatingSet, read_fields, write_fields
+from .data import RatingPlan, RatingSet, open_text, read_fields, write_fields
 
 # Valid penalty selectors for TrainConfig and the fairness module.
 PENALTY_KINDS = ("none", "value", "absolute", "under", "over", "nonparity", "under_plus_over")
@@ -230,7 +230,7 @@ def save_params(params: ModelParams, path):
 
 def load_params(path) -> ModelParams:
     """Read a file written by save_params."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = re.fullmatch(r"(\d+) (\d+) (\d+)\s*", fh.readline())
     m, n, d = map(int, header.groups()) if header else (0, 0, 0)
     if min(m, n, d) < 1:

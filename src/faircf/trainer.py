@@ -108,7 +108,8 @@ def train(ratings: RatingSet, groups: GroupAssignment,
 
     Returns the final parameters and the per-iteration trace.  With
     ``iterations == 0`` the seeded initialization is returned unchanged and
-    the trace is empty.
+    the trace is empty.  DivergenceError names the update after which the
+    objective stopped being finite, 0 for the initialization.
     """
     config.validate()
     if len(ratings) == 0:
@@ -117,21 +118,23 @@ def train(ratings: RatingSet, groups: GroupAssignment,
     rng = np.random.default_rng(config.seed)
     m, n, d = ratings.num_users, ratings.num_items, config.d
     params = init_params(m, n, d, rng)
-    objectives = np.empty(config.iterations)
-    penalties = np.empty(config.iterations)
+    objectives = np.empty(config.iterations + 1)
+    penalties = np.empty(config.iterations + 1)
     start = time.perf_counter()
     first = np.zeros_like(params.flat)
     second = np.zeros_like(params.flat)
-    _, _, weights = loss_terms(params, plan, None, config)
-    for t in range(1, config.iterations + 1):
-        grad = accumulate_gradient(params, plan, weights, config.lambda_reg).flat
-        theta, first, second = adam_step(params.flat, grad, first, second, t, config)
-        params = ModelParams.from_flat(theta, m, n, d)
-        # The pass that starts update t + 1 also gives the trace entry of update t.
-        obj, pen, weights = loss_terms(params, plan, None, config)
-        if not (math.isfinite(obj) and math.isfinite(pen)):
-            raise DivergenceError(t, obj + pen, params)
-        objectives[t - 1] = obj
-        penalties[t - 1] = pen
-    trace = TrainTrace(objectives, penalties, time.perf_counter() - start)
+    # A value that overflows ends the run through the check below, so numpy
+    # is not asked to warn about it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(config.iterations + 1):
+            if t:
+                grad = accumulate_gradient(params, plan, weights, config.lambda_reg).flat
+                theta, first, second = adam_step(params.flat, grad, first, second, t, config)
+                params = ModelParams.from_flat(theta, m, n, d)
+            # The pass after update t gives its trace entry and starts update t + 1.
+            obj, pen, weights = loss_terms(params, plan, None, config)
+            if not (math.isfinite(obj) and math.isfinite(pen)):
+                raise DivergenceError(t, obj + pen, params)
+            objectives[t], penalties[t] = obj, pen
+    trace = TrainTrace(objectives[1:], penalties[1:], time.perf_counter() - start)
     return params, trace

@@ -1,0 +1,164 @@
+"""Faulty or missing input ends in exit 1 and a message naming the file and
+the line; plus the library paths that reject such input."""
+
+import hashlib
+import json
+
+import pytest
+
+from faircf.cli import main
+from faircf.data import read_groups, read_ratings
+from faircf.fairness import FairnessReport
+from faircf.model import ModelParams, load_params, predict, save_params
+
+
+def make_dataset(tmp_path):
+    out = tmp_path / "data"
+    assert main(["generate", "--scenario", "P+O", "--users", "20", "--items", "15",
+                 "--seed", "3", "--out", str(out)]) == 0
+    return out
+
+
+def train_model(tmp_path, data):
+    model = tmp_path / "model" / "model.txt"
+    assert main(["train", "--data", str(data), "--iterations", "2",
+                 "--out", str(model.parent)]) == 0
+    return model
+
+
+@pytest.mark.parametrize("name", ["ratings.tsv", "groups.tsv"])
+def test_train_names_the_line_that_is_not_utf8(tmp_path, capsys, name):
+    data = make_dataset(tmp_path)
+    path = data / name
+    lines = path.read_bytes().split(b"\n")
+    lines[4] = b"1\t\xff2\t1.0" if name == "ratings.tsv" else b"\xff4\t1"
+    lines.insert(1, b"")                    # a blank line still counts
+    path.write_bytes(b"\n".join(lines))
+    assert main(["train", "--data", str(data), "--iterations", "2",
+                 "--out", str(tmp_path / "model")]) == 1
+    assert f"{path}: line 6: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_evaluate_names_the_target_line_that_is_not_utf8(tmp_path, capsys, explicit):
+    data = make_dataset(tmp_path)
+    model = train_model(tmp_path, data)
+    targets = data / "expected.tsv"
+    lines = targets.read_bytes().split(b"\n")
+    lines[99] = lines[99] + b"\xff"
+    targets.write_bytes(b"\n".join(lines))
+    argv = ["evaluate", "--model", str(model), "--data", str(data),
+            "--out", str(tmp_path / "report")]
+    assert main(argv + (["--targets", str(targets)] if explicit else [])) == 1
+    assert f"{targets}: line 100: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("number", [1, 7])
+def test_evaluate_names_the_model_line_that_is_not_utf8(tmp_path, capsys, number):
+    # the header read decodes ahead of line 1, so a bad row 7 surfaces there
+    data = make_dataset(tmp_path)
+    model = train_model(tmp_path, data)
+    lines = model.read_bytes().split(b"\n")
+    lines[number - 1] = b"\xe9" + lines[number - 1]
+    model.write_bytes(b"\n".join(lines))
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--out", str(tmp_path / "report")]) == 1
+    assert f"{model}: line {number}: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_load_params_names_a_late_row_that_is_not_utf8(tmp_path):
+    # far past the first decoded chunk, so the row reader meets the byte
+    path = tmp_path / "model.txt"
+    save_params(ModelParams.zeros(1500, 500, 2), path)
+    lines = path.read_bytes().split(b"\n")
+    lines[1800] = lines[1800].replace(b" ", b" \x80", 1)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=r": line 1801: not valid UTF-8$"):
+        load_params(path)
+
+
+def test_a_diverging_train_prints_one_line(tmp_path, capsys):
+    # the objective of the initial parameters already overflows
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "ratings.tsv").write_text("0\t0\t1e200\n", encoding="utf-8")
+    (data / "groups.tsv").write_text("0\t1\n", encoding="utf-8")
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "model")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "objective became non-finite at iteration 0" in err[0]
+
+
+def test_train_without_a_group_file(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    (data / "groups.tsv").unlink()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "model")]) == 1
+    assert f"missing {data / 'groups.tsv'}" in capsys.readouterr().err
+
+
+def test_evaluate_without_expected_values(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    model = train_model(tmp_path, data)
+    (data / "expected.tsv").unlink()
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--out", str(tmp_path / "report")]) == 1
+    assert (f"no target file: {data / 'expected.tsv'} (pass --targets to point at one)"
+            in capsys.readouterr().err)
+
+
+def test_movielens_experiment_records_the_archive_and_reruns(tmp_path, bulk_ml_dir):
+    out = tmp_path / "exp"
+    assert main(["experiment", "--scenario", "movielens", "--ml-dir", str(bulk_ml_dir),
+                 "--iterations", "5", "--penalties", "none", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["trials"] == 5 and summary["scenario"] == "movielens"
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["input_checksums"] == {
+        str(bulk_ml_dir / name): "sha256:" + hashlib.sha256(
+            (bulk_ml_dir / name).read_bytes()).hexdigest()
+        for name in ("users.dat", "movies.dat", "ratings.dat")}
+    outputs = ("results.csv", "table.txt", "table.csv", "summary.json")
+    before = {name: (out / name).read_bytes() for name in outputs}
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "redo")]) == 0
+    for name in outputs:
+        assert (tmp_path / "redo" / name).read_bytes() == before[name]
+
+
+def test_read_groups_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "groups.tsv"
+    path.write_text("\n \n", encoding="utf-8")
+    with pytest.raises(ValueError, match="empty group file"):
+        read_groups(path)
+
+
+def test_read_ratings_needs_dimensions_for_an_empty_file(tmp_path):
+    path = tmp_path / "ratings.tsv"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match="empty rating file needs explicit grid dimensions"):
+        read_ratings(path)
+    assert len(read_ratings(path, num_users=2, num_items=3)) == 0
+
+
+def test_load_params_rejects_missing_rows(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("2 2 1\n0.5 0.0\n0.5 0.0\n0.5 0.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="expected 4 entity rows, found 3"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("text", [
+    "error,value\n1.0,2.0\n",
+    "error,value,absolute,under,over,nonparity\n1.0,2.0,3.0\n",
+])
+def test_fairness_report_csv_rejects_a_bad_header_or_row(text):
+    with pytest.raises(ValueError, match="malformed fairness report CSV"):
+        FairnessReport.from_csv(text)
+
+
+def test_predict_rejects_an_item_out_of_range():
+    params = ModelParams.zeros(2, 3, 1)
+    assert predict(params, 1, 2) == 0.0
+    with pytest.raises(IndexError, match="item index 3 out of range"):
+        predict(params, 0, 3)
+    with pytest.raises(IndexError, match="item index -1 out of range"):
+        predict(params, 0, -1)
