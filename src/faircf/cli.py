@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import read_groups, read_ratings, write_fields, write_groups, write_ratings
+from .data import open_text, read_groups, read_ratings, write_fields, write_groups, write_ratings
 from .experiments import (PAPER_PENALTIES, SCENARIOS, SETTING_BY_SCENARIO, ExperimentPlan,
                           evaluate, render, render_settings, run_bias_settings_study,
                           run_experiment, write_long_csv)
@@ -138,9 +138,11 @@ def _checksum(path) -> str:
 
 
 def _read_json_object(path, what: str) -> dict:
+    with open_text(path) as fh:
+        text = fh.read()
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:               # invalid JSON or invalid UTF-8
+        doc = json.loads(text)
+    except ValueError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: {what} must be a JSON object")

@@ -10,8 +10,10 @@ tab-separated text:
 
 Every input file, these and the model and MovieLens files elsewhere, is read
 through ``read_fields``: a blank or whitespace-only line holds no entry, and
-bad input raises ``<path>: line N: <reason>``.  Numeric files go through
-``np.loadtxt`` by blocks; a pure-Python fallback applies those rules.
+bad input raises ``<path>: line N: <reason>``.  A clean numeric file is
+parsed by one whole-file ``np.loadtxt`` call.  Any other file is read by
+blocks: a numeric block by ``np.loadtxt`` if it takes the block whole, any
+other block by a pure-Python block parser that applies those rules.
 
 Every numeric file (these, the model, the MovieLens id maps) is written by
 ``write_fields``, every report table by ``text_table`` or ``csv_text``.
@@ -271,17 +273,21 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
     is the field count.  A blank or whitespace-only line holds no entry.
     Returns the line number of every entry and one array per field.  A line
     with another field count, or a field that does not convert, raises
-    ``<path>: line N: <reason>``.
+    ``<path>: line N: <reason>`` for the first line at fault.
 
-    Lines are read in blocks of about 1 MB.  If every field is a number, a
-    block goes to ``np.loadtxt``, which takes only what ``int``/``float``
-    take, to the same value.  A block it fails, warns on, or gets another
-    row count for (it skips blank lines) goes to the block parser, which
-    alone applies the rules above: it splits the block once and converts a
-    column at a time with ``map``, so no Python statement runs per field.
+    A numeric file (no str field) is first parsed whole by one
+    ``np.loadtxt`` call (see ``_read_whole``), which takes only what
+    ``int``/``float`` take, to the same value.  Any other file is read in
+    blocks of about 1 MB.  A numeric block again goes to ``np.loadtxt``; a
+    block it fails, warns on, or gets another row count for (it skips blank
+    lines) goes to the block parser, which alone applies the rules above: it
+    splits the block once and converts a column at a time with ``map``, so
+    no Python statement runs per field.
     """
     n = len(kinds)
     dtype = None if str in kinds else [(f"f{k}", _DTYPES[kind]) for k, kind in enumerate(kinds)]
+    if dtype is not None and (whole := _read_whole(path, sep, dtype, encoding, skip)):
+        return whole
     numbers = [np.zeros(0, dtype=np.int64)]
     columns = [[np.zeros(0, dtype=_DTYPES[kind])] for kind in kinds]
     with open_text(path, encoding) as fh:
@@ -293,13 +299,7 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
             if dtype is not None and (len(sep) == 1 or "\t" not in (text := "".join(block))):
                 # loadtxt splits on one character, so "::" is rewritten to a tab
                 source = block if len(sep) == 1 else io.StringIO(text.replace(sep, "\t"))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")  # e.g. "no data" for a block of blank lines
-                    try:
-                        table = np.loadtxt(source, delimiter=sep if len(sep) == 1 else "\t",
-                                           dtype=dtype, comments=None, ndmin=1)
-                    except (ValueError, OverflowError, Warning):
-                        pass
+                table = _loadtxt(source, sep if len(sep) == 1 else "\t", dtype)
             if len(table) == len(block):
                 numbers.append(np.arange(start, first))
                 for k, column in enumerate(columns):
@@ -311,26 +311,96 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
             if blank.any():
                 block = [block[i] for i in kept.tolist()]
             counts = np.fromiter(map(str.count, block, repeat(sep)), np.int64, len(block))
-            reject(path, block_numbers, counts != n - 1,
-                   f"expected {n} {_SEP_NAMES.get(sep, repr(sep))}-separated fields")
-            text = "".join(block)
+            miscounted = counts != n - 1
+            # Convert only the lines before the first miscounted one, so that
+            # a bad field on an earlier line is reported first.
+            cut = int(np.argmax(miscounted)) if miscounted.any() else len(block)
+            text = "".join(block[:cut])
             # No field holds a newline, so a newline can stand in for sep;
-            # the cut drops the empty string after the last line's newline.
+            # the del drops the empty string after the last line's newline.
             fields = text.replace(sep, "\n").split("\n")
-            del fields[n * len(block):]
-            for k, kind in enumerate(kinds):
-                column = fields[k::n]
-                try:
+            del fields[n * cut:]
+            try:
+                for k, kind in enumerate(kinds):
+                    column = fields[k::n]
                     columns[k].append(np.fromiter(map(kind, column), _DTYPES[kind], len(column)))
-                except (ValueError, OverflowError):
-                    for number, field in zip(block_numbers.tolist(), column):
+            except (ValueError, OverflowError):
+                rows = zip(*(fields[k::n] for k in range(n)))
+                for number, row in zip(block_numbers.tolist(), rows):
+                    for k, (kind, field) in enumerate(zip(kinds, row)):
                         try:
                             np.array(kind(field), dtype=_DTYPES[kind])
                         except (ValueError, OverflowError) as exc:
                             raise ValueError(f"{path}: line {number}: field {k + 1}: {exc}") from None
-                    raise
+                raise
+            reject(path, block_numbers, miscounted,
+                   f"expected {n} {_SEP_NAMES.get(sep, repr(sep))}-separated fields")
             numbers.append(block_numbers)
     return np.concatenate(numbers), [np.concatenate(column) for column in columns]
+
+
+def _loadtxt(source, delimiter, dtype, **options):
+    """``np.loadtxt`` of ``source`` into the structured ``dtype``, or ()
+    if it raises or warns (e.g. "no data" for only blank lines)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(source, delimiter=delimiter, dtype=dtype, comments=None, ndmin=1,
+                              **options)
+        except (ValueError, OverflowError, Warning):
+            return ()
+
+
+def _read_whole(path, sep, dtype, encoding, skip):
+    """``read_fields`` of a numeric file by one ``np.loadtxt`` call over the
+    whole file, or None if the file needs the block loop: the call must
+    raise and warn nothing and return one row per line that ``_line_count``
+    finds, so that no blank line was skipped among them and the line
+    numbers are a range.  A doubled separator such as ``::`` is split on
+    its character, taking every second column."""
+    n = len(dtype)
+    char = sep[0]
+    if sep not in (char, 2 * char) or not (rows := _line_count(path, sep, n, skip)):
+        return None
+    usecols = range(0, 2 * n, 2) if len(sep) == 2 else None
+    table = _loadtxt(path, char, dtype, skiprows=skip, usecols=usecols, encoding=encoding)
+    if len(table) != rows:
+        return None
+    return np.arange(skip + 1, skip + 1 + rows), [table[f"f{k}"].copy() for k in range(n)]
+
+
+def _line_count(path, sep, n, skip):
+    """The number of lines after the first ``skip`` up to the last non-blank
+    one (so a trailing blank line is not counted), or 0 if the file's bytes
+    rule out the whole-file parse.
+
+    A bare CR, a line end for the text layer but not for this count, rules
+    it out.  Split on ``:``, ``1:9:2::3::4`` and ``1::2::3::4::5`` give the
+    fields 1, 2, 3, 4 at every second column, so for a doubled separator
+    the text must also hold exactly ``2(n-1)`` of its characters per line,
+    ``n-1`` of them adjacent pairs.  The encoding must write the separator,
+    CR and LF as their ASCII bytes.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return 0
+    start = 0
+    for _ in range(skip):
+        start = data.find(b"\n", start) + 1
+        if not start:
+            return 0
+    end = len(data)
+    while end > start and data[end - 1:end].isspace():
+        end -= 1
+    text = np.frombuffer(data, np.uint8)[start:end]
+    rows = np.count_nonzero(text == ord("\n")) + 1 if text.size else 0
+    if len(sep) == 2:
+        hit = text == ord(sep[0])
+        if (np.count_nonzero(hit) != 2 * (n - 1) * rows
+                or np.count_nonzero(hit[1:] & hit[:-1]) != (n - 1) * rows):
+            return 0
+    return rows
 
 
 def write_fields(path, sep, columns, header=""):

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
-from .data import GroupAssignment, RatingSet
+from .data import GroupAssignment, RatingSet, open_text
 
 USER_GROUPS = ("W", "WS", "MS", "M")
 ITEM_GROUPS = ("Fem", "STEM", "Masc")
@@ -230,7 +229,9 @@ def spec_from_json(text: str) -> BlockModelSpec:
 
 def load_spec(path) -> BlockModelSpec:
     """Read a spec file; any fault in it raises ``<path>: <reason>``."""
+    with open_text(path) as fh:
+        text = fh.read()
     try:
-        return spec_from_json(Path(path).read_text(encoding="utf-8"))
+        return spec_from_json(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -77,6 +77,23 @@ def test_load_params_names_a_late_row_that_is_not_utf8(tmp_path):
         load_params(path)
 
 
+@pytest.mark.parametrize("option", ["--spec", "--config"])
+def test_generate_names_the_json_line_that_is_not_utf8(tmp_path, capsys, option):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"seed":\n 1\xff}\n')
+    assert main(["generate", option, str(path), "--out", str(tmp_path / "data")]) == 1
+    assert f"{path}: line 2: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_rerun_names_the_manifest_line_that_is_not_utf8(tmp_path, capsys):
+    manifest = make_dataset(tmp_path) / "manifest.json"
+    lines = manifest.read_bytes().split(b"\n")
+    lines[2] = lines[2] + b"\xff"
+    manifest.write_bytes(b"\n".join(lines))
+    assert main(["rerun", str(manifest), "--out", str(tmp_path / "redo")]) == 1
+    assert f"{manifest}: line 3: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_a_diverging_train_prints_one_line(tmp_path, capsys):
     # the objective of the initial parameters already overflows
     data = tmp_path / "data"

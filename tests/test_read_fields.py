@@ -1,14 +1,15 @@
 """``data.read_fields`` against a line-by-line reader.
 
-Numeric files go through ``np.loadtxt`` a block at a time and fall back to
-the block parser for any block it does not take whole.  Whichever path a
-block takes, the result must equal ``oracles.read_fields_line_by_line``:
+A numeric file is first parsed whole by one ``np.loadtxt`` call; a file
+that fails one of its guards goes through ``np.loadtxt`` a block at a time,
+and any block it does not take whole goes to the block parser.  Whichever
+path a file takes, the result must equal ``oracles.read_fields_line_by_line``:
 the same arrays bit for bit, the same dtypes and line numbers, or an error
-naming the same line.  Hypothesis draws rows of the ratings, model-row and
-``ratings.dat`` formats with at most one faulty line among them, mixed with
-blank and whitespace-only lines, tokens that only Python's ``int``/``float``
-accept (``1_0``, Arabic-Indic and fullwidth digits, a no-break space),
-CRLF line ends and a missing final newline.
+naming the same (first faulty) line.  Hypothesis draws rows of the ratings,
+model-row and ``ratings.dat`` formats with up to two faulty lines among
+them, mixed with blank and whitespace-only lines, tokens that only Python's
+``int``/``float`` accept (``1_0``, Arabic-Indic and fullwidth digits, a
+no-break space), CRLF line ends and a missing final newline.
 """
 
 import re
@@ -75,8 +76,7 @@ def file_texts(draw, fmt):
     rows = st.tuples(*(token(GOOD, kind) for kind in kinds)).map(list)
     lines = draw(st.lists(st.one_of(rows.map(lambda r: sep.join(r) + "\n"),
                                     st.sampled_from(BLANKS)), max_size=12))
-    fault = draw(st.sampled_from([None, "token", "count", "tab"]))
-    if fault:
+    for fault in draw(st.lists(st.sampled_from(["token", "count", "tab"]), max_size=2)):
         fields = draw(rows)
         if fault == "token":
             k = draw(st.integers(0, len(kinds) - 1))
@@ -116,6 +116,10 @@ _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
 @example(text="0\t1\t2.5#x\n")                           # no comments in a field
 @example(text="99999999999999999999\t1\t2.5\n")
 @example(text="0\t1\t2.5\r\n1\t0\t-0.0")
+@example(text="0\t1\t2.5\r\n1\t0\t-0.0\r\n")               # CRLF
+@example(text="0\t1\t2.5\n1\t0\t-0.0\n\n")                 # a trailing blank line
+@example(text="0\t1\t2.5\r1\t0\t1.5\n\n2\t2\t0.5\n")      # a bare CR, balanced by a blank line
+@example(text="0\tx\t1.0\n0\t1\n")                         # the first faulty line wins
 def test_ratings_rows_match_the_line_by_line_reader(tmp_path, text):
     check_drawn_file(tmp_path, "ratings", text)
 
@@ -125,6 +129,8 @@ def test_ratings_rows_match_the_line_by_line_reader(tmp_path, text):
 @example(text="2 1 2\n0.5 1.5 2.5\n  \n0.5\t 1.5 2.5\n")  # a tab that Python strips
 @example(text="2 1 2\n0.5 1.5\t2.5 3.5\n")
 @example(text="2 1 2\n0.5 1.5\t2.5\n")                   # 2 spaces and a tab for 3 fields
+@example(text="2 1\n0.5 1.5 2.5\n")                      # a header of another field count
+@example(text="2 1 2 9\n0.5 1.5 2.5\n")
 def test_model_rows_match_the_line_by_line_reader(tmp_path, text):
     check_drawn_file(tmp_path, "model rows", text)
 
@@ -135,22 +141,56 @@ def test_model_rows_match_the_line_by_line_reader(tmp_path, text):
 @example(text="1::2\t3::4::5\n")
 @example(text="1::2\t3::4\n")
 @example(text="1::2::3::978300760\n \n1::2::+5::1_0\n")
+@example(text="1:9:2::3::4\n")                           # a single-colon field
+@example(text="1::2::3::4::5\n")                         # an extra "::" field
+@example(text="1::2::3::4:5\n")                          # a colon inside the last field
+@example(text="1::::2::3::4\n")
+@example(text="1::2::3::4::5\n1:9:2::3::4\n")            # the "::" counts balance out
+@example(text="1:2::3::4::5\n6::7::8\n")                 # the first faulty line wins
 def test_ratings_dat_rows_match_the_line_by_line_reader(tmp_path, text):
     check_drawn_file(tmp_path, "ratings.dat", text)
+
+
+def clean_rows(fmt):
+    """About 1.3 MB of clean rows in the format ``fmt``."""
+    sep, kinds, _, _ = FORMATS[fmt]
+    rows, size = [], 0
+    while size < 1.3 * (1 << 20):
+        rows.append(sep.join(str(len(rows) % 97 + k) for k in range(len(kinds))) + "\n")
+        size += len(rows[-1])
+    return rows
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS))
+def test_a_clean_file_parses_in_one_loadtxt_call(tmp_path, monkeypatch, fmt):
+    """The whole-file path takes a clean file, with or without a trailing
+    blank line, in one call."""
+    sep, kinds, header, encoding = FORMATS[fmt]
+    loadtxt, calls = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
+    text = header + "".join(clean_rows(fmt))
+    results = []
+    for tail in ("", "\n"):
+        path = tmp_path / "input.txt"
+        path.write_text(text + tail, encoding=encoding)
+        calls.clear()
+        results.append(read_fields(path, sep, kinds, encoding=encoding, skip=header.count("\n")))
+        assert len(calls) == 1
+    assert_same(path, fmt)
+    (lines, columns), (tail_lines, tail_columns) = results
+    assert lines.tolist() == tail_lines.tolist()
+    assert [c.tobytes() for c in columns] == [c.tobytes() for c in tail_columns]
 
 
 @pytest.mark.parametrize("fmt", list(FORMATS))
 @pytest.mark.parametrize("fault", ["blank", "1_0", "x"])
 def test_a_fallback_in_the_second_block_only(tmp_path, fmt, fault):
-    """Over 1 MB: the first block parses in C, the second holds one line
-    that sends it to the block parser (a blank line, a token only Python
-    takes, or a bad field)."""
+    """Over 1 MB: the whole file fails one guard, the first block parses in
+    C, the second holds one line that sends it to the block parser (a blank
+    line, a token only Python takes, or a bad field)."""
     sep, kinds, header, _ = FORMATS[fmt]
     skip = header.count("\n")
-    rows, size = [], 0
-    while size < 1.3 * (1 << 20):
-        rows.append(sep.join(str(len(rows) % 97 + k) for k in range(len(kinds))) + "\n")
-        size += len(rows[-1])
+    rows = clean_rows(fmt)
     at = len(rows) - 50
     rows.insert(at, "\n" if fault == "blank" else sep.join([fault] * len(kinds)) + "\n")
     path = tmp_path / "input.txt"
