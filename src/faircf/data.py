@@ -11,9 +11,8 @@ tab-separated text:
 Every input file, these and the model and MovieLens files elsewhere, is read
 through ``read_fields``: a blank or whitespace-only line holds no entry, and
 bad input raises ``<path>: line N: <reason>``.  A clean numeric file is
-parsed by one whole-file ``np.loadtxt`` call.  Any other file is read by
-blocks: a numeric block by ``np.loadtxt`` if it takes the block whole, any
-other block by a pure-Python block parser that applies those rules.
+parsed by one whole-file ``np.loadtxt`` call; any other file by a
+pure-Python block parser that applies those rules.
 
 Every numeric file (these, the model, the MovieLens id maps) is written by
 ``write_fields``, every report table by ``text_table`` or ``csv_text``.
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -277,16 +277,14 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
 
     A numeric file (no str field) is first parsed whole by one
     ``np.loadtxt`` call (see ``_read_whole``), which takes only what
-    ``int``/``float`` take, to the same value.  Any other file is read in
-    blocks of about 1 MB.  A numeric block again goes to ``np.loadtxt``; a
-    block it fails, warns on, or gets another row count for (it skips blank
-    lines) goes to the block parser, which alone applies the rules above: it
-    splits the block once and converts a column at a time with ``map``, so
-    no Python statement runs per field.
+    ``int``/``float`` take, to the same value.  Any other file, and a
+    numeric file that fails a guard of that call, is read in blocks of
+    about 1 MB by the block parser, which alone applies the rules above: it
+    splits a block once and converts a column at a time with ``map``, so no
+    Python statement runs per field.
     """
     n = len(kinds)
-    dtype = None if str in kinds else [(f"f{k}", _DTYPES[kind]) for k, kind in enumerate(kinds)]
-    if dtype is not None and (whole := _read_whole(path, sep, dtype, encoding, skip)):
+    if str not in kinds and (whole := _read_whole(path, sep, kinds, encoding, skip)):
         return whole
     numbers = [np.zeros(0, dtype=np.int64)]
     columns = [[np.zeros(0, dtype=_DTYPES[kind])] for kind in kinds]
@@ -295,16 +293,7 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
             fh.readline()
         first = skip + 1
         while block := fh.readlines(BLOCK_BYTES):
-            start, first, table = first, first + len(block), ()
-            if dtype is not None and (len(sep) == 1 or "\t" not in (text := "".join(block))):
-                # loadtxt splits on one character, so "::" is rewritten to a tab
-                source = block if len(sep) == 1 else io.StringIO(text.replace(sep, "\t"))
-                table = _loadtxt(source, sep if len(sep) == 1 else "\t", dtype)
-            if len(table) == len(block):
-                numbers.append(np.arange(start, first))
-                for k, column in enumerate(columns):
-                    column.append(table[f"f{k}"])
-                continue
+            start, first = first, first + len(block)
             blank = np.fromiter(map(str.isspace, block), bool, len(block))
             kept = np.flatnonzero(~blank)
             block_numbers = kept + start
@@ -339,31 +328,37 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
     return np.concatenate(numbers), [np.concatenate(column) for column in columns]
 
 
-def _loadtxt(source, delimiter, dtype, **options):
-    """``np.loadtxt`` of ``source`` into the structured ``dtype``, or ()
-    if it raises or warns (e.g. "no data" for only blank lines)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return np.loadtxt(source, delimiter=delimiter, dtype=dtype, comments=None, ndmin=1,
-                              **options)
-        except (ValueError, OverflowError, Warning):
-            return ()
+# np.loadtxt opens a file name through numpy's DataSource, which decompresses
+# a file with one of these suffixes; the block parser reads its bytes as they are.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _read_whole(path, sep, dtype, encoding, skip):
+def _read_whole(path, sep, kinds, encoding, skip):
     """``read_fields`` of a numeric file by one ``np.loadtxt`` call over the
-    whole file, or None if the file needs the block loop: the call must
+    whole file, or None if the file needs the block parser: the call must
     raise and warn nothing and return one row per line that ``_line_count``
     finds, so that no blank line was skipped among them and the line
     numbers are a range.  A doubled separator such as ``::`` is split on
-    its character, taking every second column."""
-    n = len(dtype)
+    its character, taking every second column.
+
+    loadtxt is given the file name: its C reader then takes the file in
+    chunks, while a file object it reads a line at a time, which costs most
+    of the gain.  So a name that numpy would decompress is left to the block
+    parser, and the count and the parse see the same bytes."""
+    n = len(kinds)
     char = sep[0]
-    if sep not in (char, 2 * char) or not (rows := _line_count(path, sep, n, skip)):
+    if (sep not in (char, 2 * char) or os.fspath(path).endswith(_COMPRESSED)
+            or not (rows := _line_count(path, sep, n, skip))):
         return None
+    dtype = [(f"f{k}", _DTYPES[kind]) for k, kind in enumerate(kinds)]
     usecols = range(0, 2 * n, 2) if len(sep) == 2 else None
-    table = _loadtxt(path, char, dtype, skiprows=skip, usecols=usecols, encoding=encoding)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(path, delimiter=char, dtype=dtype, comments=None, ndmin=1,
+                               skiprows=skip, usecols=usecols, encoding=encoding)
+        except (ValueError, OverflowError, Warning):
+            return None
     if len(table) != rows:
         return None
     return np.arange(skip + 1, skip + 1 + rows), [table[f"f{k}"].copy() for k in range(n)]

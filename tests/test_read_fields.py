@@ -1,9 +1,8 @@
 """``data.read_fields`` against a line-by-line reader.
 
 A numeric file is first parsed whole by one ``np.loadtxt`` call; a file
-that fails one of its guards goes through ``np.loadtxt`` a block at a time,
-and any block it does not take whole goes to the block parser.  Whichever
-path a file takes, the result must equal ``oracles.read_fields_line_by_line``:
+that fails one of its guards, and a file with a str field, goes to the
+block parser.  Whichever path a file takes, the result must equal ``oracles.read_fields_line_by_line``:
 the same arrays bit for bit, the same dtypes and line numbers, or an error
 naming the same (first faulty) line.  Hypothesis draws rows of the ratings,
 model-row and ``ratings.dat`` formats with up to two faulty lines among
@@ -20,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from faircf import data
 from faircf.data import read_fields
 from oracles import read_fields_line_by_line
 
@@ -112,6 +112,7 @@ _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
 @given(text=file_texts("ratings"))
 @example(text="\n\n\n")                                  # a block of only newlines
 @example(text="0\t1\t2.5\n\n1\t0\t1_0\n")
+@example(text="0\t1\t2.5\n\n1\t0\t-0.0\n")                 # an empty line, which loadtxt skips
 @example(text="0\t1\t2.5\t\n")                           # a trailing tab
 @example(text="0\t1\t2.5#x\n")                           # no comments in a field
 @example(text="99999999999999999999\t1\t2.5\n")
@@ -137,7 +138,7 @@ def test_model_rows_match_the_line_by_line_reader(tmp_path, text):
 
 @_SETTINGS
 @given(text=file_texts("ratings.dat"))
-@example(text="1::2::3::978300760\t\n")                  # a tab blocks the "::" -> tab rewrite
+@example(text="1::2::3::978300760\t\n")                  # a tab inside a "::" field
 @example(text="1::2\t3::4::5\n")
 @example(text="1::2\t3::4\n")
 @example(text="1::2::3::978300760\n \n1::2::+5::1_0\n")
@@ -164,10 +165,11 @@ def clean_rows(fmt):
 @pytest.mark.parametrize("fmt", list(FORMATS))
 def test_a_clean_file_parses_in_one_loadtxt_call(tmp_path, monkeypatch, fmt):
     """The whole-file path takes a clean file, with or without a trailing
-    blank line, in one call."""
+    blank line, in one call, and the block parser never runs."""
     sep, kinds, header, encoding = FORMATS[fmt]
     loadtxt, calls = np.loadtxt, []
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
+    monkeypatch.setattr(data, "open_text", lambda *args: pytest.fail("the block parser ran"))
     text = header + "".join(clean_rows(fmt))
     results = []
     for tail in ("", "\n"):
@@ -185,9 +187,9 @@ def test_a_clean_file_parses_in_one_loadtxt_call(tmp_path, monkeypatch, fmt):
 @pytest.mark.parametrize("fmt", list(FORMATS))
 @pytest.mark.parametrize("fault", ["blank", "1_0", "x"])
 def test_a_fallback_in_the_second_block_only(tmp_path, fmt, fault):
-    """Over 1 MB: the whole file fails one guard, the first block parses in
-    C, the second holds one line that sends it to the block parser (a blank
-    line, a token only Python takes, or a bad field)."""
+    """Over 1 MB: one line in the second block (a blank line, a token only
+    Python takes, or a bad field) sends the whole file to the block parser,
+    whose line numbers must run on across the block boundary."""
     sep, kinds, header, _ = FORMATS[fmt]
     skip = header.count("\n")
     rows = clean_rows(fmt)
@@ -202,10 +204,40 @@ def test_a_fallback_in_the_second_block_only(tmp_path, fmt, fault):
 
 
 def test_a_block_of_blank_lines_warns_under_no_filter(tmp_path):
-    """np.loadtxt warns on a block that holds no data; the fallback hides that."""
+    """np.loadtxt warns on a file that holds no data; read_fields does not."""
     path = tmp_path / "ratings.tsv"
     path.write_text("\n\n\n", encoding="utf-8")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         lines, columns = read_fields(path, "\t", (int, int, float))
     assert not caught and lines.size == 0 and [c.size for c in columns] == [0, 0, 0]
+
+
+def test_a_plain_file_named_like_a_compressed_one_is_read_as_it_stands(tmp_path):
+    """np.loadtxt would gunzip a file named ``*.gz``; read_fields reads the
+    bytes of every file as they are."""
+    path = tmp_path / "ratings.tsv.gz"
+    path.write_text("0\t1\t2.5\n1\t0\t-0.0\n", encoding="utf-8")
+    assert_same(path, "ratings")
+    lines, _ = read_fields(path, "\t", (int, int, float))
+    assert lines.tolist() == [1, 2]
+
+
+def test_a_warning_from_loadtxt_leaves_the_file_to_the_block_parser(tmp_path, monkeypatch):
+    """numpy 1.x loadtxt warns on an int written as ``3.0`` and takes it as
+    3; a warning must not leak out, and the block parser reads the file."""
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kw):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return loadtxt(*args, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    path = tmp_path / "ratings.tsv"
+    path.write_text("0\t1\t2.5\n1\t0\t-0.0\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lines, columns = read_fields(path, "\t", (int, int, float))
+    assert not caught and lines.tolist() == [1, 2]
+    assert_same(path, "ratings")
