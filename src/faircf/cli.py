@@ -149,10 +149,16 @@ def _read_json_object(path, what: str) -> dict:
     return doc
 
 
-def _resolve(command: str, cli_values: dict, file_values: dict) -> dict:
+def _resolve(command: str, cli_values: dict, file_values: dict, origin: str) -> dict:
     """Merge flags > file values (a config file or a manifest's params) >
-    environment > defaults for one command."""
+    environment > defaults for one command.  A file key that is not a
+    parameter of ``command``, in its ``-`` or ``_`` spelling, is a
+    UsageError naming ``origin`` and the key."""
     schema = _SCHEMAS[command]
+    known = {spelling for name in schema for spelling in (name, name.replace("-", "_"))}
+    for key in file_values:
+        if key not in known:
+            raise UsageError(f"{origin}: unknown parameter {key!r} for '{command}'")
     params = {}
     for name, (typ, default, required, _) in schema.items():
         key = name.replace("-", "_")
@@ -406,7 +412,7 @@ def _cmd_rerun(manifest_path: str, out_override: str | None) -> int:
     if out_override is None and isinstance(recorded_out, str) and not os.path.isabs(recorded_out):
         out_override = str(path.parent)     # an old relative out: the manifest lies in it
     try:
-        params = _resolve(command, {"out": out_override}, params)
+        params = _resolve(command, {"out": out_override}, params, "params")
     except UsageError as exc:
         raise ValueError(f"{path}: {exc}") from None
     for input_path, recorded in checksums.items():
@@ -445,7 +451,7 @@ def main(argv=None) -> int:
             return _cmd_rerun(args.manifest, args.out)
         cli_values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         file_values = _read_json_object(args.config, "config") if args.config else {}
-        params = _resolve(args.command, cli_values, file_values)
+        params = _resolve(args.command, cli_values, file_values, args.config)
         return _run_command(args.command, params)
     except UsageError as exc:
         print(f"faircf {args.command}: error: {exc}", file=sys.stderr)

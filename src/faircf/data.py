@@ -98,11 +98,6 @@ class RatingSet:
     def __len__(self):
         return int(self.values.shape[0])
 
-    @property
-    def entries(self):
-        """Ratings as a list of (user, item, value) tuples."""
-        return list(zip(self.users.tolist(), self.items.tolist(), self.values.tolist()))
-
     def subset(self, index):
         """New RatingSet holding the entries selected by ``index`` (same grid)."""
         return RatingSet(self.users[index], self.items[index], self.values[index],
@@ -135,6 +130,8 @@ class GroupAssignment:
 class RatingPlan:
     """Everything a training run or an evaluation derives from ``(ratings,
     groups)`` alone, built once and then read by every pass over the entries.
+    The training kernels (``trainer.loss_terms``, ``fairness.penalty_terms``,
+    ``model.accumulate_gradient``) take their entries as a plan.
 
     It exposes the rating arrays like a RatingSet does.  The group labels
     are checked against the grid when the plan is built; ``groups`` may be
@@ -158,12 +155,6 @@ class RatingPlan:
         self.groups = groups
         self.users, self.items, self.values = ratings.users, ratings.items, ratings.values
         self.num_users, self.num_items = ratings.num_users, ratings.num_items
-
-    @classmethod
-    def of(cls, ratings, groups: GroupAssignment | None = None) -> "RatingPlan":
-        """``ratings`` itself if it is a plan already (``groups`` is then
-        ignored), else a fresh plan of ``(ratings, groups)``."""
-        return ratings if isinstance(ratings, cls) else cls(ratings, groups)
 
     def __len__(self):
         return int(self.values.shape[0])

@@ -23,10 +23,10 @@ groups present.  A gap with no row gives the metric 0.
 For gradient-based training each metric gets a smoothed variant: the outer
 absolute value |d| is replaced by d**2 while |d| < 1 and kept as |d|
 otherwise, which removes the kink at 0 (the two branches meet at 1).
-``penalty`` evaluates that smoothed form from model parameters and
-``penalty_gradient`` returns its analytic subgradient, using the |d|-branch
-slope sign(d) at |d| = 1 and slope 0 at hinge corners and at inner
-absolute-value zeros.
+``penalty_terms`` evaluates that smoothed form from the predictions of a
+training pass, together with its analytic subgradient with respect to each
+prediction, using the |d|-branch slope sign(d) at |d| = 1 and slope 0 at
+hinge corners and at inner absolute-value zeros.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupAssignment, RatingPlan, RatingSet, csv_text
-from .model import ModelParams, PENALTY_KINDS, accumulate_gradient, predict_entries
+from .data import GroupAssignment, RatingPlan, csv_text
 
 # kind -> (transform of a group's signed error, its slope); slope 0 at the
 # kinks of |e| and of the hinges.  Non-parity compares the overall means.
@@ -107,7 +106,7 @@ def group_item_averages(predictions, ratings, groups: GroupAssignment | None = N
     the plan's (item, group) key gives every per-item prediction sum; the
     counts and the rating sums come with the plan.
     """
-    plan = RatingPlan.of(ratings, groups)
+    plan = ratings if isinstance(ratings, RatingPlan) else RatingPlan(ratings, groups)
     predictions = np.asarray(predictions, dtype=np.float64)
     if predictions.shape != plan.values.shape:
         raise ValueError("predictions must align with the rating entries")
@@ -150,21 +149,12 @@ def metric(kind: str, avgs: GroupItemAverages) -> float:
     return float(np.mean(np.abs(d))) if d.size else 0.0
 
 
-def smoothed_penalty_term(d):
-    """Huber-style surrogate for |d|: d**2 while |d| < 1, else |d|.
-
-    Accepts scalars or arrays and preserves the input shape.
-    """
-    arr = np.asarray(d, dtype=np.float64)
-    out = np.where(np.abs(arr) < 1.0, arr * arr, np.abs(arr))
-    return float(out) if np.isscalar(d) or arr.ndim == 0 else out
-
-
-def _smoothed_slope(d):
-    """Derivative of smoothed_penalty_term; sign(d) on |d| >= 1 (the
-    |d|-branch wins at the |d| = 1 kink)."""
-    arr = np.asarray(d, dtype=np.float64)
-    return np.where(np.abs(arr) < 1.0, 2.0 * arr, np.sign(arr))
+def _smoothed(d):
+    """Huber-style surrogate for |d|, elementwise: d**2 while |d| < 1, else
+    |d|; and its slope, sign(d) on |d| >= 1 (the |d|-branch wins at the
+    |d| = 1 kink)."""
+    inner = np.abs(d) < 1.0
+    return np.where(inner, d * d, np.abs(d)), np.where(inner, 2.0 * d, np.sign(d))
 
 
 def _smoothed_terms(kind: str, avgs: GroupItemAverages) -> tuple[float, np.ndarray]:
@@ -179,37 +169,16 @@ def _smoothed_terms(kind: str, avgs: GroupItemAverages) -> tuple[float, np.ndarr
     coeff = np.zeros(avgs.counts.shape)
     if not d.size:
         return 0.0, coeff
+    value, slope = _smoothed(d)
     # outer slope * inner partial / (gap count * cell count)
-    coeff[items] = (_smoothed_slope(d)[:, None] * partial) / (d.size * counts)
-    return float(np.mean(smoothed_penalty_term(d))), coeff
+    coeff[items] = (slope[:, None] * partial) / (d.size * counts)
+    return float(np.mean(value)), coeff
 
 
 def penalty_terms(kind: str, predictions, plan: RatingPlan,
                   weight: float = 1.0) -> tuple[float, np.ndarray]:
-    """The weighted smoothed penalty and its derivative d penalty / d yhat_k
-    for every rating entry, from ``predictions`` already made for the
-    entries of ``plan``."""
-    if kind not in PENALTY_KINDS:
-        raise ValueError(f"unknown penalty {kind!r}; valid: {', '.join(PENALTY_KINDS)}")
-    if kind == "none":
-        return 0.0, np.zeros(len(plan))
-    if len(plan) == 0:
-        raise ValueError("cannot evaluate a penalty on an empty rating set")
+    """The weighted smoothed ``kind`` penalty (a PENALTY_KINDS entry other
+    than "none") and its derivative d penalty / d yhat_k for every rating
+    entry, from ``predictions`` already made for the entries of ``plan``."""
     value, coeff = _smoothed_terms(kind, group_item_averages(predictions, plan))
     return weight * value, (weight * coeff).ravel()[plan.key]
-
-
-def penalty(kind: str, params: ModelParams, ratings: RatingSet,
-            groups: GroupAssignment, weight: float = 1.0) -> float:
-    """Smoothed unfairness penalty of the model on the given rating set."""
-    plan = RatingPlan(ratings, groups)
-    return penalty_terms(kind, predict_entries(params, plan.users, plan.items), plan, weight)[0]
-
-
-def penalty_gradient(kind: str, params: ModelParams, ratings: RatingSet,
-                     groups: GroupAssignment, weight: float = 1.0) -> ModelParams:
-    """Analytic (sub)gradient of ``penalty`` with respect to every parameter,
-    in the parameter layout."""
-    plan = RatingPlan(ratings, groups)
-    preds = predict_entries(params, plan.users, plan.items)
-    return accumulate_gradient(params, plan, penalty_terms(kind, preds, plan, weight)[1])

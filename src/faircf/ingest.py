@@ -198,13 +198,13 @@ def genre_stats(data: FilteredDataset) -> GenreStats:
     return GenreStats(rows)
 
 
-def split(data, test_fraction: float, seed: int) -> tuple[RatingSet, RatingSet]:
-    """Random disjoint train/test partition of the rating entries.
+def split(data: FilteredDataset, test_fraction: float, seed: int) -> tuple[RatingSet, RatingSet]:
+    """Random disjoint train/test partition of the entries of ``data.ratings``.
 
-    ``data`` may be a FilteredDataset or a bare RatingSet.  The test side
-    gets round(n * test_fraction) entries; both sides must end up nonempty.
+    The test side gets round(n * test_fraction) entries; both sides must end
+    up nonempty.
     """
-    ratings = data.ratings if isinstance(data, FilteredDataset) else data
+    ratings = data.ratings
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     n = len(ratings)

@@ -184,13 +184,12 @@ def mf_objective(params: ModelParams, ratings: RatingSet, lambda_reg: float) -> 
     return mf_objective_terms(params, ratings, preds, lambda_reg)[0]
 
 
-def accumulate_gradient(params: ModelParams, ratings, weights,
+def accumulate_gradient(params: ModelParams, plan: RatingPlan, weights,
                         lambda_reg: float = 0.0) -> ModelParams:
     """Chain per-entry prediction-space derivatives dL/dyhat_k back to the
     parameters, plus ``lambda_reg`` times the factor matrices (the gradient
-    of the L2 term).  ``weights`` is aligned with the entries of ``ratings``,
-    a RatingSet or a RatingPlan; the gradient comes back in the parameter
-    layout.
+    of the L2 term).  ``weights`` is aligned with the entries of ``plan``;
+    the gradient comes back in the parameter layout.
 
     The weights fill the plan's user-major CSR matrix A (one gather), and
     ``A @ [Q, 1]`` and ``A.T @ [P, 1]`` give the user and the item gradients,
@@ -198,7 +197,7 @@ def accumulate_gradient(params: ModelParams, ratings, weights,
     (a user's entries in entry order; an item's in user order, then entry
     order), so results are reproducible bit for bit.
     """
-    a, order = RatingPlan.of(ratings).pattern
+    a, order = plan.pattern
     a.data = weights if order is None else weights[order]
     m, n, d = params.num_users, params.num_items, params.d
     p, q, _, _ = params.arrays()
@@ -210,13 +209,6 @@ def accumulate_gradient(params: ModelParams, ratings, weights,
         factors = (m + n) * d
         grad.flat[:factors] += lambda_reg * params.flat[:factors]
     return grad
-
-
-def mf_gradient(params: ModelParams, ratings: RatingSet, lambda_reg: float) -> ModelParams:
-    """Analytic gradient of mf_objective with respect to every parameter."""
-    preds = predict_entries(params, ratings.users, ratings.items)
-    _, weights = mf_objective_terms(params, ratings, preds, lambda_reg)
-    return accumulate_gradient(params, ratings, weights, lambda_reg)
 
 
 def save_params(params: ModelParams, path):

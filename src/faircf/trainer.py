@@ -2,17 +2,18 @@
 
 Each iteration computes the exact gradient of
 
-    L = mf_objective(params) + penalty_weight * penalty(kind, params)
+    L = mf_objective(params) + penalty_weight * S_kind(params)
 
-over the whole training set (no minibatching) and applies one Adam update.
-Everything that depends only on the ratings and the group labels (the group
-check, each entry's (item, group) key with its counts and rating sums, the
-CSR pattern of the grid) is built once per run, as a RatingPlan.  One pass
-per update then predicts the observed cells once, reads the objective, the
-penalty and dL/dyhat per entry off that prediction, and chains the latter
-back to the parameters once.  Parameters are initialized i.i.d.
-normal with standard deviation 0.1 from the seeded generator, in one draw
-over the flat layout (user vectors, item vectors, user biases, item
+(S_kind the smoothed ``kind`` metric of ``fairness``, absent for kind
+"none") over the whole training set (no minibatching) and applies one Adam
+update.  Everything that depends only on the ratings and the group labels
+(the group check, each entry's (item, group) key with its counts and rating
+sums, the CSR pattern of the grid) is built once per run, as a RatingPlan.
+One pass per update then predicts the observed cells once, reads the
+objective, the penalty and dL/dyhat per entry off that prediction, and
+chains the latter back to the parameters once.  Parameters are initialized
+i.i.d. normal with standard deviation 0.1 from the seeded generator, in one
+draw over the flat layout (user vectors, item vectors, user biases, item
 biases), so a given (data, config) pair always trains to bit-identical
 parameters.
 """
@@ -86,13 +87,12 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, first_moment: np.ndarray,
     return theta, m, v
 
 
-def loss_terms(params: ModelParams, ratings, groups: GroupAssignment | None,
+def loss_terms(params: ModelParams, plan: RatingPlan,
                config: TrainConfig) -> tuple[float, float, np.ndarray]:
-    """One prediction pass: the objective, the weighted penalty and
-    dL/dyhat for every rating entry; ``accumulate_gradient(params, ratings,
-    weights, config.lambda_reg)`` turns the last into the gradient of L.
-    ``ratings`` is a RatingSet with its ``groups``, or a RatingPlan."""
-    plan = RatingPlan.of(ratings, groups)
+    """One prediction pass over the entries of ``plan``: the objective, the
+    weighted penalty and dL/dyhat for every entry; ``accumulate_gradient(
+    params, plan, weights, config.lambda_reg)`` turns the last into the
+    gradient of L."""
     preds = predict_entries(params, plan.users, plan.items)
     objective, weights = mf_objective_terms(params, plan, preds, config.lambda_reg)
     if config.penalty == "none":
@@ -132,7 +132,7 @@ def train(ratings: RatingSet, groups: GroupAssignment,
                 theta, first, second = adam_step(params.flat, grad, first, second, t, config)
                 params = ModelParams.from_flat(theta, m, n, d)
             # The pass after update t gives its trace entry and starts update t + 1.
-            obj, pen, weights = loss_terms(params, plan, None, config)
+            obj, pen, weights = loss_terms(params, plan, config)
             if not (math.isfinite(obj) and math.isfinite(pen)):
                 raise DivergenceError(t, obj + pen, params)
             objectives[t], penalties[t] = obj, pen

@@ -1,9 +1,16 @@
-"""Shared fixtures: a tiny MovieLens-style corpus and real-data discovery."""
+"""Shared fixtures and helpers: a tiny MovieLens-style corpus, real-data
+discovery, the trainer's loss pass on a rating set and the environment of a
+subprocess that imports the faircf under test."""
 
 import os
 from pathlib import Path
 
 import pytest
+
+import faircf
+from faircf.data import RatingPlan
+from faircf.model import TrainConfig, accumulate_gradient
+from faircf.trainer import loss_terms
 
 # Hand-sized archive used by the ingest and CLI tests.  With the default
 # genre filter and min_ratings=2: movie 4 (Documentary) drops out, user 5
@@ -117,3 +124,27 @@ def ml1m_dir():
     if found is None:
         pytest.skip("MovieLens-1M not available (set FAIRCF_ML1M_DIR or unpack to data/ml-1m)")
     return found
+
+
+def loss_pass(params, ratings, groups, kind="none", lambda_reg=0.0, weight=1.0):
+    """The objective, the weighted ``kind`` penalty and the gradient of their
+    sum, from the trainer's ``loss_terms`` and ``accumulate_gradient`` on a
+    plan of ``(ratings, groups)``."""
+    plan = RatingPlan(ratings, groups)
+    config = TrainConfig(d=params.d, lambda_reg=lambda_reg, penalty=kind, penalty_weight=weight)
+    objective, pen, weights = loss_terms(params, plan, config)
+    return objective, pen, accumulate_gradient(params, plan, weights, lambda_reg)
+
+
+def subprocess_env(**changes):
+    """os.environ with ``changes`` applied (None unsets) and the faircf of
+    this test run first on PYTHONPATH, so a subprocess imports the same one."""
+    src = str(Path(faircf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env

@@ -1,22 +1,27 @@
 """Independent reference implementations used to check the library.
 
 Everything here is written as plain Python loops over dictionaries, sharing
-no code with the package: the group averages are rebuilt per item, the
-metrics follow the written formulas directly, and gradients come from
-central finite differences on the scalar objectives.
+no code with the package beyond its containers: the group averages are
+rebuilt per item, the objective and the metrics follow the written formulas
+directly, and gradients come from central finite differences on those
+formulas.
 """
 
 import numpy as np
 
 from faircf.data import GroupAssignment, RatingSet
-from faircf.fairness import penalty
-from faircf.model import ModelParams, mf_objective
+from faircf.model import ModelParams
+
+
+def entries(ratings):
+    """Ratings as a list of (user, item, value) tuples."""
+    return list(zip(ratings.users.tolist(), ratings.items.tolist(), ratings.values.tolist()))
 
 
 def predictions_for(params, ratings):
     """Per-entry predictions via the textbook formula, one entry at a time."""
     out = []
-    for u, i, _ in ratings.entries:
+    for u, i, _ in entries(ratings):
         out.append(float(np.dot(params.user_vectors[u], params.item_vectors[i]))
                    + float(params.user_bias[u]) + float(params.item_bias[i]))
     return np.array(out)
@@ -25,7 +30,7 @@ def predictions_for(params, ratings):
 def item_tables(predictions, ratings, disadvantaged):
     """Per-item sums and counts split by group, as {item: [y_g, r_g, n_g, y_a, r_a, n_a]}."""
     table = {}
-    for k, (u, i, r) in enumerate(ratings.entries):
+    for k, (u, i, r) in enumerate(entries(ratings)):
         row = table.setdefault(i, [0.0, 0.0, 0, 0.0, 0.0, 0])
         off = 0 if disadvantaged[u] else 3
         row[off] += float(predictions[k])
@@ -61,7 +66,7 @@ def brute_force_metrics(predictions, ratings, disadvantaged):
         return float(sum(terms) / len(terms)) if terms else 0.0
 
     sum_g = n_g_total = sum_a = n_a_total = 0.0
-    for k, (u, _, _) in enumerate(ratings.entries):
+    for k, (u, _, _) in enumerate(entries(ratings)):
         if disadvantaged[u]:
             sum_g += float(predictions[k])
             n_g_total += 1
@@ -92,9 +97,9 @@ def brute_force_penalty(kind, params, ratings, disadvantaged, weight=1.0):
     table = item_tables(preds, ratings, disadvantaged)
 
     if kind == "nonparity":
-        y_g = sum(float(preds[k]) for k, (u, _, _) in enumerate(ratings.entries)
+        y_g = sum(float(preds[k]) for k, (u, _, _) in enumerate(entries(ratings))
                   if disadvantaged[u])
-        y_a = sum(float(preds[k]) for k, (u, _, _) in enumerate(ratings.entries)
+        y_a = sum(float(preds[k]) for k, (u, _, _) in enumerate(entries(ratings))
                   if not disadvantaged[u])
         n_g = sum(1 for u in ratings.users.tolist() if disadvantaged[u])
         n_a = len(ratings) - n_g
@@ -143,12 +148,19 @@ def finite_difference(scalar_fn, params, eps=1e-6):
     return grads
 
 
-def objective_fn(ratings, lambda_reg):
-    return lambda p: mf_objective(p, ratings, lambda_reg)
+def oracle_objective(params, ratings, lambda_reg):
+    """The regularized squared-error objective from the written formula."""
+    factors = np.sum(params.user_vectors ** 2) + np.sum(params.item_vectors ** 2)
+    error = brute_force_metrics(predictions_for(params, ratings), ratings,
+                                np.zeros(ratings.num_users, dtype=bool))["error"]
+    return 0.5 * lambda_reg * float(factors) + error
 
 
-def penalty_fn(kind, ratings, groups, weight=1.0):
-    return lambda p: penalty(kind, p, ratings, groups, weight)
+def oracle_loss(kind, ratings, disadvantaged, lambda_reg, weight=1.0):
+    """The training loss, objective plus weighted smoothed penalty, as a
+    function of the parameters, for ``finite_difference``."""
+    return lambda p: (oracle_objective(p, ratings, lambda_reg)
+                      + brute_force_penalty(kind, p, ratings, disadvantaged, weight))
 
 
 def random_instance(rng, max_users=5, max_items=4, d=2, rating_choices=(-1.0, 1.0)):
@@ -181,9 +193,9 @@ def away_from_kinks(kind, params, ratings, disadvantaged, margin=1e-3):
     preds = predictions_for(params, ratings)
     table = item_tables(preds, ratings, disadvantaged)
     if kind == "nonparity":
-        y_g = sum(float(preds[k]) for k, (u, _, _) in enumerate(ratings.entries)
+        y_g = sum(float(preds[k]) for k, (u, _, _) in enumerate(entries(ratings))
                   if disadvantaged[u])
-        y_a = sum(float(preds[k]) for k, (u, _, _) in enumerate(ratings.entries)
+        y_a = sum(float(preds[k]) for k, (u, _, _) in enumerate(entries(ratings))
                   if not disadvantaged[u])
         n_g = sum(1 for u in ratings.users.tolist() if disadvantaged[u])
         n_a = len(ratings) - n_g
@@ -252,7 +264,7 @@ def write_fields_line_by_line(path, sep, columns, header=""):
 
 def write_ratings_line_by_line(ratings, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for u, i, v in ratings.entries:
+        for u, i, v in entries(ratings):
             fh.write(f"{u}\t{i}\t{v!r}\n")
 
 

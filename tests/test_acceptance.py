@@ -22,14 +22,13 @@ from faircf.data import GroupAssignment, RatingSet
 from faircf.experiments import (PAPER_PENALTIES, ExperimentPlan, evaluate,
                                 paired_t_statistic, run_bias_settings_study,
                                 run_experiment)
-from faircf.fairness import group_item_averages, metric, penalty_gradient
+from faircf.fairness import group_item_averages, metric
 from faircf.ingest import filter_dataset, genre_stats, parse
-from faircf.model import TrainConfig, mf_gradient
+from faircf.model import TrainConfig
 from faircf.synthetic import builtin_specs, evaluation_set, generate
 from faircf.trainer import train
-from conftest import find_ml1m_dir, write_ml_corpus
-from oracles import (away_from_kinks, finite_difference, objective_fn,
-                     penalty_fn, random_instance)
+from conftest import find_ml1m_dir, loss_pass, write_ml_corpus
+from oracles import away_from_kinks, finite_difference, oracle_loss, random_instance
 
 GRADIENT_KINDS = ("base", "value", "absolute", "under", "over", "nonparity",
                   "under_plus_over")
@@ -67,13 +66,13 @@ def test_criterion_1_gradients_match_central_differences(capsys):
             if kind == "base" or away_from_kinks(kind, params, ratings,
                                                  groups.disadvantaged):
                 break
-        if kind == "base":
-            lam = float(rng.uniform(0.0, 0.2))
-            grad = mf_gradient(params, ratings, lam)
-            numeric = finite_difference(objective_fn(ratings, lam), params)
-        else:
-            grad = penalty_gradient(kind, params, ratings, groups)
-            numeric = finite_difference(penalty_fn(kind, ratings, groups), params)
+        # The gradient of the trainer's loss: at "base" the objective alone,
+        # with a random lambda_reg; at a penalty kind the unregularized
+        # objective plus that penalty.
+        penalty, lam = ("none", float(rng.uniform(0.0, 0.2))) if kind == "base" else (kind, 0.0)
+        grad = loss_pass(params, ratings, groups, penalty, lam)[2]
+        numeric = finite_difference(
+            oracle_loss(penalty, ratings, groups.disadvantaged, lam), params)
         for got, want in zip(grad.arrays(), numeric):
             rel = np.abs(got - want) / np.maximum(1.0, np.abs(got))
             worst = max(worst, float(rel.max()))

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import faircf
 from faircf.cli import main
 from faircf.data import read_ratings
 from faircf.model import load_params
+from conftest import subprocess_env
 
 
 def run_ok(argv):
@@ -168,7 +168,7 @@ def test_rerun_detects_changed_inputs(tmp_path):
                  "--out", str(tmp_path / "redo")]) == 1
 
 
-def test_precedence_flag_over_config_over_env(tmp_path, monkeypatch):
+def test_precedence_flag_over_config_over_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FAIRCF_SEED", "5")
     env_only = tmp_path / "env"
     run_ok(["generate", "--scenario", "U", "--users", "10", "--items", "8",
@@ -187,19 +187,11 @@ def test_precedence_flag_over_config_over_env(tmp_path, monkeypatch):
             "--config", str(config), "--seed", "9", "--out", str(with_flag)])
     assert read_manifest(with_flag)["params"]["seed"] == 9
 
-
-def subprocess_env(**changes):
-    """os.environ with ``changes`` applied (None unsets) and the faircf of
-    this test run first on PYTHONPATH, so a subprocess imports the same one."""
-    src = str(Path(faircf.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for name, value in changes.items():
-        if value is None:
-            env.pop(name, None)
-        else:
-            env[name] = value
-    return env
+    typo = tmp_path / "typo.json"
+    typo.write_text('{"seed": 7, "iteration": 3}', encoding="utf-8")
+    assert main(["generate", "--scenario", "U", "--config", str(typo),
+                 "--out", str(tmp_path / "typo")]) == 2
+    assert f"{typo}: unknown parameter 'iteration'" in capsys.readouterr().err
 
 
 def test_console_script_is_installed():
@@ -266,6 +258,7 @@ def test_jobs_flag_gives_identical_tables(tmp_path):
     {"command": "train", "params": {"data": "d", "out": "o", "iterations": True}},
     {"command": "train", "params": {"data": "d", "out": "o", "iterations": 2.5}},
     {"command": "train", "params": {"data": "d", "out": "o", "penalty": "fairest"}},
+    {"command": "train", "params": {"data": "d", "out": "o", "iteration": 3}},
 ])
 def test_rerun_rejects_malformed_manifest(tmp_path, capsys, doc):
     manifest = tmp_path / "manifest.json"

@@ -11,6 +11,7 @@ from faircf.data import (GroupAssignment, RatingPlan, RatingSet, read_groups, re
 from faircf.ingest import parse
 from faircf.model import ModelParams, load_params, save_params
 from conftest import write_ml_corpus
+from oracles import entries
 
 
 def small_set():
@@ -21,14 +22,14 @@ def test_basic_properties():
     rs = small_set()
     assert len(rs) == 3
     assert rs.users.dtype == np.int64 and rs.values.dtype == np.float64
-    assert rs.entries == [(0, 1, 1.0), (0, 2, -1.0), (2, 0, 0.25)]
+    assert entries(rs) == [(0, 1, 1.0), (0, 2, -1.0), (2, 0, 0.25)]
 
 
 def test_subset_keeps_grid():
     rs = small_set()
     sub = rs.subset(np.array([2, 0]))
     assert sub.num_users == 3 and sub.num_items == 3
-    assert sub.entries == [(2, 0, 0.25), (0, 1, 1.0)]
+    assert entries(sub) == [(2, 0, 0.25), (0, 1, 1.0)]
 
 
 @pytest.mark.parametrize("users,items,values,m,n", [

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from faircf.data import GroupAssignment, RatingSet
-from faircf.fairness import (FairnessReport, group_item_averages, metric,
-                             smoothed_penalty_term)
-from oracles import brute_force_metrics, predictions_for, random_instance
+from faircf.fairness import FairnessReport, _smoothed, group_item_averages, metric
+from oracles import brute_force_metrics, predictions_for, random_instance, smooth
 
 # Two users (0 disadvantaged, 1 not), two items, every cell observed.
 # Per item signed group errors: item 0 -> +1 vs 0, item 1 -> -2 vs +1.
@@ -123,13 +122,14 @@ def test_value_splits_into_under_plus_over():
 
 
 def test_smoothed_penalty_term_values():
-    assert smoothed_penalty_term(0.0) == 0.0
-    assert smoothed_penalty_term(0.5) == pytest.approx(0.25)
-    assert smoothed_penalty_term(-0.5) == pytest.approx(0.25)
-    assert smoothed_penalty_term(1.0) == pytest.approx(1.0)
-    assert smoothed_penalty_term(-2.0) == pytest.approx(2.0)
-    arr = smoothed_penalty_term(np.array([0.5, -3.0]))
-    assert arr == pytest.approx([0.25, 3.0])
+    """d**2 and 2d inside |d| < 1, |d| and sign(d) outside; at the kink
+    |d| = 1 the |d|-branch slope sign(d) is the documented choice."""
+    d = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+    value, slope = _smoothed(d)
+    assert value.tolist() == [smooth(x) for x in d.tolist()]
+    assert value.tolist() == [0.0, 0.25, 0.25, 1.0, 1.0, 2.0, 2.0]
+    assert slope.tolist() == [0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
+    assert _smoothed(np.array([0.5, -3.0]))[0] == pytest.approx([0.25, 3.0])
 
 
 def test_report_csv_round_trip(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from faircf.ingest import filter_dataset, genre_stats, parse, split
 from conftest import write_ml_corpus
+from oracles import entries
 
 
 def filtered(mini_ml_dir, min_ratings=2):
@@ -53,10 +54,10 @@ def test_filter_keeps_expected_users_and_movies(mini_ml_dir):
 
 def test_filter_reindexes_ratings(mini_ml_dir):
     data = filtered(mini_ml_dir)
-    entries = set(data.ratings.entries)
-    assert (0, 0, 5.0) in entries        # archive user 1 on movie 1
-    assert (3, 3, 3.0) in entries        # archive user 4 on movie 5
-    assert (2, 3, 4.0) in entries        # archive user 3 on movie 5
+    kept = set(entries(data.ratings))
+    assert (0, 0, 5.0) in kept           # archive user 1 on movie 1
+    assert (3, 3, 3.0) in kept           # archive user 4 on movie 5
+    assert (2, 3, 4.0) in kept           # archive user 3 on movie 5
 
 
 def test_filter_threshold_is_counted_on_kept_movies(mini_ml_dir):
@@ -151,5 +152,5 @@ def test_filter_matches_a_per_rating_reference(bulk_ml_dir):
     user_ids = sorted({uid for uid, _, _ in kept})
     movie_ids = sorted({mid for _, mid, _ in kept})
     assert data.user_ids.tolist() == user_ids and data.movie_ids.tolist() == movie_ids
-    assert data.ratings.entries == [(user_ids.index(uid), movie_ids.index(mid), value)
+    assert entries(data.ratings) == [(user_ids.index(uid), movie_ids.index(mid), value)
                                     for uid, mid, value in kept]

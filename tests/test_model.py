@@ -5,11 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from faircf.data import RatingSet
+from faircf.data import RatingPlan, RatingSet
 from faircf.model import (ModelParams, TrainConfig, accumulate_gradient,
-                          load_params, mf_gradient, mf_objective, predict,
+                          load_params, mf_objective, predict,
                           predict_entries, predict_matrix, save_params)
-from oracles import finite_difference, objective_fn, random_instance
+from conftest import loss_pass
+from oracles import entries, finite_difference, oracle_loss, random_instance
 
 
 def one_cell_instance():
@@ -45,7 +46,7 @@ def test_objective_rejects_empty():
 
 def test_gradient_hand_values():
     params, ratings = one_cell_instance()
-    grad = mf_gradient(params, ratings, 0.5)
+    grad = loss_pass(params, ratings, None, lambda_reg=0.5)[2]
     # residual -2: 2*(-2)*q + 0.5*p etc.; biases are unregularized
     assert grad.user_vectors == pytest.approx(np.array([[-3.0]]))
     assert grad.item_vectors == pytest.approx(np.array([[-7.5]]))
@@ -59,7 +60,7 @@ def test_prediction_helpers_agree():
     dense = predict_matrix(params)
     assert dense.shape == (ratings.num_users, ratings.num_items)
     per_entry = predict_entries(params, ratings.users, ratings.items)
-    for k, (u, i, _) in enumerate(ratings.entries):
+    for k, (u, i, _) in enumerate(entries(ratings)):
         assert per_entry[k] == pytest.approx(predict(params, u, i))
         assert dense[u, i] == pytest.approx(per_entry[k])
 
@@ -69,8 +70,8 @@ def test_gradient_matches_finite_differences():
     for _ in range(8):
         ratings, _, params = random_instance(rng)
         lam = float(rng.uniform(0.0, 0.3))
-        grad = mf_gradient(params, ratings, lam)
-        numeric = finite_difference(objective_fn(ratings, lam), params)
+        grad = loss_pass(params, ratings, None, lambda_reg=lam)[2]
+        numeric = finite_difference(oracle_loss("none", ratings, None, lam), params)
         for got, want in zip(grad.arrays(), numeric):
             assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
 
@@ -90,9 +91,9 @@ def test_accumulate_gradient_matches_loop():
     rng = np.random.default_rng(11)
     ratings, _, params = random_instance(rng)
     weights = rng.normal(size=len(ratings))
-    got = accumulate_gradient(params, ratings, weights)
+    got = accumulate_gradient(params, RatingPlan(ratings), weights)
     want = ModelParams.zeros(params.num_users, params.num_items, params.d)
-    for k, (u, i, _) in enumerate(ratings.entries):
+    for k, (u, i, _) in enumerate(entries(ratings)):
         want.user_vectors[u] += weights[k] * params.item_vectors[i]
         want.item_vectors[i] += weights[k] * params.user_vectors[u]
         want.user_bias[u] += weights[k]

@@ -19,32 +19,12 @@ from hypothesis import strategies as st
 
 from faircf.data import GroupAssignment, RatingSet
 from faircf.fairness import group_item_averages, metric
-from faircf.model import PENALTY_KINDS, ModelParams, TrainConfig, accumulate_gradient
-from faircf.trainer import loss_terms
+from faircf.model import PENALTY_KINDS, ModelParams
+from conftest import loss_pass
 from oracles import (away_from_kinks, brute_force_metrics, brute_force_penalty,
-                     finite_difference, predictions_for)
+                     finite_difference, oracle_loss, oracle_objective, predictions_for)
 
 PER_ITEM_KINDS = ("value", "absolute", "under", "over")
-
-
-def oracle_objective(params, ratings, lambda_reg):
-    factors = np.sum(params.user_vectors ** 2) + np.sum(params.item_vectors ** 2)
-    error = brute_force_metrics(predictions_for(params, ratings), ratings,
-                                np.zeros(ratings.num_users, dtype=bool))["error"]
-    return 0.5 * lambda_reg * float(factors) + error
-
-
-def oracle_loss(kind, ratings, disadvantaged, lambda_reg, weight):
-    return lambda p: (oracle_objective(p, ratings, lambda_reg)
-                      + brute_force_penalty(kind, p, ratings, disadvantaged, weight))
-
-
-def fused(params, ratings, groups, kind, lambda_reg, weight):
-    """Objective, penalty and gradient from the trainer's single pass."""
-    config = TrainConfig(d=params.d, lambda_reg=lambda_reg, penalty=kind,
-                         penalty_weight=weight)
-    objective, pen, weights = loss_terms(params, ratings, groups, config)
-    return objective, pen, accumulate_gradient(params, ratings, weights, lambda_reg)
 
 
 def assert_gradient(grad, scalar_fn, params):
@@ -115,7 +95,7 @@ ZERO_ERRORS = instance(dyadic_params(3, 3, 2), [(0, 0), (0, 1), (1, 1), (2, 0), 
 def test_loss_pass_matches_oracles(kind, case):
     params, ratings, groups, lambda_reg, weight = case
     dis = groups.disadvantaged
-    objective, pen, grad = fused(params, ratings, groups, kind, lambda_reg, weight)
+    objective, pen, grad = loss_pass(params, ratings, groups, kind, lambda_reg, weight)
 
     assert objective == pytest.approx(oracle_objective(params, ratings, lambda_reg),
                                       rel=1e-12, abs=1e-12)
@@ -131,7 +111,7 @@ def test_zero_errors_leave_only_the_objective_gradient():
     flat there, so the gradient is the objective's alone."""
     params, ratings, groups, lambda_reg, weight = ZERO_ERRORS
     for kind in PER_ITEM_KINDS + ("under_plus_over",):
-        objective, pen, grad = fused(params, ratings, groups, kind, lambda_reg, weight)
+        objective, pen, grad = loss_pass(params, ratings, groups, kind, lambda_reg, weight)
         assert pen == 0.0
         assert objective == pytest.approx(0.5 * lambda_reg * float(
             np.sum(params.user_vectors ** 2) + np.sum(params.item_vectors ** 2)), rel=1e-12)
@@ -160,7 +140,7 @@ def test_unit_gap_takes_the_absolute_branch(kind):
     unsmoothed = brute_force_metrics([1.5, 0.5], ratings, groups.disadvantaged)
     assert sum(unsmoothed[m] for m in metrics) == 1.0
 
-    objective, pen, grad = fused(params, ratings, groups, kind, lambda_reg, weight)
+    objective, pen, grad = loss_pass(params, ratings, groups, kind, lambda_reg, weight)
     assert pen == weight
     assert objective == pytest.approx(oracle_objective(params, ratings, lambda_reg), rel=1e-12)
 

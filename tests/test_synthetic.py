@@ -9,6 +9,7 @@ from faircf.synthetic import (LIKE_PROBS, OBS_BIASED, OBS_UNIFORM, POP_IMBALANCE
                               POP_UNIFORM, BlockModelSpec, builtin_specs,
                               evaluation_set, generate, load_spec, spec_from_json,
                               spec_to_json)
+from oracles import entries
 
 
 def test_builtin_tables_are_frozen():
@@ -116,7 +117,7 @@ def test_evaluation_set_is_the_exact_complement():
     seen = set(zip(data.observed.users.tolist(), data.observed.items.tolist()))
     held_keys = set(zip(held.users.tolist(), held.items.tolist()))
     assert not seen & held_keys
-    for u, i, v in held.entries:
+    for u, i, v in entries(held):
         assert v == data.expected_ratings[u, i]
 
 
