@@ -31,12 +31,14 @@ import scipy
 
 from . import __version__
 from .data import open_text, read_groups, read_ratings, write_fields, write_groups, write_ratings
-from .experiments import (PAPER_PENALTIES, SCENARIOS, SETTING_BY_SCENARIO, ExperimentPlan,
-                          evaluate, render, render_settings, run_bias_settings_study,
-                          run_experiment, write_long_csv)
-from .ingest import ARCHIVE_FILES, filter_dataset, genre_stats, parse
-from .model import PENALTY_KINDS, TrainConfig, load_params, save_params
-from .synthetic import builtin_specs, evaluation_set, generate, load_spec
+from .experiments import (SCENARIOS, SETTING_BY_SCENARIO, ExperimentPlan, evaluate, render,
+                          render_settings, run_bias_settings_study, run_experiment,
+                          write_long_csv)
+from .fairness import PENALTY_KINDS
+from .ingest import (ARCHIVE_FILES, DEFAULT_GENRES, DEFAULT_MIN_RATINGS, filter_dataset,
+                     genre_stats, parse)
+from .model import TrainConfig, load_params, save_params
+from .synthetic import BlockModelSpec, builtin_specs, evaluation_set, generate, load_spec
 from .trainer import train
 
 ENV_PREFIX = "FAIRCF_"
@@ -55,8 +57,10 @@ _TRAIN_PARAMS = {
     "epsilon": ("adam_epsilon", "Adam denominator offset"),
     "penalty-weight": ("penalty_weight", "scale on the fairness penalty"),
 }
-_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
-_TRAIN_SCHEMA = {flag: (type(_TRAIN_DEFAULTS[name]), _TRAIN_DEFAULTS[name], False, help_text)
+# Each config's field defaults, which are the CLI's defaults too.
+_TRAIN, _PLAN, _SPEC = ({f.name: f.default for f in fields(cls)}
+                        for cls in (TrainConfig, ExperimentPlan, BlockModelSpec))
+_TRAIN_SCHEMA = {flag: (type(_TRAIN[name]), _TRAIN[name], False, help_text)
                  for flag, (name, help_text) in _TRAIN_PARAMS.items()}
 
 
@@ -73,16 +77,17 @@ _SCHEMAS = {
     "generate": {
         "scenario": (str, None, False, "builtin setting: " + ", ".join(sorted(set(GENERATE_SCENARIOS)))),
         "spec": (AbsolutePath, None, False, "JSON block-model spec file (instead of --scenario)"),
-        "users": (int, None, False, "number of users (default 400, or the spec file's)"),
-        "items": (int, None, False, "number of items (default 300, or the spec file's)"),
-        "seed": (int, None, False, "root seed (default 0, or the spec file's)"),
+        **{flag: (int, None, False, f"{what} (default {_SPEC[name]}, or the spec file's)")
+           for flag, name, what in (("users", "num_users", "number of users"),
+                                    ("items", "num_items", "number of items"),
+                                    ("seed", "seed", "root seed"))},
         "out": (AbsolutePath, None, True, "output directory"),
     },
     "train": {
         "data": (AbsolutePath, None, True, "dataset directory with ratings.tsv and groups.tsv"),
         "out": (AbsolutePath, None, True, "output directory"),
-        "penalty": (str, "none", False, "fairness penalty kind"),
-        "seed": (int, 0, False, "initialization seed"),
+        "penalty": (str, _TRAIN["penalty"], False, "fairness penalty kind"),
+        "seed": (int, _TRAIN["seed"], False, "initialization seed"),
         **_TRAIN_SCHEMA,
     },
     "evaluate": {
@@ -95,22 +100,22 @@ _SCHEMAS = {
     "experiment": {
         "scenario": (str, None, True, "one of " + ", ".join(SCENARIOS) + ", fig1"),
         "trials": (int, None, False, "trial count (default 3 synthetic, 5 fig1/movielens)"),
-        "penalties": (str, ",".join(PAPER_PENALTIES), False, "comma-separated penalty kinds"),
-        "users": (int, 400, False, "synthetic user count"),
-        "items": (int, 300, False, "synthetic item count"),
-        "seed": (int, 0, False, "root seed"),
+        "penalties": (str, ",".join(_PLAN["penalties"]), False, "comma-separated penalty kinds"),
+        "users": (int, _PLAN["num_users"], False, "synthetic user count"),
+        "items": (int, _PLAN["num_items"], False, "synthetic item count"),
+        "seed": (int, _PLAN["seed"], False, "root seed"),
         "ml-dir": (AbsolutePath, None, False, "MovieLens-1M directory (movielens scenario)"),
-        "test-fraction": (float, 0.2, False, "held-out fraction for movielens"),
-        "jobs": (int, 1, False, "parallel trial workers"),
+        "test-fraction": (float, _PLAN["test_fraction"], False, "held-out fraction for movielens"),
+        "jobs": (int, _PLAN["jobs"], False, "parallel trial workers"),
         "out": (AbsolutePath, None, True, "output directory"),
         **_TRAIN_SCHEMA,
     },
     "prepare-movielens": {
         "ml-dir": (AbsolutePath, None, True, "MovieLens-1M directory (users/movies/ratings.dat)"),
         "out": (AbsolutePath, None, True, "output directory"),
-        "genres": (str, "action,crime,musical,romance,sci-fi", False,
-                   "comma-separated genre filter"),
-        "min-ratings": (int, 50, False, "activity threshold on selected-genre ratings"),
+        "genres": (str, ",".join(DEFAULT_GENRES).lower(), False, "comma-separated genre filter"),
+        "min-ratings": (int, DEFAULT_MIN_RATINGS, False,
+                        "activity threshold on selected-genre ratings"),
     },
 }
 
@@ -153,7 +158,8 @@ def _resolve(command: str, cli_values: dict, file_values: dict, origin: str) -> 
     """Merge flags > file values (a config file or a manifest's params) >
     environment > defaults for one command.  A file key that is not a
     parameter of ``command``, in its ``-`` or ``_`` spelling, is a
-    UsageError naming ``origin`` and the key."""
+    UsageError naming ``origin`` and the key; a bad value is one naming
+    where it came from: ``--flag``, ``FAIRCF_NAME`` or ``<origin>: key``."""
     schema = _SCHEMAS[command]
     known = {spelling for name in schema for spelling in (name, name.replace("-", "_"))}
     for key in file_values:
@@ -162,28 +168,29 @@ def _resolve(command: str, cli_values: dict, file_values: dict, origin: str) -> 
     params = {}
     for name, (typ, default, required, _) in schema.items():
         key = name.replace("-", "_")
-        value = default
+        value, source = default, f"--{name}"
         env_name = ENV_PREFIX + key.upper()
         if env_name in os.environ:
-            value = os.environ[env_name]
+            value, source = os.environ[env_name], env_name
         if name in file_values or key in file_values:
-            value = file_values.get(name, file_values.get(key))
+            spelling = name if name in file_values else key
+            value, source = file_values[spelling], f"{origin}: {spelling}"
         if cli_values.get(key) is not None:
-            value = cli_values[key]
+            value, source = cli_values[key], f"--{name}"
         if (value is not None and not isinstance(value, typ)) or isinstance(value, bool):
             try:
                 if isinstance(value, (bool, float)):     # JSON true, or 2.5 for an int
                     raise TypeError
                 value = typ(value)
             except (TypeError, ValueError):
-                raise UsageError(f"--{name}: expected {typ.__name__}, got {value!r}") from None
+                raise UsageError(f"{source}: expected {typ.__name__}, got {value!r}") from None
         if required and value is None:
             raise UsageError(f"--{name} is required for '{command}'")
         if value is None and default is not None:
-            raise UsageError(f"--{name}: expected {typ.__name__}, got null")
+            raise UsageError(f"{source}: expected {typ.__name__}, got null")
         choices = _CHOICES.get((command, name))
         if choices and value is not None and value not in choices:
-            raise UsageError(f"--{name}: invalid choice {value!r} (choose from {', '.join(choices)})")
+            raise UsageError(f"{source}: invalid choice {value!r} (choose from {', '.join(choices)})")
         params[key] = value
     return params
 
@@ -209,10 +216,9 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: dict,
         fh.write("\n")
 
 
-def _train_config(params: dict, penalty: str, seed: int) -> TrainConfig:
-    return TrainConfig(seed=seed, penalty=penalty,
-                       **{name: params[flag.replace("-", "_")]
-                          for flag, (name, _) in _TRAIN_PARAMS.items()})
+def _train_config(params: dict, **fixed) -> TrainConfig:
+    return TrainConfig(**fixed, **{name: params[flag.replace("-", "_")]
+                                   for flag, (name, _) in _TRAIN_PARAMS.items()})
 
 
 def _dataset_dims(data_dir: Path):
@@ -284,7 +290,7 @@ def _cmd_generate(params: dict):
 def _cmd_train(params: dict):
     data_dir = Path(params["data"])
     ratings, groups, inputs = _load_dataset(data_dir)
-    config = _train_config(params, params["penalty"], params["seed"])
+    config = _train_config(params, penalty=params["penalty"], seed=params["seed"])
     model, trace = train(ratings, groups, config)
     out = Path(params["out"])
     save_params(model, out / "model.txt")
@@ -318,7 +324,7 @@ def _cmd_experiment(params: dict):
     scenario = params["scenario"]
     default_trials = 3 if scenario.startswith("synthetic") else 5
     trials = default_trials if params["trials"] is None else params["trials"]
-    config = _train_config(params, "none", 0)
+    config = _train_config(params)
     if scenario == "movielens" and not params["ml_dir"]:
         raise UsageError("--ml-dir is required for the movielens scenario")
     out = Path(params["out"])

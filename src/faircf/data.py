@@ -10,9 +10,9 @@ tab-separated text:
 
 Every input file, these and the model and MovieLens files elsewhere, is read
 through ``read_fields``: a blank or whitespace-only line holds no entry, and
-bad input raises ``<path>: line N: <reason>``.  A clean numeric file is
-parsed by one whole-file ``np.loadtxt`` call; any other file by a
-pure-Python block parser that applies those rules.
+bad input raises ``<path>: line N: <reason>``.  A numeric file that is
+clean but for empty lines is parsed by one whole-file ``np.loadtxt`` call;
+any other file by a pure-Python block parser that applies those rules.
 
 Every numeric file (these, the model, the MovieLens id maps) is written by
 ``write_fields``, every report table by ``text_table`` or ``csv_text``.
@@ -120,12 +120,6 @@ class GroupAssignment:
     def num_users(self):
         return int(self.disadvantaged.shape[0])
 
-    def check_against(self, ratings: RatingSet):
-        """Raise if these labels do not cover the rating grid."""
-        if self.num_users != ratings.num_users:
-            raise ValueError(
-                f"group labels cover {self.num_users} users, ratings declare {ratings.num_users}")
-
 
 class RatingPlan:
     """Everything a training run or an evaluation derives from ``(ratings,
@@ -134,8 +128,8 @@ class RatingPlan:
     ``model.accumulate_gradient``) take their entries as a plan.
 
     It exposes the rating arrays like a RatingSet does.  The group labels
-    are checked against the grid when the plan is built; ``groups`` may be
-    None when no group statistic is wanted.  The rest is built on first use:
+    must cover the users of the grid, which is checked when the plan is
+    built.  The rest is built on first use:
 
     * ``dis``: True at the entries of disadvantaged users;
     * ``key``: the (item, group) cell of each entry, ``2 * item + dis``,
@@ -149,9 +143,10 @@ class RatingPlan:
       so no item-major pattern is ever built.
     """
 
-    def __init__(self, ratings: RatingSet, groups: GroupAssignment | None = None):
-        if groups is not None:
-            groups.check_against(ratings)
+    def __init__(self, ratings: RatingSet, groups: GroupAssignment):
+        if groups.num_users != ratings.num_users:
+            raise ValueError(
+                f"group labels cover {groups.num_users} users, ratings declare {ratings.num_users}")
         self.groups = groups
         self.users, self.items, self.values = ratings.users, ratings.items, ratings.values
         self.num_users, self.num_items = ratings.num_users, ratings.num_items
@@ -161,8 +156,6 @@ class RatingPlan:
 
     @cached_property
     def dis(self) -> np.ndarray:
-        if self.groups is None:
-            raise ValueError("group statistics need group labels")
         return self.groups.disadvantaged[self.users]
 
     @cached_property
@@ -327,20 +320,29 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 def _read_whole(path, sep, kinds, encoding, skip):
     """``read_fields`` of a numeric file by one ``np.loadtxt`` call over the
     whole file, or None if the file needs the block parser: the call must
-    raise and warn nothing and return one row per line that ``_line_count``
-    finds, so that no blank line was skipped among them and the line
-    numbers are a range.  A doubled separator such as ``::`` is split on
-    its character, taking every second column.
+    raise and warn nothing and return a row per line of ``_data_bytes`` but
+    the empty ones (a bare LF or CRLF), which it skips.  Only a file whose
+    row count falls short has its bytes read again, to number those rows.
+    A doubled separator such as ``::`` is split on its character, taking
+    every second column; as ``1:9:2::3::4`` and ``1::2::3::4::5`` then give
+    the fields 1, 2, 3, 4 too, a row must hold exactly ``2(n-1)`` of its
+    characters, ``n-1`` of them adjacent pairs.
 
     loadtxt is given the file name: its C reader then takes the file in
     chunks, while a file object it reads a line at a time, which costs most
     of the gain.  So a name that numpy would decompress is left to the block
-    parser, and the count and the parse see the same bytes."""
+    parser, and the bytes and the parse are the same."""
     n = len(kinds)
     char = sep[0]
     if (sep not in (char, 2 * char) or os.fspath(path).endswith(_COMPRESSED)
-            or not (rows := _line_count(path, sep, n, skip))):
+            or (text := _data_bytes(path, skip)) is None or not text.size):
         return None
+    lines = np.arange(skip + 1, skip + 2 + np.count_nonzero(text == ord("\n")))
+    if len(sep) == 2:
+        hit = text == ord(char)
+        doubled = np.count_nonzero(hit), np.count_nonzero(hit[1:] & hit[:-1])
+        del hit
+    del text        # the bytes are not held while loadtxt runs
     dtype = [(f"f{k}", _DTYPES[kind]) for k, kind in enumerate(kinds)]
     usecols = range(0, 2 * n, 2) if len(sep) == 2 else None
     with warnings.catch_warnings():
@@ -350,43 +352,37 @@ def _read_whole(path, sep, kinds, encoding, skip):
                                skiprows=skip, usecols=usecols, encoding=encoding)
         except (ValueError, OverflowError, Warning):
             return None
-    if len(table) != rows:
+    rows = len(table)
+    if rows != lines.size:
+        text = _data_bytes(path, skip)
+        first = text[np.r_[0, np.flatnonzero(text == ord("\n")) + 1]]   # each line's first byte
+        lines = lines[(first != ord("\n")) & (first != ord("\r"))]
+        if rows != lines.size:
+            return None
+    if len(sep) == 2 and doubled != (2 * (n - 1) * rows, (n - 1) * rows):
         return None
-    return np.arange(skip + 1, skip + 1 + rows), [table[f"f{k}"].copy() for k in range(n)]
+    return lines, [table[f"f{k}"].copy() for k in range(n)]
 
 
-def _line_count(path, sep, n, skip):
-    """The number of lines after the first ``skip`` up to the last non-blank
-    one (so a trailing blank line is not counted), or 0 if the file's bytes
-    rule out the whole-file parse.
-
-    A bare CR, a line end for the text layer but not for this count, rules
-    it out.  Split on ``:``, ``1:9:2::3::4`` and ``1::2::3::4::5`` give the
-    fields 1, 2, 3, 4 at every second column, so for a doubled separator
-    the text must also hold exactly ``2(n-1)`` of its characters per line,
-    ``n-1`` of them adjacent pairs.  The encoding must write the separator,
-    CR and LF as their ASCII bytes.
-    """
+def _data_bytes(path, skip):
+    """The file's bytes after its first ``skip`` lines, up to the last
+    non-blank one, or None if they rule out the whole-file parse: a bare CR
+    is a line end for the text layer but not for a count of LFs.  So a line
+    that starts with CR or LF is empty.  The encoding must write the
+    separator, CR and LF as their ASCII bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        return 0
+        return None
     start = 0
     for _ in range(skip):
         start = data.find(b"\n", start) + 1
         if not start:
-            return 0
+            return None
     end = len(data)
     while end > start and data[end - 1:end].isspace():
         end -= 1
-    text = np.frombuffer(data, np.uint8)[start:end]
-    rows = np.count_nonzero(text == ord("\n")) + 1 if text.size else 0
-    if len(sep) == 2:
-        hit = text == ord(sep[0])
-        if (np.count_nonzero(hit) != 2 * (n - 1) * rows
-                or np.count_nonzero(hit[1:] & hit[:-1]) != (n - 1) * rows):
-            return 0
-    return rows
+    return np.frombuffer(data, np.uint8)[start:end]
 
 
 def write_fields(path, sep, columns, header=""):

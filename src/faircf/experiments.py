@@ -7,9 +7,10 @@ per-trial differences between penalties are paired observations; the
 significance marking in the rendered tables uses a two-sided paired t-test
 against the best-mean penalty of each metric column.
 
-A result is its plan plus one FairnessReport per penalty and trial.  The
-seeds are functions of the plan (``ExperimentPlan.data_seed``/``train_seed``)
-and the statistics are computed from the reports, so neither is stored.
+A plan is immutable and checked once, when built.  A result is its plan
+plus one FairnessReport per penalty and trial.  The seeds are functions of
+the plan (``ExperimentPlan.data_seed``/``train_seed``) and the statistics
+are computed from the reports, so neither is stored.
 """
 
 from __future__ import annotations
@@ -18,18 +19,18 @@ import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .data import GroupAssignment, RatingPlan, RatingSet, csv_text, text_table
-from .fairness import FairnessReport, METRIC_NAMES, group_item_averages, metric
+from .fairness import PENALTY_KINDS, FairnessReport, METRIC_NAMES, group_item_averages, metric
 from .ingest import FilteredDataset, filter_dataset, parse, split
-from .model import PENALTY_KINDS, ModelParams, TrainConfig, predict_entries
+from .model import ModelParams, TrainConfig, predict_entries
 from .seeding import derive_seed
 from .synthetic import builtin_specs, evaluation_set, generate
 from .trainer import train
@@ -54,14 +55,15 @@ METRIC_LABELS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentPlan:
-    """What to sweep: scenario, penalties, trial count, training config."""
+    """What to sweep: scenario, penalties, trial count, training config;
+    immutable, and checked once, when built."""
 
     scenario: str
     penalties: tuple = PAPER_PENALTIES
     trials: int = 3
-    config: TrainConfig = field(default_factory=TrainConfig)
+    config: TrainConfig = TrainConfig()
     seed: int = 0
     num_users: int = 400
     num_items: int = 300
@@ -69,7 +71,7 @@ class ExperimentPlan:
     test_fraction: float = 0.2
     jobs: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; valid: {', '.join(SCENARIOS)}")
         if self.trials < 2:
@@ -79,7 +81,8 @@ class ExperimentPlan:
         for i, p in enumerate(self.penalties):
             if p in self.penalties[:i]:
                 raise ValueError(f"duplicate penalty {p!r}")
-            replace(self.config, penalty=p)  # reuses TrainConfig validation
+            if p not in PENALTY_KINDS:
+                raise ValueError(f"unknown penalty {p!r}; valid: {', '.join(PENALTY_KINDS)}")
         if self.scenario == "movielens" and not self.ml_dir:
             raise ValueError("the movielens scenario needs ml_dir")
         if self.jobs < 1:
@@ -206,7 +209,7 @@ def paired_t_statistic(a, b) -> tuple[float, float]:
             return 0.0, 1.0
         return math.copysign(math.inf, mean), 0.0
     t = mean / (sd / math.sqrt(n))
-    p = 2.0 * float(stats.t.sf(abs(t), n - 1))
+    p = 2.0 * float(special.stdtr(n - 1, -abs(t)))     # the two t tails, as scipy.stats.t.sf
     return t, p
 
 
@@ -241,7 +244,6 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     are identical for any job count because every random choice is derived
     from the plan seed and the trials come back in order.
     """
-    plan.validate()
     filtered = filter_dataset(parse(plan.ml_dir)) if plan.scenario == "movielens" else None
     args = (repeat(plan), range(plan.trials), repeat(filtered))
     if plan.jobs > 1:
@@ -253,14 +255,13 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
 
 
 def run_bias_settings_study(trials: int = 5, num_users: int = 400, num_items: int = 300,
-                            config: TrainConfig | None = None, seed: int = 0,
+                            config: TrainConfig = TrainConfig(), seed: int = 0,
                             jobs: int = 1) -> dict:
     """Penalty-free comparison across the four synthetic settings; returns
     an ExperimentResult per setting keyed U, O, P, P+O."""
     results = {}
     for scenario, setting in SETTING_BY_SCENARIO.items():
-        plan = ExperimentPlan(scenario=scenario, penalties=("none",), trials=trials,
-                              config=config if config is not None else TrainConfig(),
+        plan = ExperimentPlan(scenario=scenario, penalties=("none",), trials=trials, config=config,
                               seed=seed, num_users=num_users, num_items=num_items, jobs=jobs)
         results[setting] = run_experiment(plan)
     return results

@@ -47,8 +47,10 @@ _GAPS = {
     "nonparity": (lambda e: e, np.ones_like),
 }
 
-# Report column order, fixed for every CSV/table writer in the package.
+# Report column order, fixed for every CSV/table writer in the package, and
+# the penalty selectors of TrainConfig and ExperimentPlan.
 METRIC_NAMES = ("error", *_GAPS)
+PENALTY_KINDS = ("none", *_GAPS, "under_plus_over")
 
 
 @dataclass(eq=False)

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RatingPlan, RatingSet, open_text, read_fields, write_fields
-
-# Valid penalty selectors for TrainConfig and the fairness module.
-PENALTY_KINDS = ("none", "value", "absolute", "under", "over", "nonparity", "under_plus_over")
+from .fairness import PENALTY_KINDS
 
 
 class ModelParams:
@@ -83,13 +81,14 @@ class ModelParams:
         return cls.from_flat(np.zeros((num_users + num_items) * (d + 1)), num_users, num_items, d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for the full-gradient Adam loop.
+    """Hyperparameters for the full-gradient Adam loop; immutable, and
+    checked once, when built (``dataclasses.replace`` derives one).
 
     ``penalty`` selects the fairness term added to the objective (one of
-    PENALTY_KINDS); ``penalty_weight`` scales it and defaults to equal
-    weighting.
+    ``fairness.PENALTY_KINDS``); ``penalty_weight`` scales it and defaults
+    to equal weighting.
     """
 
     d: int = 2
@@ -104,9 +103,6 @@ class TrainConfig:
     penalty_weight: float = 1.0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if self.d < 1:
             raise ValueError("latent dimension must be >= 1")
         if self.lambda_reg < 0:

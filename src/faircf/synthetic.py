@@ -57,9 +57,10 @@ POP_UNIFORM = np.full(4, 0.25)
 POP_IMBALANCED = np.array([0.4, 0.1, 0.4, 0.1])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BlockModelSpec:
-    """Complete description of one synthetic data distribution."""
+    """Complete description of one synthetic data distribution; frozen (no
+    field can be reassigned), and checked once, when built."""
 
     user_group_labels: tuple = USER_GROUPS
     user_group_proportions: np.ndarray = field(default_factory=lambda: POP_UNIFORM.copy())
@@ -73,12 +74,8 @@ class BlockModelSpec:
     disadvantaged_user_groups: tuple = DISADVANTAGED_USER_GROUPS
 
     def __post_init__(self):
-        self.user_group_proportions = np.asarray(self.user_group_proportions, dtype=np.float64)
-        self.item_group_proportions = np.asarray(self.item_group_proportions, dtype=np.float64)
-        self.like_probs = np.asarray(self.like_probs, dtype=np.float64)
-        self.obs_probs = np.asarray(self.obs_probs, dtype=np.float64)
-
-    def validate(self):
+        for name in ("user_group_proportions", "item_group_proportions", "like_probs", "obs_probs"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         n_ug, n_ig = len(self.user_group_labels), len(self.item_group_labels)
         if self.num_users <= 0 or self.num_items <= 0:
             raise ValueError("num_users and num_items must be positive")
@@ -148,7 +145,6 @@ def _assign_groups(proportions: np.ndarray, total: int, rng: np.random.Generator
 
 def generate(spec: BlockModelSpec) -> SyntheticDataset:
     """Draw one dataset from the block model."""
-    spec.validate()
     m, n = spec.num_users, spec.num_items
     # Independent substreams: user assignment, item assignment, likes, observation.
     streams = np.random.SeedSequence(spec.seed).spawn(4)
@@ -221,10 +217,8 @@ def spec_from_json(text: str) -> BlockModelSpec:
     if unknown or missing:
         raise ValueError(f"unknown field {unknown[0]!r}" if unknown
                          else f"block-model spec JSON is missing field {missing[0]!r}")
-    spec = BlockModelSpec(**{name: _field_value(known[name], value)
+    return BlockModelSpec(**{name: _field_value(known[name], value)
                              for name, value in payload.items()})
-    spec.validate()
-    return spec
 
 
 def load_spec(path) -> BlockModelSpec:

@@ -111,7 +111,6 @@ def train(ratings: RatingSet, groups: GroupAssignment,
     the trace is empty.  DivergenceError names the update after which the
     objective stopped being finite, 0 for the initialization.
     """
-    config.validate()
     if len(ratings) == 0:
         raise ValueError("cannot train on an empty rating set")
     plan = RatingPlan(ratings, groups)

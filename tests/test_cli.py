@@ -47,6 +47,8 @@ def test_usage_errors_exit_2(tmp_path):
     spec.write_text("{}", encoding="utf-8")
     assert main(["generate", "--scenario", "U", "--spec", str(spec),
                  "--out", str(tmp_path)]) == 2                  # both sources
+    assert main(["experiment", "--scenario", "movielens",
+                 "--out", str(tmp_path)]) == 2                  # no --ml-dir
 
 
 def test_data_errors_exit_1(tmp_path):
@@ -194,11 +196,52 @@ def test_precedence_flag_over_config_over_env(tmp_path, monkeypatch, capsys):
     assert f"{typo}: unknown parameter 'iteration'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("origin, setting, message", [
+    ("config", {"seed": "x"}, "{config}: seed: expected int, got 'x'"),
+    ("env", {"FAIRCF_SEED": "abc"}, "FAIRCF_SEED: expected int, got 'abc'"),
+    ("manifest", {"seed": "x"}, "{manifest}: params: seed: expected int, got 'x'"),
+    ("config", {"penalty": "fairest"}, "{config}: penalty: invalid choice 'fairest' (choose"),
+    ("env", {"FAIRCF_PENALTY": "fairest"}, "FAIRCF_PENALTY: invalid choice 'fairest' (choose"),
+    ("manifest", {"penalty": "fairest"}, "{manifest}: params: penalty: invalid choice 'fairest'"),
+    # An environment value is a string, never null.
+    ("config", {"penalty_weight": None}, "{config}: penalty_weight: expected float, got null"),
+    ("manifest", {"penalty-weight": None},
+     "{manifest}: params: penalty-weight: expected float, got null"),
+])
+def test_a_bad_value_names_where_it_came_from(tmp_path, monkeypatch, capsys, origin, setting,
+                                              message):
+    config, manifest = tmp_path / "t.json", tmp_path / "manifest.json"
+    argv = ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+    code = 2
+    if origin == "env":
+        for name, value in setting.items():
+            monkeypatch.setenv(name, value)
+    elif origin == "config":
+        config.write_text(json.dumps(setting), encoding="utf-8")
+        argv += ["--config", str(config)]
+    else:
+        params = {"data": str(tmp_path / "data"), "out": str(tmp_path / "out"), **setting}
+        manifest.write_text(json.dumps({"command": "train", "params": params}), encoding="utf-8")
+        argv, code = ["rerun", str(manifest)], 1
+    assert main(argv) == code
+    assert message.format(config=config, manifest=manifest) in capsys.readouterr().err
+
+
 def test_console_script_is_installed():
     proc = subprocess.run([sys.executable, "-m", "faircf.cli", "--version"],
                           capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0
     assert "faircf" in proc.stdout
+
+
+def test_the_cli_does_not_import_scipy_stats():
+    """scipy.stats took over half of a cold start; the t-test's p-value
+    comes from scipy.special."""
+    code = "import sys, faircf.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_movielens_demo_leaves_no_temp_files(tmp_path):

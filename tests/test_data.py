@@ -101,7 +101,7 @@ def test_groups_round_trip(tmp_path):
 def test_groups_must_cover_grid():
     groups = GroupAssignment(np.array([True, False]))
     with pytest.raises(ValueError):
-        groups.check_against(small_set())
+        RatingPlan(small_set(), groups)
 
 
 def test_group_file_rejects_gaps(tmp_path):
@@ -187,7 +187,8 @@ def test_plan_order_is_the_stable_argsort_of_shuffled_entries(num_users):
     items = np.tile(np.arange(4), num_users)
     shuffle = np.random.default_rng(num_users).permutation(users.size)
     users, items = users[shuffle], items[shuffle]
-    pattern, order = RatingPlan(RatingSet(users, items, np.ones(users.size), num_users, 4)).pattern
+    ratings = RatingSet(users, items, np.ones(users.size), num_users, 4)
+    pattern, order = RatingPlan(ratings, GroupAssignment(np.zeros(num_users, bool))).pattern
     assert order.dtype == np.intp
     assert np.array_equal(order, np.argsort(users.astype(np.int64), kind="stable"))
     assert np.array_equal(pattern.indices, items[order])

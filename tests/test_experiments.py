@@ -153,12 +153,12 @@ def test_render_text_and_csv(tmp_path):
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        tiny_plan(trials=1).validate()
+        tiny_plan(trials=1)
     with pytest.raises(ValueError):
-        tiny_plan(penalties=("none", "none")).validate()
+        tiny_plan(penalties=("none", "none"))
     with pytest.raises(ValueError):
-        tiny_plan(scenario="bogus").validate()
+        tiny_plan(scenario="bogus")
     with pytest.raises(ValueError):
-        tiny_plan(scenario="movielens").validate()   # needs ml_dir
+        tiny_plan(scenario="movielens")   # needs ml_dir
     with pytest.raises(ValueError):
-        tiny_plan(penalties=("gini",)).validate()
+        tiny_plan(penalties=("gini",))

@@ -1,0 +1,77 @@
+"""Input checks of the library objects: each row builds an object, or makes
+a call, that one check must refuse, and names the error it must raise (a
+KeyError for an unknown genre, a ValueError otherwise)."""
+
+import re
+
+import numpy as np
+import pytest
+
+from faircf.data import GroupAssignment, RatingSet
+from faircf.experiments import ExperimentPlan, ExperimentResult, evaluate, render
+from faircf.fairness import PENALTY_KINDS, FairnessReport, group_item_averages
+from faircf.ingest import GenreStats, MovieLensRaw, filter_dataset
+from faircf.model import ModelParams, TrainConfig
+from faircf.synthetic import BlockModelSpec
+from faircf.trainer import train
+
+
+def empty_ratings():
+    return RatingSet([], [], [], 2, 2)
+
+
+def one_penalty_result():
+    plan = ExperimentPlan("synthetic_U", penalties=("none",), trials=2)
+    return ExperimentResult(plan, {"none": [FairnessReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * 2})
+
+
+NO_RATINGS = MovieLensRaw({}, {}, *[np.zeros(0, dtype=np.int64)] * 4)
+
+CASES = {
+    "plan-no-penalties": (lambda: ExperimentPlan("synthetic_U", penalties=()),
+                          "at least one penalty is required"),
+    "plan-no-jobs": (lambda: ExperimentPlan("synthetic_U", jobs=0), "jobs must be >= 1"),
+    "plan-unknown-penalty": (lambda: ExperimentPlan("synthetic_U", penalties=("gini",)),
+                             f"unknown penalty 'gini'; valid: {', '.join(PENALTY_KINDS)}"),
+    "config-epsilon": (lambda: TrainConfig(adam_epsilon=0.0), "adam_epsilon must be > 0"),
+    "config-penalty-weight": (lambda: TrainConfig(penalty_weight=-1.0),
+                              "penalty_weight must be >= 0"),
+    "spec-no-users": (lambda: BlockModelSpec(num_users=0),
+                      "num_users and num_items must be positive"),
+    "spec-no-items": (lambda: BlockModelSpec(num_items=-3),
+                      "num_users and num_items must be positive"),
+    "spec-proportions-shape": (lambda: BlockModelSpec(item_group_proportions=np.full(4, 0.25)),
+                               "item group proportions must match the labels"),
+    "spec-probs-shape": (lambda: BlockModelSpec(like_probs=np.full((3, 3), 0.5)),
+                         "like_probs must be shaped (user groups, item groups)"),
+    "ratings-empty-grid": (lambda: RatingSet([], [], [], 0, 1),
+                           "rating grid must have at least one user and one item"),
+    "groups-2d": (lambda: GroupAssignment(np.zeros((2, 2), dtype=bool)),
+                  "disadvantaged must be a 1-d boolean array"),
+    "params-1d-factors": (lambda: ModelParams([1.0], [[1.0]], [0.0], [0.0]),
+                          "factor matrices must be 2-d"),
+    "params-item-bias": (lambda: ModelParams([[1.0]], [[1.0]], [0.0], [0.0, 0.0]),
+                         "item_bias length must match item_vectors"),
+    "params-flat-size": (lambda: ModelParams.from_flat(np.zeros(3), 1, 1, 1),
+                         "flat parameter vector does not match the block sizes"),
+    "render-xml": (lambda: render(one_penalty_result(), fmt="xml"),
+                   "unknown render format 'xml'"),
+    "averages-misaligned": (lambda: group_item_averages(np.zeros(3), empty_ratings(),
+                                                        GroupAssignment([True, False])),
+                            "predictions must align with the rating entries"),
+    "filter-min-ratings": (lambda: filter_dataset(NO_RATINGS, min_ratings=0),
+                           "min_ratings must be >= 1"),
+    "train-empty": (lambda: train(empty_ratings(), GroupAssignment([True, False]),
+                                  TrainConfig()),
+                    "cannot train on an empty rating set"),
+    "evaluate-empty": (lambda: evaluate(ModelParams.zeros(2, 2, 1), empty_ratings(),
+                                        GroupAssignment([True, False])),
+                       "cannot evaluate on an empty target set"),
+    "genre-unknown": (lambda: GenreStats([]).get("Western"), "'Western'"),
+}
+
+
+@pytest.mark.parametrize("build, message", CASES.values(), ids=CASES.keys())
+def test_an_invalid_input_raises_when_built(build, message):
+    with pytest.raises((KeyError, ValueError), match=f"^{re.escape(message)}$"):
+        build()

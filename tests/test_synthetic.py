@@ -178,8 +178,8 @@ def test_spec_json_round_trip(tmp_path):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        BlockModelSpec(user_group_proportions=np.array([0.5, 0.5, 0.0, 0.5])).validate()
+        BlockModelSpec(user_group_proportions=np.array([0.5, 0.5, 0.0, 0.5]))
     with pytest.raises(ValueError):
-        BlockModelSpec(obs_probs=np.full((4, 3), 1.5)).validate()
+        BlockModelSpec(obs_probs=np.full((4, 3), 1.5))
     with pytest.raises(ValueError):
-        BlockModelSpec(disadvantaged_user_groups=("W", "Q")).validate()
+        BlockModelSpec(disadvantaged_user_groups=("W", "Q"))

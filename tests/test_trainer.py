@@ -162,7 +162,7 @@ def test_train_checks_group_coverage():
 def test_train_runs_one_pass_per_update_over_one_plan(monkeypatch, penalty, penalized):
     """Calls inside one train of N updates: N + 1 predictions (the last one
     gives the final trace entry), N accumulations, group averages only when
-    penalized, and the group labels checked once, when the plan is built."""
+    penalized, and one plan built, which checks the group labels."""
     ratings, groups = tiny_problem(4)
     calls = Counter()
 
@@ -178,8 +178,8 @@ def test_train_runs_one_pass_per_update_over_one_plan(monkeypatch, penalty, pena
         for name in ("predict_entries", "accumulate_gradient", "group_item_averages"):
             if hasattr(module, name):
                 count(module, name)
-    count(GroupAssignment, "check_against")
+    count(trainer, "RatingPlan")
     n = 7
     train(ratings, groups, TrainConfig(iterations=n, penalty=penalty))
     assert calls == Counter(predict_entries=n + 1, accumulate_gradient=n,
-                            group_item_averages=(n + 1) * penalized, check_against=1)
+                            group_item_averages=(n + 1) * penalized, RatingPlan=1)
