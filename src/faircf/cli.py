@@ -57,10 +57,8 @@ _TRAIN_PARAMS = {
     "epsilon": ("adam_epsilon", "Adam denominator offset"),
     "penalty-weight": ("penalty_weight", "scale on the fairness penalty"),
 }
-# Each config's field defaults, which are the CLI's defaults too.
-_TRAIN, _PLAN, _SPEC = ({f.name: f.default for f in fields(cls)}
-                        for cls in (TrainConfig, ExperimentPlan, BlockModelSpec))
-_TRAIN_SCHEMA = {flag: (type(_TRAIN[name]), _TRAIN[name], False, help_text)
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
+_TRAIN_SCHEMA = {flag: (type(_TRAIN_DEFAULTS[name]), _TRAIN_DEFAULTS[name], False, help_text)
                  for flag, (name, help_text) in _TRAIN_PARAMS.items()}
 
 
@@ -77,17 +75,16 @@ _SCHEMAS = {
     "generate": {
         "scenario": (str, None, False, "builtin setting: " + ", ".join(sorted(set(GENERATE_SCENARIOS)))),
         "spec": (AbsolutePath, None, False, "JSON block-model spec file (instead of --scenario)"),
-        **{flag: (int, None, False, f"{what} (default {_SPEC[name]}, or the spec file's)")
-           for flag, name, what in (("users", "num_users", "number of users"),
-                                    ("items", "num_items", "number of items"),
-                                    ("seed", "seed", "root seed"))},
+        "users": (int, None, False, f"number of users (default {BlockModelSpec.num_users}, or the spec file's)"),
+        "items": (int, None, False, f"number of items (default {BlockModelSpec.num_items}, or the spec file's)"),
+        "seed": (int, None, False, f"root seed (default {BlockModelSpec.seed}, or the spec file's)"),
         "out": (AbsolutePath, None, True, "output directory"),
     },
     "train": {
         "data": (AbsolutePath, None, True, "dataset directory with ratings.tsv and groups.tsv"),
         "out": (AbsolutePath, None, True, "output directory"),
-        "penalty": (str, _TRAIN["penalty"], False, "fairness penalty kind"),
-        "seed": (int, _TRAIN["seed"], False, "initialization seed"),
+        "penalty": (str, TrainConfig.penalty, False, "fairness penalty kind"),
+        "seed": (int, TrainConfig.seed, False, "initialization seed"),
         **_TRAIN_SCHEMA,
     },
     "evaluate": {
@@ -100,13 +97,13 @@ _SCHEMAS = {
     "experiment": {
         "scenario": (str, None, True, "one of " + ", ".join(SCENARIOS) + ", fig1"),
         "trials": (int, None, False, "trial count (default 3 synthetic, 5 fig1/movielens)"),
-        "penalties": (str, ",".join(_PLAN["penalties"]), False, "comma-separated penalty kinds"),
-        "users": (int, _PLAN["num_users"], False, "synthetic user count"),
-        "items": (int, _PLAN["num_items"], False, "synthetic item count"),
-        "seed": (int, _PLAN["seed"], False, "root seed"),
+        "penalties": (str, ",".join(ExperimentPlan.penalties), False, "comma-separated penalty kinds"),
+        "users": (int, ExperimentPlan.num_users, False, "synthetic user count"),
+        "items": (int, ExperimentPlan.num_items, False, "synthetic item count"),
+        "seed": (int, ExperimentPlan.seed, False, "root seed"),
         "ml-dir": (AbsolutePath, None, False, "MovieLens-1M directory (movielens scenario)"),
-        "test-fraction": (float, _PLAN["test_fraction"], False, "held-out fraction for movielens"),
-        "jobs": (int, _PLAN["jobs"], False, "parallel trial workers"),
+        "test-fraction": (float, ExperimentPlan.test_fraction, False, "held-out fraction for movielens"),
+        "jobs": (int, ExperimentPlan.jobs, False, "parallel trial workers"),
         "out": (AbsolutePath, None, True, "output directory"),
         **_TRAIN_SCHEMA,
     },
@@ -114,8 +111,7 @@ _SCHEMAS = {
         "ml-dir": (AbsolutePath, None, True, "MovieLens-1M directory (users/movies/ratings.dat)"),
         "out": (AbsolutePath, None, True, "output directory"),
         "genres": (str, ",".join(DEFAULT_GENRES).lower(), False, "comma-separated genre filter"),
-        "min-ratings": (int, DEFAULT_MIN_RATINGS, False,
-                        "activity threshold on selected-genre ratings"),
+        "min-ratings": (int, DEFAULT_MIN_RATINGS, False, "activity threshold on selected-genre ratings"),
     },
 }
 

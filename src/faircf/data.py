@@ -10,9 +10,9 @@ tab-separated text:
 
 Every input file, these and the model and MovieLens files elsewhere, is read
 through ``read_fields``: a blank or whitespace-only line holds no entry, and
-bad input raises ``<path>: line N: <reason>``.  A numeric file that is
-clean but for empty lines is parsed by one whole-file ``np.loadtxt`` call;
-any other file by a pure-Python block parser that applies those rules.
+bad input raises ``<path>: line N: <reason>``.  A clean numeric file is
+parsed by one whole-file ``np.loadtxt`` call; any other file by a
+pure-Python block parser that applies those rules.
 
 Every numeric file (these, the model, the MovieLens id maps) is written by
 ``write_fields``, every report table by ``text_table`` or ``csv_text``.
@@ -320,29 +320,20 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 def _read_whole(path, sep, kinds, encoding, skip):
     """``read_fields`` of a numeric file by one ``np.loadtxt`` call over the
     whole file, or None if the file needs the block parser: the call must
-    raise and warn nothing and return a row per line of ``_data_bytes`` but
-    the empty ones (a bare LF or CRLF), which it skips.  Only a file whose
-    row count falls short has its bytes read again, to number those rows.
-    A doubled separator such as ``::`` is split on its character, taking
-    every second column; as ``1:9:2::3::4`` and ``1::2::3::4::5`` then give
-    the fields 1, 2, 3, 4 too, a row must hold exactly ``2(n-1)`` of its
-    characters, ``n-1`` of them adjacent pairs.
+    raise and warn nothing and return one row per line that ``_line_count``
+    finds, so that no blank line was skipped among them and the line
+    numbers are a range.  A doubled separator such as ``::`` is split on
+    its character, taking every second column.
 
     loadtxt is given the file name: its C reader then takes the file in
     chunks, while a file object it reads a line at a time, which costs most
     of the gain.  So a name that numpy would decompress is left to the block
-    parser, and the bytes and the parse are the same."""
+    parser, and the count and the parse see the same bytes."""
     n = len(kinds)
     char = sep[0]
     if (sep not in (char, 2 * char) or os.fspath(path).endswith(_COMPRESSED)
-            or (text := _data_bytes(path, skip)) is None or not text.size):
+            or not (rows := _line_count(path, sep, n, skip))):
         return None
-    lines = np.arange(skip + 1, skip + 2 + np.count_nonzero(text == ord("\n")))
-    if len(sep) == 2:
-        hit = text == ord(char)
-        doubled = np.count_nonzero(hit), np.count_nonzero(hit[1:] & hit[:-1])
-        del hit
-    del text        # the bytes are not held while loadtxt runs
     dtype = [(f"f{k}", _DTYPES[kind]) for k, kind in enumerate(kinds)]
     usecols = range(0, 2 * n, 2) if len(sep) == 2 else None
     with warnings.catch_warnings():
@@ -352,37 +343,43 @@ def _read_whole(path, sep, kinds, encoding, skip):
                                skiprows=skip, usecols=usecols, encoding=encoding)
         except (ValueError, OverflowError, Warning):
             return None
-    rows = len(table)
-    if rows != lines.size:
-        text = _data_bytes(path, skip)
-        first = text[np.r_[0, np.flatnonzero(text == ord("\n")) + 1]]   # each line's first byte
-        lines = lines[(first != ord("\n")) & (first != ord("\r"))]
-        if rows != lines.size:
-            return None
-    if len(sep) == 2 and doubled != (2 * (n - 1) * rows, (n - 1) * rows):
+    if len(table) != rows:
         return None
-    return lines, [table[f"f{k}"].copy() for k in range(n)]
+    return np.arange(skip + 1, skip + 1 + rows), [table[f"f{k}"].copy() for k in range(n)]
 
 
-def _data_bytes(path, skip):
-    """The file's bytes after its first ``skip`` lines, up to the last
-    non-blank one, or None if they rule out the whole-file parse: a bare CR
-    is a line end for the text layer but not for a count of LFs.  So a line
-    that starts with CR or LF is empty.  The encoding must write the
-    separator, CR and LF as their ASCII bytes."""
+def _line_count(path, sep, n, skip):
+    """The number of lines after the first ``skip`` up to the last non-blank
+    one (so a trailing blank line is not counted), or 0 if the file's bytes
+    rule out the whole-file parse.
+
+    A bare CR, a line end for the text layer but not for this count, rules
+    it out.  Split on ``:``, ``1:9:2::3::4`` and ``1::2::3::4::5`` give the
+    fields 1, 2, 3, 4 at every second column, so for a doubled separator
+    the text must also hold exactly ``2(n-1)`` of its characters per line,
+    ``n-1`` of them adjacent pairs.  The encoding must write the separator,
+    CR and LF as their ASCII bytes.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        return None
+        return 0
     start = 0
     for _ in range(skip):
         start = data.find(b"\n", start) + 1
         if not start:
-            return None
+            return 0
     end = len(data)
     while end > start and data[end - 1:end].isspace():
         end -= 1
-    return np.frombuffer(data, np.uint8)[start:end]
+    text = np.frombuffer(data, np.uint8)[start:end]
+    rows = np.count_nonzero(text == ord("\n")) + 1 if text.size else 0
+    if len(sep) == 2:
+        hit = text == ord(sep[0])
+        if (np.count_nonzero(hit) != 2 * (n - 1) * rows
+                or np.count_nonzero(hit[1:] & hit[:-1]) != (n - 1) * rows):
+            return 0
+    return rows
 
 
 def write_fields(path, sep, columns, header=""):

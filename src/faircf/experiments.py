@@ -28,7 +28,8 @@ import numpy as np
 from scipy import special
 
 from .data import GroupAssignment, RatingPlan, RatingSet, csv_text, text_table
-from .fairness import PENALTY_KINDS, FairnessReport, METRIC_NAMES, group_item_averages, metric
+from .fairness import (PENALTY_KINDS, FairnessReport, METRIC_NAMES, check_penalty,
+                       group_item_averages, metric)
 from .ingest import FilteredDataset, filter_dataset, parse, split
 from .model import ModelParams, TrainConfig, predict_entries
 from .seeding import derive_seed
@@ -81,8 +82,7 @@ class ExperimentPlan:
         for i, p in enumerate(self.penalties):
             if p in self.penalties[:i]:
                 raise ValueError(f"duplicate penalty {p!r}")
-            if p not in PENALTY_KINDS:
-                raise ValueError(f"unknown penalty {p!r}; valid: {', '.join(PENALTY_KINDS)}")
+            check_penalty(p)
         if self.scenario == "movielens" and not self.ml_dir:
             raise ValueError("the movielens scenario needs ml_dir")
         if self.jobs < 1:

@@ -53,6 +53,12 @@ METRIC_NAMES = ("error", *_GAPS)
 PENALTY_KINDS = ("none", *_GAPS, "under_plus_over")
 
 
+def check_penalty(kind: str):
+    """Raise ValueError unless ``kind`` is one of PENALTY_KINDS."""
+    if kind not in PENALTY_KINDS:
+        raise ValueError(f"unknown penalty {kind!r}; valid: {', '.join(PENALTY_KINDS)}")
+
+
 @dataclass(eq=False)
 class GroupItemAverages:
     """(num_items, 2) tables of per-(item, group) mean prediction, mean

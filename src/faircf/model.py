@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RatingPlan, RatingSet, open_text, read_fields, write_fields
-from .fairness import PENALTY_KINDS
+from .fairness import PENALTY_KINDS, check_penalty     # PENALTY_KINDS is re-exported
 
 
 class ModelParams:
@@ -115,8 +115,7 @@ class TrainConfig:
             raise ValueError("adam betas must lie in [0, 1)")
         if self.adam_epsilon <= 0:
             raise ValueError("adam_epsilon must be > 0")
-        if self.penalty not in PENALTY_KINDS:
-            raise ValueError(f"unknown penalty {self.penalty!r}; valid: {', '.join(PENALTY_KINDS)}")
+        check_penalty(self.penalty)
         if self.penalty_weight < 0:
             raise ValueError("penalty_weight must be >= 0")
 

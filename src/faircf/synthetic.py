@@ -59,15 +59,15 @@ POP_IMBALANCED = np.array([0.4, 0.1, 0.4, 0.1])
 
 @dataclass(frozen=True, eq=False)
 class BlockModelSpec:
-    """Complete description of one synthetic data distribution; frozen (no
-    field can be reassigned), and checked once, when built."""
+    """Complete description of one synthetic data distribution; immutable
+    (the arrays are read-only copies), and checked once, when built."""
 
     user_group_labels: tuple = USER_GROUPS
-    user_group_proportions: np.ndarray = field(default_factory=lambda: POP_UNIFORM.copy())
+    user_group_proportions: np.ndarray = field(default_factory=lambda: POP_UNIFORM)
     item_group_labels: tuple = ITEM_GROUPS
     item_group_proportions: np.ndarray = field(default_factory=lambda: np.full(3, 1.0 / 3.0))
-    like_probs: np.ndarray = field(default_factory=lambda: LIKE_PROBS.copy())
-    obs_probs: np.ndarray = field(default_factory=lambda: OBS_UNIFORM.copy())
+    like_probs: np.ndarray = field(default_factory=lambda: LIKE_PROBS)
+    obs_probs: np.ndarray = field(default_factory=lambda: OBS_UNIFORM)
     num_users: int = 400
     num_items: int = 300
     seed: int = 0
@@ -75,7 +75,9 @@ class BlockModelSpec:
 
     def __post_init__(self):
         for name in ("user_group_proportions", "item_group_proportions", "like_probs", "obs_probs"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            value = np.array(getattr(self, name), dtype=np.float64)     # the spec's own copy
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         n_ug, n_ig = len(self.user_group_labels), len(self.item_group_labels)
         if self.num_users <= 0 or self.num_items <= 0:
             raise ValueError("num_users and num_items must be positive")
@@ -114,7 +116,7 @@ class SyntheticDataset:
 def builtin_specs(num_users: int = 400, num_items: int = 300, seed: int = 0) -> dict:
     """The four standard settings, keyed U, O, P, P+O."""
     def make(pop, obs):
-        return BlockModelSpec(user_group_proportions=pop.copy(), obs_probs=obs.copy(),
+        return BlockModelSpec(user_group_proportions=pop, obs_probs=obs,
                               num_users=num_users, num_items=num_items, seed=seed)
     return {
         "U": make(POP_UNIFORM, OBS_UNIFORM),

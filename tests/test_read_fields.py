@@ -185,40 +185,16 @@ def test_a_clean_file_parses_in_one_loadtxt_call(tmp_path, monkeypatch, fmt):
 
 
 @pytest.mark.parametrize("fmt", list(FORMATS))
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
-def test_empty_lines_keep_the_one_loadtxt_call(tmp_path, monkeypatch, fmt, newline):
-    """loadtxt skips an empty line; the whole-file result stands, with the
-    line numbers of the other lines read off the bytes."""
-    sep, kinds, header, encoding = FORMATS[fmt]
-    loadtxt, calls = np.loadtxt, []
-    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
-    monkeypatch.setattr(data, "open_text", lambda *args: pytest.fail("the block parser ran"))
-    rows = clean_rows(fmt)[:6]
-    text = header + "\n" + "".join(rows[:2]) + "\n\n" + "".join(rows[2:5]) + "\n" + rows[5]
-    path = tmp_path / "input.txt"
-    path.write_bytes(text.replace("\n", newline).encode(encoding))
-    lines, columns = read_fields(path, sep, kinds, encoding=encoding, skip=header.count("\n"))
-    skip = header.count("\n")
-    assert len(calls) == 1
-    assert lines.tolist() == [skip + k for k in (2, 3, 6, 7, 8, 10)]
-    assert [c.tolist() for c in columns] == [
-        [kind(row.split(sep)[k]) for row in rows] for k, kind in enumerate(kinds)]
-    monkeypatch.undo()
-    assert_same(path, fmt)
-
-
-@pytest.mark.parametrize("fmt", list(FORMATS))
 @pytest.mark.parametrize("fault", ["blank", "1_0", "x"])
 def test_a_fallback_in_the_second_block_only(tmp_path, fmt, fault):
-    """Over 1 MB: one line in the second block (a whitespace-only line, a
-    token only Python takes, or a bad field) sends the whole file to the
-    block parser, whose line numbers must run on across the block
-    boundary."""
+    """Over 1 MB: one line in the second block (a blank line, a token only
+    Python takes, or a bad field) sends the whole file to the block parser,
+    whose line numbers must run on across the block boundary."""
     sep, kinds, header, _ = FORMATS[fmt]
     skip = header.count("\n")
     rows = clean_rows(fmt)
     at = len(rows) - 50
-    rows.insert(at, " \n" if fault == "blank" else sep.join([fault] * len(kinds)) + "\n")
+    rows.insert(at, "\n" if fault == "blank" else sep.join([fault] * len(kinds)) + "\n")
     path = tmp_path / "input.txt"
     path.write_text(header + "".join(rows), encoding="utf-8")
     assert_same(path, fmt)

@@ -183,3 +183,15 @@ def test_spec_validation():
         BlockModelSpec(obs_probs=np.full((4, 3), 1.5))
     with pytest.raises(ValueError):
         BlockModelSpec(disadvantaged_user_groups=("W", "Q"))
+
+
+def test_spec_holds_read_only_copies_of_its_arrays():
+    """Writing to the caller's array leaves a built spec as checked, and the
+    spec's own arrays refuse writes."""
+    obs = np.full((4, 3), 0.5)
+    spec = BlockModelSpec(obs_probs=obs)
+    obs[:] = 1.5
+    assert np.all(spec.obs_probs == 0.5)
+    for name in ("user_group_proportions", "item_group_proportions", "like_probs", "obs_probs"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(spec, name)[0] = 0.0
