@@ -56,7 +56,7 @@ archive = find_real_archive()
 if archive is None:
     # parse reads the whole archive, so the stand-in can go right after it.
     with tempfile.TemporaryDirectory(prefix="faircf-demo-") as workdir:
-        print(f"real archive not found; using a generated stand-in at {workdir}")
+        print("real archive not found; using a generated stand-in")
         raw = parse(write_stand_in_archive(workdir))
 else:
     print(f"using the MovieLens-1M archive at {archive}")

@@ -10,9 +10,9 @@ tab-separated text:
 
 Every input file, these and the model and MovieLens files elsewhere, is read
 through ``read_fields``: a blank or whitespace-only line holds no entry, and
-bad input raises ``<path>: line N: <reason>``.  A clean numeric file is
-parsed by one whole-file ``np.loadtxt`` call; any other file by a
-pure-Python block parser that applies those rules.
+bad input raises ``<path>: line N: <reason>``.  A clean file is parsed by
+one whole-file ``np.loadtxt`` call; a file it rejects is read a line at a
+time by a plain loop that applies those rules.
 
 Every numeric file (these, the model, the MovieLens id maps) is written by
 ``write_fields``, every report table by ``text_table`` or ``csv_text``.
@@ -28,7 +28,6 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 from scipy import sparse
@@ -228,7 +227,7 @@ def read_groups(path) -> GroupAssignment:
 
 _DTYPES = {int: np.int64, float: np.float64, str: object}
 _SEP_NAMES = {"\t": "tab", " ": "space"}
-BLOCK_BYTES = 1 << 20           # text read or written per block
+BLOCK_BYTES = 1 << 20           # text written per block
 
 
 @contextmanager
@@ -259,110 +258,90 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
     with another field count, or a field that does not convert, raises
     ``<path>: line N: <reason>`` for the first line at fault.
 
-    A numeric file (no str field) is first parsed whole by one
-    ``np.loadtxt`` call (see ``_read_whole``), which takes only what
-    ``int``/``float`` take, to the same value.  Any other file, and a
-    numeric file that fails a guard of that call, is read in blocks of
-    about 1 MB by the block parser, which alone applies the rules above: it
-    splits a block once and converts a column at a time with ``map``, so no
-    Python statement runs per field.
+    The file is first parsed whole by one ``np.loadtxt`` call (see
+    ``_read_whole``), which takes only what ``int``/``float`` take, to the
+    same value, and keeps a str field as written.  A file that fails a guard
+    of that call is read a line at a time by the loop below, which alone
+    applies the rules above.
     """
     n = len(kinds)
-    if str not in kinds and (whole := _read_whole(path, sep, kinds, encoding, skip)):
+    if whole := _read_whole(path, sep, kinds, encoding, skip):
         return whole
-    numbers = [np.zeros(0, dtype=np.int64)]
-    columns = [[np.zeros(0, dtype=_DTYPES[kind])] for kind in kinds]
+    numbers, columns = [], [[] for _ in kinds]
     with open_text(path, encoding) as fh:
-        for _ in range(skip):
-            fh.readline()
-        first = skip + 1
-        while block := fh.readlines(BLOCK_BYTES):
-            start, first = first, first + len(block)
-            blank = np.fromiter(map(str.isspace, block), bool, len(block))
-            kept = np.flatnonzero(~blank)
-            block_numbers = kept + start
-            if blank.any():
-                block = [block[i] for i in kept.tolist()]
-            counts = np.fromiter(map(str.count, block, repeat(sep)), np.int64, len(block))
-            miscounted = counts != n - 1
-            # Convert only the lines before the first miscounted one, so that
-            # a bad field on an earlier line is reported first.
-            cut = int(np.argmax(miscounted)) if miscounted.any() else len(block)
-            text = "".join(block[:cut])
-            # No field holds a newline, so a newline can stand in for sep;
-            # the del drops the empty string after the last line's newline.
-            fields = text.replace(sep, "\n").split("\n")
-            del fields[n * cut:]
-            try:
-                for k, kind in enumerate(kinds):
-                    column = fields[k::n]
-                    columns[k].append(np.fromiter(map(kind, column), _DTYPES[kind], len(column)))
-            except (ValueError, OverflowError):
-                rows = zip(*(fields[k::n] for k in range(n)))
-                for number, row in zip(block_numbers.tolist(), rows):
-                    for k, (kind, field) in enumerate(zip(kinds, row)):
-                        try:
-                            np.array(kind(field), dtype=_DTYPES[kind])
-                        except (ValueError, OverflowError) as exc:
-                            raise ValueError(f"{path}: line {number}: field {k + 1}: {exc}") from None
-                raise
-            reject(path, block_numbers, miscounted,
-                   f"expected {n} {_SEP_NAMES.get(sep, repr(sep))}-separated fields")
-            numbers.append(block_numbers)
-    return np.concatenate(numbers), [np.concatenate(column) for column in columns]
+        for number, line in enumerate(fh, 1):
+            if number <= skip or line.isspace():
+                continue
+            fields = line.removesuffix("\n").split(sep)
+            if len(fields) != n:
+                raise ValueError(f"{path}: line {number}: "
+                                 f"expected {n} {_SEP_NAMES.get(sep, repr(sep))}-separated fields")
+            for k, (kind, field, column) in enumerate(zip(kinds, fields, columns)):
+                try:
+                    value = kind(field)
+                    np.array(value, dtype=_DTYPES[kind])        # an int must fit int64
+                except (ValueError, OverflowError) as exc:
+                    raise ValueError(f"{path}: line {number}: field {k + 1}: {exc}") from None
+                column.append(value)
+            numbers.append(number)
+    return (np.array(numbers, dtype=np.int64),
+            [np.array(column, dtype=_DTYPES[kind]) for column, kind in zip(columns, kinds)])
 
 
 # np.loadtxt opens a file name through numpy's DataSource, which decompresses
-# a file with one of these suffixes; the block parser reads its bytes as they are.
+# a file with one of these suffixes; the line loop reads its bytes as they are.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _read_whole(path, sep, kinds, encoding, skip):
-    """``read_fields`` of a numeric file by one ``np.loadtxt`` call over the
-    whole file, or None if the file needs the block parser: the call must
-    raise and warn nothing and return one row per line that ``_line_count``
-    finds, so that no blank line was skipped among them and the line
-    numbers are a range.  A doubled separator such as ``::`` is split on
-    its character, taking every second column.
+    """``read_fields`` of a file by one ``np.loadtxt`` call over the whole
+    file, or None if the file needs the line loop: the call must raise and
+    warn nothing and return one row per line that ``_line_count`` finds, so
+    that no blank line was skipped among them and the line numbers are a
+    range.
+
+    A doubled separator such as ``::`` is split on its character, so between
+    two fields lies a column that must be empty in every row; then no field
+    holds that character, and the fields are those of a split on ``sep``
+    (``1:9:2::3`` is refused, ``1::::3`` has an empty middle field).  A file
+    with no int or float field is left to the line loop, since loadtxt keeps
+    a whitespace-only line as a row of str fields.
 
     loadtxt is given the file name: its C reader then takes the file in
     chunks, while a file object it reads a line at a time, which costs most
-    of the gain.  So a name that numpy would decompress is left to the block
-    parser, and the count and the parse see the same bytes."""
+    of the gain.  So a name that numpy would decompress is left to the line
+    loop, and the count and the parse see the same bytes."""
     n = len(kinds)
     char = sep[0]
     if (sep not in (char, 2 * char) or os.fspath(path).endswith(_COMPRESSED)
-            or not (rows := _line_count(path, sep, n, skip))):
+            or set(kinds) == {str} or not (rows := _line_count(path, skip))):
         return None
     dtype = [(f"f{k}", _DTYPES[kind]) for k, kind in enumerate(kinds)]
-    usecols = range(0, 2 * n, 2) if len(sep) == 2 else None
+    gaps = [f"g{k}" for k in range(1, n)] if len(sep) == 2 else []
+    for k, gap in enumerate(gaps):
+        dtype.insert(2 * k + 1, (gap, "S1"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             table = np.loadtxt(path, delimiter=char, dtype=dtype, comments=None, ndmin=1,
-                               skiprows=skip, usecols=usecols, encoding=encoding)
+                               skiprows=skip, encoding=encoding)
         except (ValueError, OverflowError, Warning):
             return None
-    if len(table) != rows:
+    if len(table) != rows or any((table[gap] != b"").any() for gap in gaps):
         return None
     return np.arange(skip + 1, skip + 1 + rows), [table[f"f{k}"].copy() for k in range(n)]
 
 
-def _line_count(path, sep, n, skip):
+def _line_count(path, skip):
     """The number of lines after the first ``skip`` up to the last non-blank
     one (so a trailing blank line is not counted), or 0 if the file's bytes
-    rule out the whole-file parse.
-
-    A bare CR, a line end for the text layer but not for this count, rules
-    it out.  Split on ``:``, ``1:9:2::3::4`` and ``1::2::3::4::5`` give the
-    fields 1, 2, 3, 4 at every second column, so for a doubled separator
-    the text must also hold exactly ``2(n-1)`` of its characters per line,
-    ``n-1`` of them adjacent pairs.  The encoding must write the separator,
-    CR and LF as their ASCII bytes.
+    rule out the whole-file parse: a bare CR, a line end for the text layer
+    but not for this count, or a NUL, which a bytes column reads as empty.
+    The encoding must write CR, LF and NUL as their ASCII bytes.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+    if b"\0" in data or b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         return 0
     start = 0
     for _ in range(skip):
@@ -373,13 +352,7 @@ def _line_count(path, sep, n, skip):
     while end > start and data[end - 1:end].isspace():
         end -= 1
     text = np.frombuffer(data, np.uint8)[start:end]
-    rows = np.count_nonzero(text == ord("\n")) + 1 if text.size else 0
-    if len(sep) == 2:
-        hit = text == ord(sep[0])
-        if (np.count_nonzero(hit) != 2 * (n - 1) * rows
-                or np.count_nonzero(hit[1:] & hit[:-1]) != (n - 1) * rows):
-            return 0
-    return rows
+    return np.count_nonzero(text == ord("\n")) + 1 if text.size else 0
 
 
 def write_fields(path, sep, columns, header=""):

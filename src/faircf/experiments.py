@@ -30,10 +30,10 @@ from scipy import special
 from .data import GroupAssignment, RatingPlan, RatingSet, csv_text, text_table
 from .fairness import (PENALTY_KINDS, FairnessReport, METRIC_NAMES, check_penalty,
                        group_item_averages, metric)
-from .ingest import FilteredDataset, filter_dataset, parse, split
+from .ingest import FilteredDataset, check_test_fraction, filter_dataset, parse, split
 from .model import ModelParams, TrainConfig, predict_entries
 from .seeding import derive_seed
-from .synthetic import builtin_specs, evaluation_set, generate
+from .synthetic import BlockModelSpec, builtin_specs, evaluation_set, generate
 from .trainer import train
 
 SCENARIOS = ("synthetic_U", "synthetic_O", "synthetic_P", "synthetic_PO", "movielens")
@@ -83,8 +83,12 @@ class ExperimentPlan:
             if p in self.penalties[:i]:
                 raise ValueError(f"duplicate penalty {p!r}")
             check_penalty(p)
-        if self.scenario == "movielens" and not self.ml_dir:
-            raise ValueError("the movielens scenario needs ml_dir")
+        if self.scenario == "movielens":
+            if not self.ml_dir:
+                raise ValueError("the movielens scenario needs ml_dir")
+            check_test_fraction(self.test_fraction)
+        else:
+            BlockModelSpec(num_users=self.num_users, num_items=self.num_items)   # checks the grid
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 

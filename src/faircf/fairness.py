@@ -114,6 +114,8 @@ def group_item_averages(predictions, ratings, groups: GroupAssignment | None = N
     the plan's (item, group) key gives every per-item prediction sum; the
     counts and the rating sums come with the plan.
     """
+    if groups is None and not isinstance(ratings, RatingPlan):
+        raise ValueError("group statistics need group labels")
     plan = ratings if isinstance(ratings, RatingPlan) else RatingPlan(ratings, groups)
     predictions = np.asarray(predictions, dtype=np.float64)
     if predictions.shape != plan.values.shape:

@@ -198,6 +198,12 @@ def genre_stats(data: FilteredDataset) -> GenreStats:
     return GenreStats(rows)
 
 
+def check_test_fraction(test_fraction: float):
+    """Raise ValueError unless 0 < ``test_fraction`` < 1."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must lie strictly between 0 and 1")
+
+
 def split(data: FilteredDataset, test_fraction: float, seed: int) -> tuple[RatingSet, RatingSet]:
     """Random disjoint train/test partition of the entries of ``data.ratings``.
 
@@ -205,8 +211,7 @@ def split(data: FilteredDataset, test_fraction: float, seed: int) -> tuple[Ratin
     up nonempty.
     """
     ratings = data.ratings
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie strictly between 0 and 1")
+    check_test_fraction(test_fraction)
     n = len(ratings)
     n_test = int(round(n * test_fraction))
     if n_test == 0 or n_test == n:

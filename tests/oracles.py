@@ -228,9 +228,10 @@ def away_from_kinks(kind, params, ratings, disadvantaged, margin=1e-3):
 def read_fields_line_by_line(path, sep, kinds, encoding="utf-8", skip=0):
     """``data.read_fields`` one line at a time: after the first ``skip``
     lines, every line that is not blank or whitespace-only is split on
-    ``sep`` and each field converted by its kind (int or float).  Raises
-    ``<path>: line N: <reason>`` for the first line at fault."""
-    dtypes = {int: np.int64, float: np.float64}
+    ``sep`` and each field converted by its kind (int, float, or str, kept
+    as written in an object array).  Raises ``<path>: line N: <reason>`` for
+    the first line at fault."""
+    dtypes = {int: np.int64, float: np.float64, str: object}
     numbers, rows = [], []
     with open(path, "r", encoding=encoding) as fh:
         for number, line in enumerate(fh, start=1):
@@ -240,7 +241,7 @@ def read_fields_line_by_line(path, sep, kinds, encoding="utf-8", skip=0):
             if len(fields) != len(kinds):
                 raise ValueError(f"{path}: line {number}: {len(fields)} fields")
             try:
-                row = [np.array(kind(field), dtype=dtypes[kind])
+                row = [np.array(kind(field), dtype=dtypes[kind]).item()
                        for kind, field in zip(kinds, fields)]
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}: line {number}: {exc}") from None

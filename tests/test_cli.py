@@ -51,6 +51,12 @@ def test_usage_errors_exit_2(tmp_path):
                  "--out", str(tmp_path)]) == 2                  # no --ml-dir
 
 
+def test_a_bad_test_fraction_exits_1_before_the_archive_is_read(tmp_path, capsys):
+    assert main(["experiment", "--scenario", "movielens", "--ml-dir", str(tmp_path / "nowhere"),
+                 "--test-fraction", "1.5", "--out", str(tmp_path / "out")]) == 1
+    assert "test_fraction must lie strictly between 0 and 1" in capsys.readouterr().err
+
+
 def test_data_errors_exit_1(tmp_path):
     assert main(["train", "--data", str(tmp_path / "nowhere"),
                  "--out", str(tmp_path / "model")]) == 1
@@ -254,6 +260,7 @@ def test_movielens_demo_leaves_no_temp_files(tmp_path):
                           env=subprocess_env(TMPDIR=str(temp), FAIRCF_ML1M_DIR=None))
     assert proc.returncode == 0, proc.stderr
     assert "generated stand-in" in proc.stdout
+    assert str(temp) not in proc.stdout          # the output is the same on every run
     assert list(temp.iterdir()) == []
 
 

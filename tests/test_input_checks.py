@@ -33,6 +33,10 @@ CASES = {
     "plan-no-jobs": (lambda: ExperimentPlan("synthetic_U", jobs=0), "jobs must be >= 1"),
     "plan-unknown-penalty": (lambda: ExperimentPlan("synthetic_U", penalties=("gini",)),
                              f"unknown penalty 'gini'; valid: {', '.join(PENALTY_KINDS)}"),
+    "plan-no-users": (lambda: ExperimentPlan("synthetic_U", num_users=0),
+                      "num_users and num_items must be positive"),
+    "plan-test-fraction": (lambda: ExperimentPlan("movielens", ml_dir="x", test_fraction=1.5),
+                           "test_fraction must lie strictly between 0 and 1"),
     "config-epsilon": (lambda: TrainConfig(adam_epsilon=0.0), "adam_epsilon must be > 0"),
     "config-penalty-weight": (lambda: TrainConfig(penalty_weight=-1.0),
                               "penalty_weight must be >= 0"),
@@ -59,6 +63,8 @@ CASES = {
     "averages-misaligned": (lambda: group_item_averages(np.zeros(3), empty_ratings(),
                                                         GroupAssignment([True, False])),
                             "predictions must align with the rating entries"),
+    "averages-no-labels": (lambda: group_item_averages(np.zeros(0), empty_ratings()),
+                           "group statistics need group labels"),
     "filter-min-ratings": (lambda: filter_dataset(NO_RATINGS, min_ratings=0),
                            "min_ratings must be >= 1"),
     "train-empty": (lambda: train(empty_ratings(), GroupAssignment([True, False]),
