@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import resource
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import os
@@ -30,7 +29,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import open_text, read_groups, read_ratings, write_fields, write_groups, write_ratings
+from .data import (read_groups, read_json_object, read_ratings, write_fields, write_groups,
+                   write_json, write_ratings)
 from .experiments import (SCENARIOS, SETTING_BY_SCENARIO, ExperimentPlan, evaluate, render,
                           render_settings, run_bias_settings_study, run_experiment,
                           write_long_csv)
@@ -57,8 +57,7 @@ _TRAIN_PARAMS = {
     "epsilon": ("adam_epsilon", "Adam denominator offset"),
     "penalty-weight": ("penalty_weight", "scale on the fairness penalty"),
 }
-_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
-_TRAIN_SCHEMA = {flag: (type(_TRAIN_DEFAULTS[name]), _TRAIN_DEFAULTS[name], False, help_text)
+_TRAIN_SCHEMA = {flag: (type(getattr(TrainConfig, name)), getattr(TrainConfig, name), False, help_text)
                  for flag, (name, help_text) in _TRAIN_PARAMS.items()}
 
 
@@ -83,7 +82,7 @@ _SCHEMAS = {
     "train": {
         "data": (AbsolutePath, None, True, "dataset directory with ratings.tsv and groups.tsv"),
         "out": (AbsolutePath, None, True, "output directory"),
-        "penalty": (str, TrainConfig.penalty, False, "fairness penalty kind"),
+        "penalty": (str, TrainConfig.penalty, False, "fairness penalty: " + ", ".join(PENALTY_KINDS)),
         "seed": (int, TrainConfig.seed, False, "initialization seed"),
         **_TRAIN_SCHEMA,
     },
@@ -138,22 +137,11 @@ def _checksum(path) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _read_json_object(path, what: str) -> dict:
-    with open_text(path) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: {what} must be a JSON object")
-    return doc
-
-
 def _resolve(command: str, cli_values: dict, file_values: dict, origin: str) -> dict:
     """Merge flags > file values (a config file or a manifest's params) >
-    environment > defaults for one command.  A file key that is not a
-    parameter of ``command``, in its ``-`` or ``_`` spelling, is a
+    environment > defaults for one command, converting each string (a flag
+    or an environment value) to the parameter's type.  A file key that is
+    not a parameter of ``command``, in its ``-`` or ``_`` spelling, is a
     UsageError naming ``origin`` and the key; a bad value is one naming
     where it came from: ``--flag``, ``FAIRCF_NAME`` or ``<origin>: key``."""
     schema = _SCHEMAS[command]
@@ -191,27 +179,6 @@ def _resolve(command: str, cli_values: dict, file_values: dict, origin: str) -> 
     return params
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, inputs: dict,
-                    outputs: list, dataset: dict, seconds: float):
-    doc = {
-        "tool": "faircf",
-        "version": __version__,
-        "command": command,
-        "params": params,
-        "input_checksums": inputs,
-        "outputs": sorted(outputs),
-        "dataset": dataset,
-        "wall_clock_seconds": seconds,
-        "environment": {"python": sys.version.split()[0], "numpy": np.__version__,
-                        "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,   # KiB on Linux
-        "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
-    }
-    with (out_dir / "manifest.json").open("w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _train_config(params: dict, **fixed) -> TrainConfig:
     return TrainConfig(**fixed, **{name: params[flag.replace("-", "_")]
                                    for flag, (name, _) in _TRAIN_PARAMS.items()})
@@ -222,7 +189,7 @@ def _dataset_dims(data_dir: Path):
     manifest = data_dir / "manifest.json"
     if not manifest.exists():
         return None, None
-    ds = _read_json_object(manifest, "manifest").get("dataset", {})
+    ds = read_json_object(manifest, "manifest").get("dataset", {})
     if not isinstance(ds, dict):
         raise ValueError(f"{manifest}: 'dataset' must be a JSON object")
     dims = ds.get("num_users"), ds.get("num_items")
@@ -349,9 +316,7 @@ def _cmd_experiment(params: dict):
     write_long_csv(rows, out / "results.csv")
     (out / "table.txt").write_text(table, encoding="utf-8")
     (out / "table.csv").write_text(csv_table, encoding="utf-8")
-    with (out / "summary.json").open("w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "summary.json", summary)
     return inputs, ["results.csv", "table.txt", "table.csv", "summary.json"], dataset
 
 
@@ -395,14 +360,26 @@ def _run_command(command: str, params: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     inputs, outputs, dataset = _HANDLERS[command](params)
-    _write_manifest(out, command, params, inputs, outputs, dataset,
-                    time.perf_counter() - start)
+    write_json(out / "manifest.json", {
+        "tool": "faircf",
+        "version": __version__,
+        "command": command,
+        "params": params,
+        "input_checksums": inputs,
+        "outputs": sorted(outputs),
+        "dataset": dataset,
+        "wall_clock_seconds": time.perf_counter() - start,
+        "environment": {"python": sys.version.split()[0], "numpy": np.__version__,
+                        "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,   # KiB on Linux
+        "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+    })
     return 0
 
 
 def _cmd_rerun(manifest_path: str, out_override: str | None) -> int:
     path = Path(manifest_path)
-    doc = _read_json_object(path, "manifest")
+    doc = read_json_object(path, "manifest")
     command = doc.get("command")
     if not isinstance(command, str) or command not in _HANDLERS:
         raise ValueError(f"{path}: manifest has no runnable command")
@@ -433,15 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in _SCHEMAS.items():
         sp = sub.add_parser(command, help=f"{command} command")
-        sp.add_argument("--config", default=None, help="JSON file with parameter overrides")
-        for name, (typ, default, required, help_text) in schema.items():
-            choices = _CHOICES.get((command, name))
+        sp.add_argument("--config", help="JSON file with parameter overrides")
+        for name, (_, default, required, help_text) in schema.items():
             shown = "required" if required else f"default: {default}"
-            sp.add_argument(f"--{name}", dest=name.replace("-", "_"), type=typ, default=None,
-                            choices=choices, help=f"{help_text} ({shown})")
+            sp.add_argument(f"--{name}", dest=name.replace("-", "_"), help=f"{help_text} ({shown})")
     rerun = sub.add_parser("rerun", help="repeat a recorded run from its manifest")
     rerun.add_argument("manifest", help="manifest.json written by a previous run")
-    rerun.add_argument("--out", default=None, help="redirect outputs (default: recorded dir)")
+    rerun.add_argument("--out", help="redirect outputs (default: recorded dir)")
     return parser
 
 
@@ -452,7 +427,7 @@ def main(argv=None) -> int:
         if args.command == "rerun":
             return _cmd_rerun(args.manifest, args.out)
         cli_values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-        file_values = _read_json_object(args.config, "config") if args.config else {}
+        file_values = read_json_object(args.config, "config") if args.config else {}
         params = _resolve(args.command, cli_values, file_values, args.config)
         return _run_command(args.command, params)
     except UsageError as exc:

@@ -17,17 +17,21 @@ time by a plain loop that applies those rules.
 Every numeric file (these, the model, the MovieLens id maps) is written by
 ``write_fields``, every report table by ``text_table`` or ``csv_text``.
 Floats are written with ``repr`` everywhere, so a read-back is bit-identical.
+JSON files (configs, manifests, summaries, specs) go through ``read_json_object``
+and ``write_json``; ``check_field_types`` is every config's field-type rule.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -64,14 +68,13 @@ class RatingSet:
         (user, item) pair may appear at most once.
     """
 
-    def __init__(self, users, items, values, num_users, num_items, validate=True):
+    def __init__(self, users, items, values, num_users, num_items):
         self.users = np.ascontiguousarray(users, dtype=np.int64)
         self.items = np.ascontiguousarray(items, dtype=np.int64)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self.num_users = int(num_users)
         self.num_items = int(num_items)
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self):
         if not (self.users.shape == self.items.shape == self.values.shape) or self.users.ndim != 1:
@@ -86,9 +89,8 @@ class RatingSet:
             if items.min() < 0 or items.max() >= self.num_items:
                 raise RatingEntryError("item index out of range",
                                        (items < 0) | (items >= self.num_items))
-            keys = users * self.num_items + items
-            ordered = np.sort(keys)
-            if not np.all(ordered[1:] - ordered[:-1]):
+            keys = users * self.num_items + items       # strictly ascending needs no sort
+            if np.any(keys[1:] <= keys[:-1]) and not np.all(np.diff(np.sort(keys))):
                 raise RatingEntryError("duplicate (user, item) pair", _repeats(keys))
         finite = np.isfinite(self.values)
         if not np.all(finite):
@@ -100,7 +102,7 @@ class RatingSet:
     def subset(self, index):
         """New RatingSet holding the entries selected by ``index`` (same grid)."""
         return RatingSet(self.users[index], self.items[index], self.values[index],
-                         self.num_users, self.num_items, validate=False)
+                         self.num_users, self.num_items)
 
 
 @dataclass(eq=False)
@@ -248,6 +250,42 @@ def open_text(path, encoding="utf-8"):
         raise
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file ``path``; a file that is no JSON, or holds
+    no object, raises ``<path>: <reason>`` naming ``what`` it should hold."""
+    with open_text(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
+def write_json(path, doc):
+    """Write ``doc`` as JSON, keys sorted and indented by two, ending in a newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+# A config field's annotation -> the types its value may take; a bool is none of them.
+_FIELD_TYPES = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating),
+                "str": str, "tuple": (list, tuple)}
+
+
+def check_field_types(config):
+    """Raise ``<field>: expected <type>, got <value>`` unless each int, float,
+    str and tuple field of the dataclass ``config`` holds its type (see
+    _FIELD_TYPES); a tuple field must hold str, and is stored as a tuple."""
+    for f in fields(config):
+        value, types = getattr(config, f.name), _FIELD_TYPES.get(f.type)
+        if types and (not isinstance(value, types) or isinstance(value, bool)
+                      or f.type == "tuple" and not all(isinstance(v, str) for v in value)):
+            raise ValueError(f"{f.name}: expected {f.type}, got {value!r}")
+        if f.type == "tuple":
+            object.__setattr__(config, f.name, tuple(value))
+
+
 def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
     """Read a text file of ``sep``-separated fields, one entry per line,
     after its first ``skip`` lines.
@@ -261,25 +299,30 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
     The file is first parsed whole by one ``np.loadtxt`` call (see
     ``_read_whole``), which takes only what ``int``/``float`` take, to the
     same value, and keeps a str field as written.  A file that fails a guard
-    of that call is read a line at a time by the loop below, which alone
+    of that call is read a line at a time by ``_read_lines``, which alone
     applies the rules above.
     """
+    return _read_whole(path, sep, kinds, encoding, skip) or _read_lines(path, sep, kinds, encoding, skip)
+
+
+def _read_lines(path, sep, kinds, encoding, skip):
+    """``read_fields`` a line at a time.  Only an int can convert and still
+    not fit its column, so only an int outside int64 goes to numpy, for its error."""
     n = len(kinds)
-    if whole := _read_whole(path, sep, kinds, encoding, skip):
-        return whole
     numbers, columns = [], [[] for _ in kinds]
     with open_text(path, encoding) as fh:
         for number, line in enumerate(fh, 1):
             if number <= skip or line.isspace():
                 continue
-            fields = line.removesuffix("\n").split(sep)
-            if len(fields) != n:
+            tokens = line.removesuffix("\n").split(sep)
+            if len(tokens) != n:
                 raise ValueError(f"{path}: line {number}: "
                                  f"expected {n} {_SEP_NAMES.get(sep, repr(sep))}-separated fields")
-            for k, (kind, field, column) in enumerate(zip(kinds, fields, columns)):
+            for k, (kind, field, column) in enumerate(zip(kinds, tokens, columns)):
                 try:
                     value = kind(field)
-                    np.array(value, dtype=_DTYPES[kind])        # an int must fit int64
+                    if kind is int and not -2**63 <= value < 2**63:
+                        np.array(value, dtype=np.int64)
                 except (ValueError, OverflowError) as exc:
                     raise ValueError(f"{path}: line {number}: field {k + 1}: {exc}") from None
                 column.append(value)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
-from .data import GroupAssignment, RatingPlan, RatingSet, csv_text, text_table
+from .data import GroupAssignment, RatingPlan, RatingSet, check_field_types, csv_text, text_table
 from .fairness import (PENALTY_KINDS, FairnessReport, METRIC_NAMES, check_penalty,
                        group_item_averages, metric)
 from .ingest import FilteredDataset, check_test_fraction, filter_dataset, parse, split
@@ -54,6 +54,7 @@ METRIC_LABELS = {
     "error": "Error", "value": "Value", "absolute": "Absolute",
     "under": "Underestimation", "over": "Overestimation", "nonparity": "Non-Parity",
 }
+SIGNIFICANCE_LEVEL = 0.05     # a paired t-test p-value below it tells two penalties apart
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,7 @@ class ExperimentPlan:
     jobs: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; valid: {', '.join(SCENARIOS)}")
         if self.trials < 2:
@@ -118,7 +120,7 @@ class ExperimentResult:
     reports: dict
 
     scenario = property(lambda self: self.plan.scenario)
-    penalties = property(lambda self: tuple(self.plan.penalties))
+    penalties = property(lambda self: self.plan.penalties)
     trials = property(lambda self: self.plan.trials)
 
     @property
@@ -149,8 +151,8 @@ class ExperimentResult:
         for metric in METRIC_NAMES:
             best = min(self.penalties, key=lambda p: self.means[p][metric])
             best_vals = self.metric_values(best, metric)
-            out[metric] = {p for p in self.penalties if p == best or paired_t_test(
-                self.metric_values(p, metric), best_vals) == "indistinguishable"}
+            out[metric] = {p for p in self.penalties if p == best or paired_t_statistic(
+                self.metric_values(p, metric), best_vals)[1] >= SIGNIFICANCE_LEVEL}
         return out
 
     def long_rows(self):
@@ -215,13 +217,6 @@ def paired_t_statistic(a, b) -> tuple[float, float]:
     t = mean / (sd / math.sqrt(n))
     p = 2.0 * float(special.stdtr(n - 1, -abs(t)))     # the two t tails, as scipy.stats.t.sf
     return t, p
-
-
-def paired_t_test(a, b, alpha: float = 0.05) -> str:
-    """'distinct' when the two paired samples differ at level alpha, else
-    'indistinguishable' (p >= alpha keeps the null)."""
-    _, p = paired_t_statistic(a, b)
-    return "indistinguishable" if p >= alpha else "distinct"
 
 
 def _run_trial(plan: ExperimentPlan, trial: int, filtered: FilteredDataset | None) -> dict:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingPlan, RatingSet, open_text, read_fields, write_fields
+from .data import (RatingPlan, RatingSet, check_field_types, open_text, read_fields, reject,
+                   write_fields)
 from .fairness import PENALTY_KINDS, check_penalty     # PENALTY_KINDS is re-exported
 
 
@@ -103,6 +104,7 @@ class TrainConfig:
     penalty_weight: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.d < 1:
             raise ValueError("latent dimension must be >= 1")
         if self.lambda_reg < 0:
@@ -216,7 +218,7 @@ def save_params(params: ModelParams, path):
 
 
 def load_params(path) -> ModelParams:
-    """Read a file written by save_params."""
+    """Read a file written by save_params; a non-finite value is a fault of its line."""
     with open_text(path) as fh:
         header = re.fullmatch(r"(\d+) (\d+) (\d+)\s*", fh.readline())
     m, n, d = map(int, header.groups()) if header else (0, 0, 0)
@@ -229,4 +231,5 @@ def load_params(path) -> ModelParams:
     if lines.size != m + n:
         raise ValueError(f"{path}: expected {m + n} entity rows, found {lines.size}")
     table = np.column_stack(columns)
+    reject(path, lines, ~np.isfinite(table).all(axis=1), "model parameters must be finite")
     return ModelParams(table[:m, :d], table[m:, :d], table[:m, d], table[m:, d])

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import GroupAssignment, RatingSet, open_text
+from .data import GroupAssignment, RatingSet, check_field_types, read_json_object
 
 USER_GROUPS = ("W", "WS", "MS", "M")
 ITEM_GROUPS = ("Fem", "STEM", "Masc")
@@ -74,8 +74,12 @@ class BlockModelSpec:
     disadvantaged_user_groups: tuple = DISADVANTAGED_USER_GROUPS
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("user_group_proportions", "item_group_proportions", "like_probs", "obs_probs"):
-            value = np.array(getattr(self, name), dtype=np.float64)     # the spec's own copy
+            try:
+                value = np.array(getattr(self, name), dtype=np.float64)     # the spec's own copy
+            except (TypeError, ValueError):
+                raise ValueError(f"{name}: expected numbers, got {getattr(self, name)!r}") from None
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         n_ug, n_ig = len(self.user_group_labels), len(self.item_group_labels)
@@ -160,7 +164,7 @@ def generate(spec: BlockModelSpec) -> SyntheticDataset:
 
     rows, cols = np.nonzero(observed_mask)
     values = np.where(likes[rows, cols], 1.0, -1.0)
-    observed = RatingSet(rows, cols, values, m, n, validate=False)
+    observed = RatingSet(rows, cols, values, m, n)
 
     disadvantaged = np.isin(np.asarray(spec.user_group_labels)[user_group],
                             spec.disadvantaged_user_groups)
@@ -176,7 +180,7 @@ def evaluation_set(data: SyntheticDataset) -> RatingSet:
     mask = np.ones((m, n), dtype=bool)
     mask[data.observed.users, data.observed.items] = False
     rows, cols = np.nonzero(mask)
-    return RatingSet(rows, cols, data.expected_ratings[rows, cols], m, n, validate=False)
+    return RatingSet(rows, cols, data.expected_ratings[rows, cols], m, n)
 
 
 def spec_to_json(spec: BlockModelSpec) -> str:
@@ -186,48 +190,19 @@ def spec_to_json(spec: BlockModelSpec) -> str:
 
 
 # Fields a spec file may leave out; every other field is required.
-_OPTIONAL_FIELDS = ("seed", "disadvantaged_user_groups")
-
-
-def _field_value(f, value):
-    """A spec file's ``value`` for field ``f``, in the type the field holds."""
-    if f.type == "int" and type(value) is int:
-        return value
-    if f.type == "tuple" and isinstance(value, list) and all(isinstance(v, str) for v in value):
-        return tuple(value)
-    if f.type == "np.ndarray":
-        try:
-            return np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError):
-            pass
-    expected = {"int": "an integer", "tuple": "a list of strings"}.get(f.type, "numbers")
-    raise ValueError(f"field {f.name!r} must hold {expected}, not {value!r}")
-
-
-def spec_from_json(text: str) -> BlockModelSpec:
-    """Parse a spec written by spec_to_json.  A malformed, missing or
-    unknown field raises ValueError naming it."""
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError("a block-model spec must be a JSON object")
-    known = {f.name: f for f in fields(BlockModelSpec)}
-    unknown = sorted(payload.keys() - known.keys())
-    missing = [name for name in known if name not in payload and name not in _OPTIONAL_FIELDS]
-    if unknown or missing:
-        raise ValueError(f"unknown field {unknown[0]!r}" if unknown
-                         else f"block-model spec JSON is missing field {missing[0]!r}")
-    return BlockModelSpec(**{name: _field_value(known[name], value)
-                             for name, value in payload.items()})
+_OPTIONAL_FIELDS = {"seed", "disadvantaged_user_groups"}
 
 
 def load_spec(path) -> BlockModelSpec:
-    """Read a spec file; any fault in it raises ``<path>: <reason>``."""
-    with open_text(path) as fh:
-        text = fh.read()
+    """Read a spec file written by spec_to_json; any fault in it, a missing
+    or unknown field too, raises ``<path>: <reason>``."""
+    payload = read_json_object(path, "a block-model spec")
+    names = {f.name for f in fields(BlockModelSpec)}
+    faults = [f"unknown field {name!r}" for name in sorted(payload.keys() - names)]
+    faults += [f"missing field {name!r}" for name in sorted(names - _OPTIONAL_FIELDS - payload.keys())]
+    if faults:
+        raise ValueError(f"{path}: {faults[0]}")
     try:
-        return spec_from_json(text)
+        return BlockModelSpec(**payload)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -45,17 +45,16 @@ def test_workload_cycle_runs_at_tiny_size(bench, name, tmp_path):
 def test_the_tiny_cli_chain_parses_every_input_file_whole(bench, tmp_path, monkeypatch):
     """prepare-movielens, train and evaluate on the tiny archive stand-in:
     every file read_fields reads goes through one np.loadtxt call, and the
-    line loop, the one reader that opens its file with data.open_text,
-    never runs."""
+    line loop, data._read_lines, never runs."""
     _, workloads = bench
     ml_dir, prep, model = tmp_path / "ml", tmp_path / "prep", tmp_path / "model"
     workloads.archive.write(ml_dir, 0, **workloads.TINY_ARCHIVE)
-    read_whole, open_text = data._read_whole, data.open_text
+    read_whole, read_lines = data._read_whole, data._read_lines
     reads, fallbacks = [], []
     monkeypatch.setattr(data, "_read_whole",
                         lambda path, *args: reads.append(path.name) or read_whole(path, *args))
-    monkeypatch.setattr(data, "open_text",
-                        lambda path, *args: fallbacks.append(path.name) or open_text(path, *args))
+    monkeypatch.setattr(data, "_read_lines",
+                        lambda path, *args: fallbacks.append(path.name) or read_lines(path, *args))
     assert main(["prepare-movielens", "--ml-dir", str(ml_dir), "--out", str(prep)]) == 0
     assert main(["train", "--data", str(prep), "--iterations", "3", "--out", str(model)]) == 0
     assert main(["evaluate", "--model", str(model / "model.txt"), "--data", str(prep),

@@ -31,16 +31,15 @@ def make_dataset(tmp_path, name="data", extra=()):
     return out
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
-        main([])                                    # subcommand required
+        main([])                                    # subcommand required: argparse's own error
     assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["generate", "--scenario", "Z", "--out", str(tmp_path)])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["train", "--seed", "abc"])            # type failure
-    assert info.value.code == 2
+    assert main(["generate", "--scenario", "Z", "--out", str(tmp_path)]) == 2
+    assert "error: --scenario: invalid choice 'Z' (choose from " in capsys.readouterr().err
+    assert main(["train", "--data", str(tmp_path), "--out", str(tmp_path),
+                 "--seed", "abc"]) == 2              # type failure
+    assert capsys.readouterr().err == "faircf train: error: --seed: expected int, got 'abc'\n"
     assert main(["generate", "--scenario", "U"]) == 2          # --out missing
     assert main(["generate", "--out", str(tmp_path)]) == 2     # neither source
     spec = tmp_path / "spec.json"
@@ -233,7 +232,7 @@ def test_a_bad_value_names_where_it_came_from(tmp_path, monkeypatch, capsys, ori
     assert message.format(config=config, manifest=manifest) in capsys.readouterr().err
 
 
-def test_console_script_is_installed():
+def test_the_module_entry_point_prints_the_version():
     proc = subprocess.run([sys.executable, "-m", "faircf.cli", "--version"],
                           capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0

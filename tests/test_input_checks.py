@@ -48,6 +48,23 @@ CASES = {
                                "item group proportions must match the labels"),
     "spec-probs-shape": (lambda: BlockModelSpec(like_probs=np.full((3, 3), 0.5)),
                          "like_probs must be shaped (user groups, item groups)"),
+    # A field of the wrong type is refused when built, not met as a TypeError
+    # inside train, run_experiment or generate.
+    "config-iterations-float": (lambda: TrainConfig(iterations=2.5),
+                                "iterations: expected int, got 2.5"),
+    "config-d-bool": (lambda: TrainConfig(d=True), "d: expected int, got True"),
+    "config-weight-str": (lambda: TrainConfig(penalty_weight="1"),
+                          "penalty_weight: expected float, got '1'"),
+    "plan-trials-float": (lambda: ExperimentPlan(scenario="synthetic_U", trials=2.5),
+                          "trials: expected int, got 2.5"),
+    "plan-penalties-str": (lambda: ExperimentPlan("synthetic_U", penalties="value"),
+                           "penalties: expected tuple, got 'value'"),
+    "spec-users-float": (lambda: BlockModelSpec(num_users=2.5),
+                         "num_users: expected int, got 2.5"),
+    "spec-labels-ints": (lambda: BlockModelSpec(user_group_labels=[1, 2, 3, 4]),
+                         "user_group_labels: expected tuple, got [1, 2, 3, 4]"),
+    "spec-probs-dict": (lambda: BlockModelSpec(like_probs={"W": 0.5}),
+                        "like_probs: expected numbers, got {'W': 0.5}"),
     "ratings-empty-grid": (lambda: RatingSet([], [], [], 0, 1),
                            "rating grid must have at least one user and one item"),
     "groups-2d": (lambda: GroupAssignment(np.zeros((2, 2), dtype=bool)),
@@ -81,3 +98,11 @@ CASES = {
 def test_an_invalid_input_raises_when_built(build, message):
     with pytest.raises((KeyError, ValueError), match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_configs_take_numpy_integers_and_keep_a_list_of_str_as_a_tuple():
+    assert TrainConfig(iterations=np.int64(3), lambda_reg=0).iterations == 3
+    plan = ExperimentPlan("synthetic_U", penalties=["none", "value"], trials=np.int32(2))
+    assert plan.penalties == ("none", "value")
+    assert BlockModelSpec(user_group_labels=list("ABCD"),
+                          disadvantaged_user_groups=["A"]).user_group_labels == tuple("ABCD")

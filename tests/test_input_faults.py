@@ -66,6 +66,19 @@ def test_evaluate_names_the_model_line_that_is_not_utf8(tmp_path, capsys, number
     assert f"{model}: line {number}: not valid UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])
+def test_evaluate_names_the_model_line_that_is_not_finite(tmp_path, capsys, value):
+    data = make_dataset(tmp_path)
+    model = train_model(tmp_path, data)
+    lines = model.read_text(encoding="utf-8").split("\n")
+    lines[30] = " ".join([value] + lines[30].split(" ")[1:])      # an item row
+    model.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--out", str(tmp_path / "report")]) == 1
+    assert (f"faircf evaluate: {model}: line 31: model parameters must be finite\n"
+            == capsys.readouterr().err)
+
+
 def test_load_params_names_a_late_row_that_is_not_utf8(tmp_path):
     # far past the first decoded chunk, so the row reader meets the byte
     path = tmp_path / "model.txt"

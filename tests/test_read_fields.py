@@ -196,16 +196,11 @@ def test_movies_dat_rows_match_the_line_by_line_reader(tmp_path, text):
 
 
 def clean_rows(fmt):
-    """About 1.3 MB of clean rows in the format ``fmt``; a str field holds
-    edge spaces, ``#``, ``"`` and a latin-1 letter."""
+    """3000 clean rows in the format ``fmt``; a str field holds edge spaces,
+    ``#``, ``"`` and a latin-1 letter."""
     sep, kinds, _, _ = FORMATS[fmt]
-    rows, size = [], 0
-    while size < 1.3 * (1 << 20):
-        i = len(rows) % 97
-        rows.append(sep.join(f' {i + k} \u00e9#" ' if kind is str else str(i + k)
-                             for k, kind in enumerate(kinds)) + "\n")
-        size += len(rows[-1])
-    return rows
+    return [sep.join(f' {i % 97 + k} \u00e9#" ' if kind is str else str(i % 97 + k)
+                     for k, kind in enumerate(kinds)) + "\n" for i in range(3000)]
 
 
 @pytest.mark.parametrize("fmt", list(FORMATS))
@@ -215,7 +210,7 @@ def test_a_clean_file_parses_in_one_loadtxt_call(tmp_path, monkeypatch, fmt):
     sep, kinds, header, encoding = FORMATS[fmt]
     loadtxt, calls = np.loadtxt, []
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
-    monkeypatch.setattr(data, "open_text", lambda *args: pytest.fail("the line loop ran"))
+    monkeypatch.setattr(data, "_read_lines", lambda *args: pytest.fail("the line loop ran"))
     text = header + "".join(clean_rows(fmt))
     results = []
     for tail in ("", "\n"):
@@ -233,9 +228,9 @@ def test_a_clean_file_parses_in_one_loadtxt_call(tmp_path, monkeypatch, fmt):
 @pytest.mark.parametrize("fmt", list(FORMATS))
 @pytest.mark.parametrize("fault", ["blank", "1_0", "x"])
 def test_a_fallback_in_the_second_block_only(tmp_path, fmt, fault):
-    """Over 1 MB: one line near the end (a blank line, a token only Python
-    takes, or a bad field) sends the whole file to the line loop, whose line
-    numbers must count every line before it."""
+    """One line near the end of a long file (a blank line, a token only
+    Python takes, or a bad field) sends the whole file to the line loop,
+    whose line numbers must count every line before it."""
     sep, kinds, header, _ = FORMATS[fmt]
     skip = header.count("\n")
     rows = clean_rows(fmt)
@@ -269,7 +264,7 @@ def test_a_plain_file_named_like_a_compressed_one_is_read_as_it_stands(tmp_path)
     assert lines.tolist() == [1, 2]
 
 
-def test_a_warning_from_loadtxt_leaves_the_file_to_the_block_parser(tmp_path, monkeypatch):
+def test_a_warning_from_loadtxt_leaves_the_file_to_the_line_loop(tmp_path, monkeypatch):
     """numpy 1.x loadtxt warns on an int written as ``3.0`` and takes it as
     3; a warning must not leak out, and the line loop reads the file."""
     loadtxt = np.loadtxt

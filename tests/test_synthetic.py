@@ -7,8 +7,7 @@ from faircf.data import RatingSet
 from faircf.fairness import group_item_averages, metric
 from faircf.synthetic import (LIKE_PROBS, OBS_BIASED, OBS_UNIFORM, POP_IMBALANCED,
                               POP_UNIFORM, BlockModelSpec, builtin_specs,
-                              evaluation_set, generate, load_spec, spec_from_json,
-                              spec_to_json)
+                              evaluation_set, generate, load_spec, spec_to_json)
 from oracles import entries
 
 
@@ -165,15 +164,15 @@ def test_generation_is_seed_deterministic():
 
 def test_spec_json_round_trip(tmp_path):
     spec = builtin_specs(num_users=12, num_items=9, seed=31)["P"]
-    back = spec_from_json(spec_to_json(spec))
+    path = tmp_path / "spec.json"
+    path.write_text(spec_to_json(spec), encoding="utf-8")
+    back = load_spec(path)
     assert back.user_group_labels == spec.user_group_labels
     assert back.user_group_proportions == pytest.approx(spec.user_group_proportions)
     assert back.like_probs == pytest.approx(spec.like_probs)
     assert back.obs_probs == pytest.approx(spec.obs_probs)
     assert (back.num_users, back.num_items, back.seed) == (12, 9, 31)
-    path = tmp_path / "spec.json"
-    path.write_text(spec_to_json(spec), encoding="utf-8")
-    assert load_spec(path).disadvantaged_user_groups == spec.disadvantaged_user_groups
+    assert back.disadvantaged_user_groups == spec.disadvantaged_user_groups
 
 
 def test_spec_validation():

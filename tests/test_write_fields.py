@@ -102,16 +102,17 @@ def test_write_fields_spans_several_blocks(tmp_path):
     assert (tmp_path / "got").stat().st_size > 3 * data.BLOCK_BYTES
 
 
-rating_entries = st.integers(1, 30).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(0, 9), min_size=n, max_size=n),
-    st.lists(st.integers(0, 7), min_size=n, max_size=n),
-    st.lists(finite_floats, min_size=n, max_size=n)))
+# Distinct (user, item) pairs, since a RatingSet holds no duplicate.
+rating_entries = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 7)), min_size=1,
+                          max_size=30, unique=True).flatmap(lambda pairs: st.tuples(
+    st.just([u for u, _ in pairs]), st.just([i for _, i in pairs]),
+    st.lists(finite_floats, min_size=len(pairs), max_size=len(pairs))))
 
 
 @_SETTINGS
 @given(entries=rating_entries)
 def test_write_ratings_matches_the_line_by_line_writer(tmp_path, entries):
-    ratings = RatingSet(*entries, 10, 8, validate=False)
+    ratings = RatingSet(*entries, 10, 8)
     write_ratings(ratings, tmp_path / "got")
     write_ratings_line_by_line(ratings, tmp_path / "want")
     assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
