@@ -412,8 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(command, help=f"{command} command")
         sp.add_argument("--config", help="JSON file with parameter overrides")
         for name, (_, default, required, help_text) in schema.items():
-            shown = "required" if required else f"default: {default}"
-            sp.add_argument(f"--{name}", dest=name.replace("-", "_"), help=f"{help_text} ({shown})")
+            if required:
+                help_text += " (required)"
+            elif default is not None:       # None is "unset"; the help text says what then
+                help_text += f" (default: {default})"
+            sp.add_argument(f"--{name}", dest=name.replace("-", "_"), help=help_text)
     rerun = sub.add_parser("rerun", help="repeat a recorded run from its manifest")
     rerun.add_argument("manifest", help="manifest.json written by a previous run")
     rerun.add_argument("--out", help="redirect outputs (default: recorded dir)")

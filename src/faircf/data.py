@@ -132,16 +132,21 @@ class RatingPlan:
     must cover the users of the grid, which is checked when the plan is
     built.  The rest is built on first use:
 
-    * ``dis``: True at the entries of disadvantaged users;
-    * ``key``: the (item, group) cell of each entry, ``2 * item + dis``,
-      with per-key entry counts ``key_counts`` and rating sums
-      ``key_rating_sums`` (bincount sums in entry order);
-    * ``pattern``: ``(A, order)``, the user-major CSR matrix of the grid
-      whose slot s holds entry ``order[s]`` (``order``, a stable argsort of
-      the users in their smallest unsigned type, radix-sorted up to 65536
-      users, is None for entries in user order).  Each accumulate_gradient
-      call refills ``A.data``.  ``A.T`` is the CSC view of the same arrays,
-      so no item-major pattern is ever built.
+    * ``dis``: True at the entries of disadvantaged users, and
+      ``group_masks``, the pair ``(~dis, dis)`` of advantaged and
+      disadvantaged entries;
+    * ``key``: the (item, group) cell of each entry, ``2 * item + dis``;
+    * ``counts`` and ``avg_rating``: (num_items, 2) tables of the entry
+      count and the mean rating of each (item, group) cell, columns
+      advantaged and disadvantaged (bincount sums in entry order; NaN where
+      the count is 0).  Both are read-only, as every pass shares them;
+    * ``pattern``: ``(A, A.T, order)``, the user-major CSR matrix of the
+      grid, whose slot s holds entry ``order[s]``, and its CSC view, built
+      once from the same arrays, so no item-major pattern is ever built
+      (``order``, a stable argsort of the users in their smallest unsigned
+      type, radix-sorted up to 65536 users, is None for entries in user
+      order).  Each accumulate_gradient call points the data of both at
+      the new weights.
     """
 
     def __init__(self, ratings: RatingSet, groups: GroupAssignment):
@@ -160,16 +165,26 @@ class RatingPlan:
         return self.groups.disadvantaged[self.users]
 
     @cached_property
+    def group_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        return ~self.dis, self.dis
+
+    @cached_property
     def key(self) -> np.ndarray:
         return 2 * self.items + self.dis
 
     @cached_property
-    def key_counts(self) -> np.ndarray:
-        return np.bincount(self.key, minlength=2 * self.num_items)
+    def counts(self) -> np.ndarray:
+        counts = np.bincount(self.key, minlength=2 * self.num_items).reshape(self.num_items, 2)
+        counts.setflags(write=False)
+        return counts
 
     @cached_property
-    def key_rating_sums(self) -> np.ndarray:
-        return np.bincount(self.key, weights=self.values, minlength=2 * self.num_items)
+    def avg_rating(self) -> np.ndarray:
+        sums = np.bincount(self.key, weights=self.values, minlength=2 * self.num_items)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            avg = sums.reshape(self.num_items, 2) / self.counts
+        avg.setflags(write=False)
+        return avg
 
     @cached_property
     def pattern(self):
@@ -181,7 +196,8 @@ class RatingPlan:
         indptr = np.zeros(self.num_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(users, minlength=self.num_users), out=indptr[1:])
         shape = (self.num_users, self.num_items)
-        return sparse.csr_matrix((np.zeros(len(self)), items, indptr), shape=shape), order
+        a = sparse.csr_matrix((np.zeros(len(self)), items, indptr), shape=shape)
+        return a, a.T, order
 
 
 def write_ratings(ratings: RatingSet, path):
@@ -270,15 +286,17 @@ def write_json(path, doc):
 
 # A config field's annotation -> the types its value may take; a bool is none of them.
 _FIELD_TYPES = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating),
-                "str": str, "tuple": (list, tuple)}
+                "str": str, "str | None": (str, type(None)), "tuple": (list, tuple)}
 
 
-def check_field_types(config):
+def check_field_types(config, **classes):
     """Raise ``<field>: expected <type>, got <value>`` unless each int, float,
-    str and tuple field of the dataclass ``config`` holds its type (see
-    _FIELD_TYPES); a tuple field must hold str, and is stored as a tuple."""
+    str, optional str and tuple field of the dataclass ``config`` holds its
+    type (see _FIELD_TYPES), and each field annotated with a name in
+    ``classes`` (as ``TrainConfig=TrainConfig``) holds an instance of that
+    class; a tuple field must hold str, and is stored as a tuple."""
     for f in fields(config):
-        value, types = getattr(config, f.name), _FIELD_TYPES.get(f.type)
+        value, types = getattr(config, f.name), _FIELD_TYPES.get(f.type) or classes.get(f.type)
         if types and (not isinstance(value, types) or isinstance(value, bool)
                       or f.type == "tuple" and not all(isinstance(v, str) for v in value)):
             raise ValueError(f"{f.name}: expected {f.type}, got {value!r}")

@@ -74,7 +74,7 @@ class ExperimentPlan:
     jobs: int = 1
 
     def __post_init__(self):
-        check_field_types(self)
+        check_field_types(self, TrainConfig=TrainConfig)
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; valid: {', '.join(SCENARIOS)}")
         if self.trials < 2:

@@ -112,7 +112,7 @@ def group_item_averages(predictions, ratings, groups: GroupAssignment | None = N
     ``predictions`` is aligned with the entries of ``ratings``: a RatingSet
     with its ``groups``, or a RatingPlan that holds them.  One bincount over
     the plan's (item, group) key gives every per-item prediction sum; the
-    counts and the rating sums come with the plan.
+    count and mean-rating tables and the group masks come with the plan.
     """
     if groups is None and not isinstance(ratings, RatingPlan):
         raise ValueError("group statistics need group labels")
@@ -120,15 +120,13 @@ def group_item_averages(predictions, ratings, groups: GroupAssignment | None = N
     predictions = np.asarray(predictions, dtype=np.float64)
     if predictions.shape != plan.values.shape:
         raise ValueError("predictions must align with the rating entries")
-    n = plan.num_items
-    counts = plan.key_counts.reshape(n, 2)
+    n, counts = plan.num_items, plan.counts
     pred_sums = np.bincount(plan.key, weights=predictions, minlength=2 * n)
     with np.errstate(invalid="ignore", divide="ignore"):
         avg_pred = pred_sums.reshape(n, 2) / counts
-        avg_rating = plan.key_rating_sums.reshape(n, 2) / counts
     overall = [predictions[mask].mean() if size else np.nan
-               for mask, size in zip((~plan.dis, plan.dis), counts.sum(axis=0))]
-    return GroupItemAverages(avg_pred, avg_rating, counts, np.array(overall))
+               for mask, size in zip(plan.group_masks, counts.sum(axis=0))]
+    return GroupItemAverages(avg_pred, plan.avg_rating, counts, np.array(overall))
 
 
 def _gap(kind: str, avgs: GroupItemAverages):

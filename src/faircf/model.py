@@ -65,9 +65,10 @@ class ModelParams:
     def arrays(self):
         """User vectors, item vectors, user biases and item biases, as views
         into ``flat``."""
-        m, n, d = self.num_users, self.num_items, self.d
-        p, q, u, v = np.split(self.flat, [m * d, (m + n) * d, (m + n) * d + m])
-        return p.reshape(m, d), q.reshape(n, d), u, v
+        m, n, d, flat = self.num_users, self.num_items, self.d, self.flat
+        items, biases = m * d, (m + n) * d
+        return (flat[:items].reshape(m, d), flat[items:biases].reshape(n, d),
+                flat[biases:biases + m], flat[biases + m:])
 
     user_vectors = property(lambda self: self.arrays()[0])
     item_vectors = property(lambda self: self.arrays()[1])
@@ -135,20 +136,38 @@ def predict(params: ModelParams, user: int, item: int) -> float:
 def predict_entries(params: ModelParams, users, items) -> np.ndarray:
     """Predicted scores for parallel index arrays (indices assumed valid).
 
-    Each factor column is gathered from a contiguous copy of the transposed
-    factor matrix.  The products of even and of odd k go to two running sums
-    that meet at the end, the order in which ``einsum("ij,ij->i")`` sums
-    them on two-lane SIMD for d < 8; then come the user and the item bias.
+    The factor columns come from contiguous copies of the transposed factor
+    matrices.  The item side of every entry is gathered.  The user side is
+    too, unless ``users`` is non-decreasing: then each user's run of entries
+    is known from ``np.searchsorted``, and ``np.repeat`` lays the user's
+    value along its run, which costs less than a gather per entry.  Both
+    paths fetch the same values, so they give the same bits.  The products
+    of even and of odd k go to two running sums that meet at the end, the
+    order in which ``einsum("ij,ij->i")`` sums them on two-lane SIMD for
+    d < 8; then come the user and the item bias.
     """
+    users = np.asarray(users)
     p, q, u, v = params.arrays()
     pt, qt = p.T.copy(), q.T.copy()
-    dot = [pt[k][users] * qt[k][items] for k in range(min(params.d, 2))]
-    for k in range(2, params.d):
-        dot[k % 2] += pt[k][users] * qt[k][items]
+    runs = None
+    if np.all(users[1:] >= users[:-1]):
+        runs = np.diff(np.searchsorted(users, np.arange(params.num_users + 1)))
+
+    def user_side(column):
+        return column[users] if runs is None else np.repeat(column, runs)
+
+    dot = []
+    for k in range(params.d):
+        term = user_side(pt[k])
+        term *= qt[k][items]
+        if k < 2:
+            dot.append(term)
+        else:
+            dot[k % 2] += term
     out = dot[0]
     if params.d > 1:
         out += dot[1]
-    out += u[users]
+    out += user_side(u)
     out += v[items]
     return out
 
@@ -168,7 +187,8 @@ def mf_objective_terms(params: ModelParams, ratings, predictions,
     if len(ratings) == 0:
         raise ValueError("cannot evaluate the objective on an empty rating set")
     residual = predictions - ratings.values
-    reg = 0.5 * lambda_reg * (np.sum(params.user_vectors ** 2) + np.sum(params.item_vectors ** 2))
+    p, q, _, _ = params.arrays()
+    reg = 0.5 * lambda_reg * (np.sum(p ** 2) + np.sum(q ** 2))
     objective = float(reg + np.mean(residual ** 2))
     residual *= 2.0
     residual /= len(ratings)
@@ -188,18 +208,19 @@ def accumulate_gradient(params: ModelParams, plan: RatingPlan, weights,
     of the L2 term).  ``weights`` is aligned with the entries of ``plan``;
     the gradient comes back in the parameter layout.
 
-    The weights fill the plan's user-major CSR matrix A (one gather), and
+    The weights fill the plan's user-major CSR matrix A and its CSC twin
+    A.T, which share one data array (one gather for shuffled entries), and
     ``A @ [Q, 1]`` and ``A.T @ [P, 1]`` give the user and the item gradients,
     factors and bias together.  Each output sums its terms in a fixed order
     (a user's entries in entry order; an item's in user order, then entry
     order), so results are reproducible bit for bit.
     """
-    a, order = plan.pattern
-    a.data = weights if order is None else weights[order]
+    a, at, order = plan.pattern
+    a.data = at.data = weights if order is None else weights[order]
     m, n, d = params.num_users, params.num_items, params.d
     p, q, _, _ = params.arrays()
     by_user = a @ np.column_stack([q, np.ones(n)])
-    by_item = a.T @ np.column_stack([p, np.ones(m)])
+    by_item = at @ np.column_stack([p, np.ones(m)])
     grad = ModelParams.from_flat(np.concatenate(
         [by_user[:, :d].ravel(), by_item[:, :d].ravel(), by_user[:, d], by_item[:, d]]), m, n, d)
     if lambda_reg:

@@ -7,8 +7,9 @@ Each iteration computes the exact gradient of
 (S_kind the smoothed ``kind`` metric of ``fairness``, absent for kind
 "none") over the whole training set (no minibatching) and applies one Adam
 update.  Everything that depends only on the ratings and the group labels
-(the group check, each entry's (item, group) key with its counts and rating
-sums, the CSR pattern of the grid) is built once per run, as a RatingPlan.
+(the group check, each entry's (item, group) key with the count and
+mean-rating tables and the group masks, the CSR pattern of the grid and its
+CSC view) is built once per run, as a RatingPlan.
 One pass per update then predicts the observed cells once, reads the
 objective, the penalty and dL/dyhat per entry off that prediction, and
 chains the latter back to the parameters once.  Parameters are initialized

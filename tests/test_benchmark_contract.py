@@ -1,11 +1,12 @@
 """The benchmark in perfbench/ still runs against the library.
 
 perfbench/smoke.py also checks traced call counts, which go stale whenever
-the training loop changes, so it is not part of this suite.  This test runs
-only the untraced cycle of each workload at its tiny size and asserts that
-every call and every output check in it passes.  A second test runs the
-CLI chain of the benchmark on its tiny archive and counts the input files
-that miss the whole-file parse.
+the training loop changes, so it is not part of this suite.  These tests
+run the untraced and the traced cycle of each workload at its tiny size and
+assert that every call and every output check in them passes, and that
+tracing changes no output.  Another test runs the CLI chain of the benchmark
+on its tiny archive and counts the input files that miss the whole-file
+parse.
 """
 
 import importlib.util
@@ -40,6 +41,26 @@ def test_workload_cycle_runs_at_tiny_size(bench, name, tmp_path):
                              check_reference=False)
     assert cycles.failures == []
     assert cycles.attempted > 0
+
+
+@pytest.mark.parametrize("name", ["paper-sweep", "ml-scale"])
+def test_the_traced_cycle_gives_the_outputs_of_the_untraced_one(bench, name, tmp_path,
+                                                                 monkeypatch):
+    """The traced run makes one untraced and one traced cycle.  Each traced
+    wrapper reads the arguments of its function (the byte count of
+    predict_entries takes ``(params, users, items)`` by position), so a
+    call shape it no longer fits fails the traced cycle."""
+    run, workloads = bench
+    outputs, compare = [], workloads.Cycles._compare
+    monkeypatch.setattr(workloads.Cycles, "_compare",
+                        lambda cycles, out: outputs.append(dict(out)) or compare(cycles, out))
+    cycles, _, _, _, tracer = run.measure_traced(
+        name, workloads.tiny(workloads.WORKLOADS[name]), 3, 0, tmp_path, check_reference=False)
+    assert cycles.failures == []
+    assert len(outputs) == 2 and outputs[0] and outputs[1] == outputs[0]
+    predicted = [span for span in tracer.spans
+                 if span[0] == "model.predict_entries" and span[4] >= 0]
+    assert predicted and all(span[6] > 0 for span in predicted)
 
 
 def test_the_tiny_cli_chain_parses_every_input_file_whole(bench, tmp_path, monkeypatch):

@@ -31,6 +31,19 @@ def make_dataset(tmp_path, name="data", extra=()):
     return out
 
 
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate", "experiment",
+                                     "prepare-movielens", "rerun"])
+def test_help_shows_no_unset_default(command, capsys):
+    """A parameter whose default is None, "unset", shows no default of its
+    own; its help text says what happens when it is left out, once."""
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "default: None" not in text
+    assert ") (default" not in text
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main([])                                    # subcommand required: argparse's own error

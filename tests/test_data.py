@@ -185,7 +185,7 @@ def test_plan_order_is_the_stable_argsort_of_shuffled_entries(num_users):
     shuffle = np.random.default_rng(num_users).permutation(users.size)
     users, items = users[shuffle], items[shuffle]
     ratings = RatingSet(users, items, np.ones(users.size), num_users, 4)
-    pattern, order = RatingPlan(ratings, GroupAssignment(np.zeros(num_users, bool))).pattern
+    pattern, _, order = RatingPlan(ratings, GroupAssignment(np.zeros(num_users, bool))).pattern
     assert order.dtype == np.intp
     assert np.array_equal(order, np.argsort(users.astype(np.int64), kind="stable"))
     assert np.array_equal(pattern.indices, items[order])

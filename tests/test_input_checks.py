@@ -59,6 +59,10 @@ CASES = {
                           "trials: expected int, got 2.5"),
     "plan-penalties-str": (lambda: ExperimentPlan("synthetic_U", penalties="value"),
                            "penalties: expected tuple, got 'value'"),
+    "plan-config-none": (lambda: ExperimentPlan(scenario="synthetic_U", config=None),
+                         "config: expected TrainConfig, got None"),
+    "plan-ml-dir-int": (lambda: ExperimentPlan(scenario="movielens", ml_dir=5),
+                        "ml_dir: expected str | None, got 5"),
     "spec-users-float": (lambda: BlockModelSpec(num_users=2.5),
                          "num_users: expected int, got 2.5"),
     "spec-labels-ints": (lambda: BlockModelSpec(user_group_labels=[1, 2, 3, 4]),

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faircf.data import GroupAssignment, RatingPlan, RatingSet
 from faircf.model import (ModelParams, TrainConfig, accumulate_gradient,
@@ -87,19 +89,78 @@ def test_objective_invariant_under_latent_rotation():
             mf_objective(params, ratings, lam))
 
 
-def test_accumulate_gradient_matches_loop():
-    rng = np.random.default_rng(11)
-    ratings, groups, params = random_instance(rng)
-    weights = rng.normal(size=len(ratings))
-    got = accumulate_gradient(params, RatingPlan(ratings, groups), weights)
+@st.composite
+def user_ordered_entries(draw):
+    """Parameters of latent dimension 1, 2, 3 or 5 and the entries of a grid
+    in user order, in which the first, the last or a middle user has none
+    and at least two users have some; plus a permutation of the entries
+    that is out of user order."""
+    d = draw(st.sampled_from([1, 2, 3, 5]))
+    m, n = draw(st.integers(3, 12)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    empty = draw(st.sampled_from([0, m // 2, m - 1]))
+    observed = rng.random((m, n)) < draw(st.sampled_from([0.2, 0.6, 1.0]))
+    observed[empty] = False
+    others = [u for u in range(m) if u != empty]
+    observed[others[0], 0] = observed[others[-1], n - 1] = True
+    users, items = np.nonzero(observed)
+    params = ModelParams.from_flat(rng.normal(size=(m + n) * (d + 1)), m, n, d)
+    shuffle = rng.permutation(users.size)
+    if np.all(users[shuffle][1:] >= users[shuffle][:-1]):
+        shuffle = shuffle[::-1]             # two users at least: now out of order
+    return params, users, items, shuffle
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=user_ordered_entries())
+def test_user_runs_predict_the_bits_of_the_gather(case):
+    """Entries in user order take the user side by runs, a shuffled copy
+    gathers it; mapped back to the same order, the two agree bit for bit."""
+    params, users, items, shuffle = case
+    ordered = predict_entries(params, users, items)
+    shuffled = np.empty_like(ordered)
+    shuffled[shuffle] = predict_entries(params, users[shuffle], items[shuffle])
+    assert np.array_equal(ordered, shuffled)
+    np.testing.assert_allclose(ordered, predict_matrix(params)[users, items], rtol=1e-12)
+
+
+def loop_gradient(params, ratings, weights):
+    """accumulate_gradient's result, one entry at a time."""
     want = ModelParams.zeros(params.num_users, params.num_items, params.d)
     for k, (u, i, _) in enumerate(entries(ratings)):
         want.user_vectors[u] += weights[k] * params.item_vectors[i]
         want.item_vectors[i] += weights[k] * params.user_vectors[u]
         want.user_bias[u] += weights[k]
         want.item_bias[i] += weights[k]
-    for got_arr, want_arr in zip(got.arrays(), want.arrays()):
+    return want
+
+
+def test_accumulate_gradient_matches_loop():
+    rng = np.random.default_rng(11)
+    ratings, groups, params = random_instance(rng)
+    weights = rng.normal(size=len(ratings))
+    got = accumulate_gradient(params, RatingPlan(ratings, groups), weights)
+    for got_arr, want_arr in zip(got.arrays(), loop_gradient(params, ratings, weights).arrays()):
         assert got_arr == pytest.approx(want_arr)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_one_plan_takes_new_weights_on_every_call(shuffled):
+    """The CSR matrix of a plan and its CSC view share their weights, which
+    each call replaces: call after call on one plan, each gradient equals
+    a fresh plan's bit for bit, and the one-entry-at-a-time loop's."""
+    rng = np.random.default_rng(17)
+    ratings, groups, params = random_instance(rng, max_users=6, max_items=5, d=3)
+    if shuffled:
+        ratings = ratings.subset(rng.permutation(len(ratings)))
+    plan = RatingPlan(ratings, groups)
+    assert (plan.pattern[2] is not None) == shuffled
+    for _ in range(4):
+        weights = rng.normal(size=len(ratings))
+        got = accumulate_gradient(params, plan, weights)
+        fresh = accumulate_gradient(params, RatingPlan(ratings, groups), weights)
+        assert np.array_equal(got.flat, fresh.flat)
+        assert got.flat == pytest.approx(loop_gradient(params, ratings, weights).flat)
 
 
 def test_params_validation():
