@@ -52,13 +52,14 @@ _TRAIN_PARAMS = {
     "reg": ("lambda_reg", "L2 weight on the factor matrices"),
     "iterations": ("iterations", "full-gradient update count"),
     "learning-rate": ("learning_rate", "Adam learning rate"),
-    "beta1": ("adam_beta1", "Adam first-moment decay"),
-    "beta2": ("adam_beta2", "Adam second-moment decay"),
-    "epsilon": ("adam_epsilon", "Adam denominator offset"),
     "penalty-weight": ("penalty_weight", "scale on the fairness penalty"),
 }
 _TRAIN_SCHEMA = {flag: (type(getattr(TrainConfig, name)), getattr(TrainConfig, name), False, help_text)
                  for flag, (name, help_text) in _TRAIN_PARAMS.items()}
+
+# Adam's constants, flags of train and experiment up to version 0.2.0, whose
+# manifests all record them at these values: a rerun drops them.
+_RETIRED_PARAMS = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-08}
 
 
 class AbsolutePath(str):
@@ -387,6 +388,8 @@ def _cmd_rerun(manifest_path: str, out_override: str | None) -> int:
     checksums = doc.get("input_checksums", {})
     if not isinstance(params, dict) or not isinstance(checksums, dict):
         raise ValueError(f"{path}: manifest 'params' and 'input_checksums' must be JSON objects")
+    params = {key: value for key, value in params.items()
+              if key not in _RETIRED_PARAMS or value != _RETIRED_PARAMS[key]}
     recorded_out = params.get("out")
     if out_override is None and isinstance(recorded_out, str) and not os.path.isabs(recorded_out):
         out_override = str(path.parent)     # an old relative out: the manifest lies in it

@@ -132,10 +132,8 @@ class RatingPlan:
     must cover the users of the grid, which is checked when the plan is
     built.  The rest is built on first use:
 
-    * ``dis``: True at the entries of disadvantaged users, and
-      ``group_masks``, the pair ``(~dis, dis)`` of advantaged and
-      disadvantaged entries;
-    * ``key``: the (item, group) cell of each entry, ``2 * item + dis``;
+    * ``key``: the (item, group) cell of each entry, ``2 * item + dis``,
+      with ``dis`` the entry's user's disadvantaged flag;
     * ``counts`` and ``avg_rating``: (num_items, 2) tables of the entry
       count and the mean rating of each (item, group) cell, columns
       advantaged and disadvantaged (bincount sums in entry order; NaN where
@@ -161,16 +159,8 @@ class RatingPlan:
         return int(self.values.shape[0])
 
     @cached_property
-    def dis(self) -> np.ndarray:
-        return self.groups.disadvantaged[self.users]
-
-    @cached_property
-    def group_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        return ~self.dis, self.dis
-
-    @cached_property
     def key(self) -> np.ndarray:
-        return 2 * self.items + self.dis
+        return 2 * self.items + self.groups.disadvantaged[self.users]
 
     @cached_property
     def counts(self) -> np.ndarray:

@@ -67,8 +67,8 @@ class ExperimentPlan:
     trials: int = 3
     config: TrainConfig = TrainConfig()
     seed: int = 0
-    num_users: int = 400
-    num_items: int = 300
+    num_users: int = BlockModelSpec.num_users
+    num_items: int = BlockModelSpec.num_items
     ml_dir: str | None = None
     test_fraction: float = 0.2
     jobs: int = 1
@@ -253,7 +253,8 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     return ExperimentResult(plan, {pen: [out[pen] for out in outputs] for pen in plan.penalties})
 
 
-def run_bias_settings_study(trials: int = 5, num_users: int = 400, num_items: int = 300,
+def run_bias_settings_study(trials: int = 5, num_users: int = BlockModelSpec.num_users,
+                            num_items: int = BlockModelSpec.num_items,
                             config: TrainConfig = TrainConfig(), seed: int = 0,
                             jobs: int = 1) -> dict:
     """Penalty-free comparison across the four synthetic settings; returns

@@ -6,9 +6,11 @@ and one column per group (0 advantaged, 1 disadvantaged), the layout of
 ``RatingPlan.key``: the mean predicted score, the mean observed score and the
 entry count of each (item, group) cell, over exactly the (user, item) pairs
 present in the supplied RatingSet, plus each group's overall mean
-prediction.  With e_g(j) the signed error of group g on item j, mean
-prediction minus mean score, each metric ``metric(kind, avgs)`` is the mean
-of |d| over the rows of one gap d between the groups:
+prediction, read off the same table: the column total of the prediction
+sums over the column total of the counts.  With e_g(j) the signed error of
+group g on item j, mean prediction minus mean score, each metric
+``metric(kind, avgs)`` is the mean of |d| over the rows of one gap d
+between the groups:
 
     value     d_j = e_dis(j) - e_adv(j)
     absolute  d_j = |e_dis(j)| - |e_adv(j)|
@@ -111,8 +113,9 @@ def group_item_averages(predictions, ratings, groups: GroupAssignment | None = N
 
     ``predictions`` is aligned with the entries of ``ratings``: a RatingSet
     with its ``groups``, or a RatingPlan that holds them.  One bincount over
-    the plan's (item, group) key gives every per-item prediction sum; the
-    count and mean-rating tables and the group masks come with the plan.
+    the plan's (item, group) key gives every per-item prediction sum, and
+    the column totals of those sums give the overall means; the count and
+    mean-rating tables come with the plan.
     """
     if groups is None and not isinstance(ratings, RatingPlan):
         raise ValueError("group statistics need group labels")
@@ -121,12 +124,11 @@ def group_item_averages(predictions, ratings, groups: GroupAssignment | None = N
     if predictions.shape != plan.values.shape:
         raise ValueError("predictions must align with the rating entries")
     n, counts = plan.num_items, plan.counts
-    pred_sums = np.bincount(plan.key, weights=predictions, minlength=2 * n)
+    pred_sums = np.bincount(plan.key, weights=predictions, minlength=2 * n).reshape(n, 2)
     with np.errstate(invalid="ignore", divide="ignore"):
-        avg_pred = pred_sums.reshape(n, 2) / counts
-    overall = [predictions[mask].mean() if size else np.nan
-               for mask, size in zip(plan.group_masks, counts.sum(axis=0))]
-    return GroupItemAverages(avg_pred, plan.avg_rating, counts, np.array(overall))
+        avg_pred = pred_sums / counts
+        overall = pred_sums.sum(axis=0) / counts.sum(axis=0)
+    return GroupItemAverages(avg_pred, plan.avg_rating, counts, overall)
 
 
 def _gap(kind: str, avgs: GroupItemAverages):

@@ -90,16 +90,14 @@ class TrainConfig:
 
     ``penalty`` selects the fairness term added to the objective (one of
     ``fairness.PENALTY_KINDS``); ``penalty_weight`` scales it and defaults
-    to equal weighting.
+    to equal weighting.  Adam's decay rates and denominator offset are not
+    settings: ``trainer`` holds the published defaults as constants.
     """
 
     d: int = 2
     lambda_reg: float = 1e-3
     iterations: int = 250
     learning_rate: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
     penalty: str = "none"
     penalty_weight: float = 1.0
@@ -114,10 +112,6 @@ class TrainConfig:
             raise ValueError("iterations must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie in [0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ValueError("adam_epsilon must be > 0")
         check_penalty(self.penalty)
         if self.penalty_weight < 0:
             raise ValueError("penalty_weight must be >= 0")
@@ -142,9 +136,7 @@ def predict_entries(params: ModelParams, users, items) -> np.ndarray:
     is known from ``np.searchsorted``, and ``np.repeat`` lays the user's
     value along its run, which costs less than a gather per entry.  Both
     paths fetch the same values, so they give the same bits.  The products
-    of even and of odd k go to two running sums that meet at the end, the
-    order in which ``einsum("ij,ij->i")`` sums them on two-lane SIMD for
-    d < 8; then come the user and the item bias.
+    p_ik * q_jk are added in k order, then the user and the item bias.
     """
     users = np.asarray(users)
     p, q, u, v = params.arrays()
@@ -156,17 +148,12 @@ def predict_entries(params: ModelParams, users, items) -> np.ndarray:
     def user_side(column):
         return column[users] if runs is None else np.repeat(column, runs)
 
-    dot = []
-    for k in range(params.d):
+    out = user_side(pt[0])
+    out *= qt[0][items]
+    for k in range(1, params.d):
         term = user_side(pt[k])
         term *= qt[k][items]
-        if k < 2:
-            dot.append(term)
-        else:
-            dot[k % 2] += term
-    out = dot[0]
-    if params.d > 1:
-        out += dot[1]
+        out += term
     out += user_side(u)
     out += v[items]
     return out

@@ -117,7 +117,8 @@ class SyntheticDataset:
     spec: BlockModelSpec
 
 
-def builtin_specs(num_users: int = 400, num_items: int = 300, seed: int = 0) -> dict:
+def builtin_specs(num_users: int = BlockModelSpec.num_users,
+                  num_items: int = BlockModelSpec.num_items, seed: int = 0) -> dict:
     """The four standard settings, keyed U, O, P, P+O."""
     def make(pop, obs):
         return BlockModelSpec(user_group_proportions=pop, obs_probs=obs,

@@ -8,8 +8,8 @@ Each iteration computes the exact gradient of
 "none") over the whole training set (no minibatching) and applies one Adam
 update.  Everything that depends only on the ratings and the group labels
 (the group check, each entry's (item, group) key with the count and
-mean-rating tables and the group masks, the CSR pattern of the grid and its
-CSC view) is built once per run, as a RatingPlan.
+mean-rating tables, the CSR pattern of the grid and its CSC view) is built
+once per run, as a RatingPlan.
 One pass per update then predicts the observed cells once, reads the
 objective, the penalty and dL/dyhat per entry off that prediction, and
 chains the latter back to the parameters once.  Parameters are initialized
@@ -34,6 +34,7 @@ from .model import (ModelParams, TrainConfig, accumulate_gradient, mf_objective_
                     predict_entries)
 
 INIT_SCALE = 0.1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8      # Kingma & Ba's defaults
 
 
 class DivergenceError(RuntimeError):
@@ -80,11 +81,10 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, first_moment: np.ndarray,
               config: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adam update number ``step`` (from 1) on flat vectors; returns fresh
     parameters and moments, inputs untouched."""
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    m = b1 * first_moment + (1.0 - b1) * grad
-    v = b2 * second_moment + (1.0 - b2) * grad * grad
-    theta = theta - (config.learning_rate * (m / (1.0 - b1 ** step))
-                     / (np.sqrt(v / (1.0 - b2 ** step)) + config.adam_epsilon))
+    m = ADAM_BETA1 * first_moment + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * second_moment + (1.0 - ADAM_BETA2) * grad * grad
+    theta = theta - (config.learning_rate * (m / (1.0 - ADAM_BETA1 ** step))
+                     / (np.sqrt(v / (1.0 - ADAM_BETA2 ** step)) + ADAM_EPSILON))
     return theta, m, v
 
 

@@ -177,6 +177,32 @@ def test_rerun_reproduces_bytes(tmp_path, monkeypatch):
         assert (model_dir / name).read_bytes() == blob
 
 
+def test_rerun_drops_adams_constants_at_their_old_values(tmp_path, capsys):
+    """Up to 0.2.0 every train manifest recorded beta1, beta2 and epsilon;
+    at those values a rerun drops them, any other value is a fault."""
+    data = make_dataset(tmp_path)
+    model_dir = tmp_path / "model"
+    run_ok(["train", "--data", str(data), "--penalty", "value", "--iterations", "20",
+            "--out", str(model_dir)])
+    manifest = model_dir / "manifest.json"
+    doc = read_manifest(model_dir)
+    assert doc["params"]["dim"] == 2
+    doc["params"].update(beta1=0.9, beta2=0.999, epsilon=1e-08)
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    redo = tmp_path / "redo"
+    run_ok(["rerun", str(manifest), "--out", str(redo)])
+    for name in ("model.txt", "trace.csv"):
+        assert (redo / name).read_bytes() == (model_dir / name).read_bytes()
+    doc["params"]["beta1"] = 0.8
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["rerun", str(manifest), "--out", str(redo)]) == 1
+    assert "unknown parameter 'beta1' for 'train'" in capsys.readouterr().err
+    config = tmp_path / "config.json"                   # a config file gets no such allowance
+    config.write_text(json.dumps({"beta1": 0.9}), encoding="utf-8")
+    assert main(["train", "--data", str(data), "--out", str(redo), "--config", str(config)]) == 2
+    assert "unknown parameter 'beta1' for 'train'" in capsys.readouterr().err
+
+
 def test_rerun_detects_changed_inputs(tmp_path):
     data = make_dataset(tmp_path)
     model_dir = tmp_path / "model"

@@ -37,7 +37,6 @@ CASES = {
                       "num_users and num_items must be positive"),
     "plan-test-fraction": (lambda: ExperimentPlan("movielens", ml_dir="x", test_fraction=1.5),
                            "test_fraction must lie strictly between 0 and 1"),
-    "config-epsilon": (lambda: TrainConfig(adam_epsilon=0.0), "adam_epsilon must be > 0"),
     "config-penalty-weight": (lambda: TrainConfig(penalty_weight=-1.0),
                               "penalty_weight must be >= 0"),
     "spec-no-users": (lambda: BlockModelSpec(num_users=0),

@@ -115,12 +115,18 @@ def user_ordered_entries(draw):
 @given(case=user_ordered_entries())
 def test_user_runs_predict_the_bits_of_the_gather(case):
     """Entries in user order take the user side by runs, a shuffled copy
-    gathers it; mapped back to the same order, the two agree bit for bit."""
+    gathers it; mapped back to the same order, the two agree bit for bit,
+    and with the factor products added in k order, then the two biases."""
     params, users, items, shuffle = case
     ordered = predict_entries(params, users, items)
     shuffled = np.empty_like(ordered)
     shuffled[shuffle] = predict_entries(params, users[shuffle], items[shuffle])
     assert np.array_equal(ordered, shuffled)
+    p, q, u, v = params.arrays()
+    in_k_order = p[users, 0] * q[items, 0]
+    for k in range(1, params.d):
+        in_k_order += p[users, k] * q[items, k]
+    assert np.array_equal(ordered, in_k_order + u[users] + v[items])
     np.testing.assert_allclose(ordered, predict_matrix(params)[users, items], rtol=1e-12)
 
 
@@ -174,7 +180,7 @@ def test_params_validation():
 
 def test_train_config_validation():
     for bad in (dict(d=0), dict(lambda_reg=-1.0), dict(iterations=-1),
-                dict(learning_rate=0.0), dict(adam_beta1=1.0), dict(penalty="bogus")):
+                dict(learning_rate=0.0), dict(penalty="bogus")):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
