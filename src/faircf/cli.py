@@ -220,6 +220,8 @@ def _load_dataset(data_dir: Path):
     ratings = read_ratings(ratings_path, num_users=num_users or groups.num_users,
                            num_items=num_items)
     _check_group_count(groups, groups_path, ratings.num_users, ratings_path)
+    if not len(ratings):
+        raise ValueError(f"{ratings_path}: cannot train on an empty rating set")
     return ratings, groups, {str(ratings_path): _checksum(ratings_path),
                              str(groups_path): _checksum(groups_path)}
 
@@ -276,6 +278,8 @@ def _cmd_evaluate(params: dict):
         raise FileNotFoundError(
             f"no target file: {targets_path} (pass --targets to point at one)")
     targets = read_ratings(targets_path, num_users=model.num_users, num_items=model.num_items)
+    if not len(targets):
+        raise ValueError(f"{targets_path}: cannot evaluate on an empty target set")
     report = evaluate(model, targets, groups)
     out = Path(params["out"])
     (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")

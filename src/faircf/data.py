@@ -46,7 +46,7 @@ class RatingEntryError(ValueError):
         self.entry = int(np.argmax(bad))
 
 
-def _repeats(keys):
+def repeats(keys):
     """True at every entry whose key already appeared earlier."""
     repeated = np.ones(keys.size, dtype=bool)
     repeated[np.unique(keys, return_index=True)[1]] = False
@@ -91,7 +91,7 @@ class RatingSet:
                                        (items < 0) | (items >= self.num_items))
             keys = users * self.num_items + items       # strictly ascending needs no sort
             if np.any(keys[1:] <= keys[:-1]) and not np.all(np.diff(np.sort(keys))):
-                raise RatingEntryError("duplicate (user, item) pair", _repeats(keys))
+                raise RatingEntryError("duplicate (user, item) pair", repeats(keys))
         finite = np.isfinite(self.values)
         if not np.all(finite):
             raise RatingEntryError("rating values must be finite", ~finite)
@@ -224,7 +224,7 @@ def read_groups(path) -> GroupAssignment:
         raise ValueError(f"{path}: empty group file")
     reject(path, lines, ~np.isin(flags, ("0", "1")), "expected 'user<TAB>0|1'")
     reject(path, lines, users < 0, "bad user index")
-    reject(path, lines, _repeats(users), "duplicate user {}", users)
+    reject(path, lines, repeats(users), "duplicate user {}", users)
     if users.max() + 1 != users.size:       # unique and >= 0, so some index is missing
         missing = np.argmax(np.sort(users) != np.arange(users.size))
         raise ValueError(f"{path}: user {missing} has no group label")
@@ -402,8 +402,7 @@ def _line_count(path, skip):
     end = len(data)
     while end > start and data[end - 1:end].isspace():
         end -= 1
-    text = np.frombuffer(data, np.uint8)[start:end]
-    return np.count_nonzero(text == ord("\n")) + 1 if text.size else 0
+    return data.count(b"\n", start, end) + 1 if end > start else 0
 
 
 def write_fields(path, sep, columns, header=""):

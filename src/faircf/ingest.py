@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GroupAssignment, RatingSet, csv_text, read_fields, reject, text_table
+from .data import GroupAssignment, RatingSet, csv_text, read_fields, reject, repeats, text_table
 
 ARCHIVE_FILES = ("users.dat", "movies.dat", "ratings.dat")
 DEFAULT_GENRES = ("Action", "Crime", "Musical", "Romance", "Sci-Fi")
@@ -27,15 +27,14 @@ GENRE_TABLE_ORDER = ("Romance", "Action", "Sci-Fi", "Musical", "Crime")
 
 @dataclass(eq=False)
 class MovieLensRaw:
-    """Parsed archive: users maps id -> (gender, age, occupation, zip),
-    movies maps id -> (title, genre tuple), ratings are parallel arrays."""
+    """Parsed archive: users maps id -> True for a woman, movies maps id ->
+    genre tuple, ratings are parallel arrays (user id, movie id, stars)."""
 
     users: dict
     movies: dict
     rating_users: np.ndarray
     rating_movies: np.ndarray
     rating_values: np.ndarray
-    rating_times: np.ndarray
 
     @property
     def num_ratings(self):
@@ -48,7 +47,7 @@ class FilteredDataset:
 
     ``movie_genres[j]`` lists the selected genres movie j carries (a movie
     can count toward several).  ``user_ids``/``movie_ids`` map the new
-    contiguous indices back to the archive ids.
+    contiguous indices back to the archive ids; ``genres`` is in the archive's spelling.
     """
 
     ratings: RatingSet
@@ -57,7 +56,6 @@ class FilteredDataset:
     user_ids: np.ndarray
     movie_ids: np.ndarray
     genres: tuple
-    min_ratings: int
 
 
 @dataclass
@@ -98,32 +96,33 @@ class GenreStats:
 
 
 def parse(ml_dir) -> MovieLensRaw:
-    """Parse the ARCHIVE_FILES of the archive directory."""
+    """Parse the ARCHIVE_FILES of the archive directory, keeping what the filter
+    reads; every field is checked, and a repeated user or movie id is a fault."""
     paths = [Path(ml_dir) / name for name in ARCHIVE_FILES]
     for p in paths:
         if not p.exists():
             raise FileNotFoundError(f"missing MovieLens file: {p}")
     users_path, movies_path, ratings_path = paths
 
-    lines, (uids, gender, age, occupation, zipcode) = read_fields(
-        users_path, "::", (int, str, int, int, str), encoding="latin-1")
-    reject(users_path, lines, ~np.isin(gender, ("F", "M")), "gender must be F or M")
-    users = dict(zip(uids.tolist(), zip(gender.tolist(), age.tolist(), occupation.tolist(),
-                                        zipcode.tolist())))
-
-    _, (mids, titles, genres) = read_fields(movies_path, "::", (int, str, str),
+    lines, (uids, gender, *_) = read_fields(users_path, "::", (int, str, int, int, str),
                                             encoding="latin-1")
-    movies = {mid: (title, tuple(g.split("|")))
-              for mid, title, g in zip(mids.tolist(), titles.tolist(), genres.tolist())}
+    reject(users_path, lines, ~np.isin(gender, ("F", "M")), "gender must be F or M")
+    reject(users_path, lines, repeats(uids), "duplicate user {}", uids)
+    users = dict(zip(uids.tolist(), (gender == "F").tolist()))
 
-    lines, (r_users, r_movies, r_values, r_times) = read_fields(
+    lines, (mids, _, genres) = read_fields(movies_path, "::", (int, str, str),
+                                           encoding="latin-1")
+    reject(movies_path, lines, repeats(mids), "duplicate movie {}", mids)
+    movies = {mid: tuple(g.split("|")) for mid, g in zip(mids.tolist(), genres.tolist())}
+
+    lines, (r_users, r_movies, r_values, _) = read_fields(
         ratings_path, "::", (int, int, int, int), encoding="latin-1")
     if not lines.size:
         raise ValueError(f"{ratings_path}: no ratings found")
     reject(ratings_path, lines, (r_values < 1) | (r_values > 5), "rating outside 1..5")
     reject(ratings_path, lines, ~np.isin(r_users, uids), "unknown user {}", r_users)
     reject(ratings_path, lines, ~np.isin(r_movies, mids), "unknown movie {}", r_movies)
-    return MovieLensRaw(users, movies, r_users, r_movies, r_values.astype(np.float64), r_times)
+    return MovieLensRaw(users, movies, r_users, r_movies, r_values.astype(np.float64))
 
 
 def filter_dataset(raw: MovieLensRaw, genres=DEFAULT_GENRES,
@@ -139,7 +138,7 @@ def filter_dataset(raw: MovieLensRaw, genres=DEFAULT_GENRES,
     # Movie pass: canonical spellings come from the archive itself.
     canonical = {}
     movie_selected = {}
-    for mid, (_, movie_genres) in raw.movies.items():
+    for mid, movie_genres in raw.movies.items():
         hits = tuple(g for g in movie_genres if g.casefold() in wanted)
         if hits:
             movie_selected[mid] = hits
@@ -161,11 +160,10 @@ def filter_dataset(raw: MovieLensRaw, genres=DEFAULT_GENRES,
     ratings = RatingSet(users, items, raw.rating_values[final_mask],
                         len(user_ids), len(movie_ids))
 
-    disadvantaged = np.array([raw.users[uid][0] == "F" for uid in user_ids.tolist()],
-                             dtype=bool)
+    disadvantaged = np.array([raw.users[uid] for uid in user_ids.tolist()], dtype=bool)
     movie_genres = [movie_selected[mid] for mid in movie_ids.tolist()]
     return FilteredDataset(ratings, GroupAssignment(disadvantaged), movie_genres,
-                           user_ids, movie_ids, display_genres, min_ratings)
+                           user_ids, movie_ids, display_genres)
 
 
 def genre_stats(data: FilteredDataset) -> GenreStats:

@@ -106,14 +106,14 @@ class TrainConfig:
         check_field_types(self)
         if self.d < 1:
             raise ValueError("latent dimension must be >= 1")
-        if self.lambda_reg < 0:
+        if not self.lambda_reg >= 0:     # NaN fails every comparison
             raise ValueError("lambda_reg must be >= 0")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
         check_penalty(self.penalty)
-        if self.penalty_weight < 0:
+        if not self.penalty_weight >= 0:
             raise ValueError("penalty_weight must be >= 0")
 
 

@@ -106,14 +106,13 @@ class BlockModelSpec:
 @dataclass(eq=False)
 class SyntheticDataset:
     """Generated data: the observed ratings, the binary labels the model may
-    see, the hidden user and item blocks (indices into the spec's labels),
-    and the expected score (2 * like_prob - 1) for every grid cell."""
+    see and the hidden user and item blocks (indices into the spec's labels),
+    from which ``evaluation_set`` reads the expected score of a cell."""
 
     observed: RatingSet
     groups: GroupAssignment
     user_group: np.ndarray
     item_group: np.ndarray
-    expected_ratings: np.ndarray
     spec: BlockModelSpec
 
 
@@ -169,19 +168,18 @@ def generate(spec: BlockModelSpec) -> SyntheticDataset:
 
     disadvantaged = np.isin(np.asarray(spec.user_group_labels)[user_group],
                             spec.disadvantaged_user_groups)
-    expected = 2.0 * cell_like - 1.0
-    return SyntheticDataset(observed, GroupAssignment(disadvantaged), user_group, item_group,
-                            expected, spec)
+    return SyntheticDataset(observed, GroupAssignment(disadvantaged), user_group, item_group, spec)
 
 
 def evaluation_set(data: SyntheticDataset) -> RatingSet:
     """Held-out targets: every unobserved grid cell paired with its expected
-    score.  Empty when everything was observed."""
+    score, 2 * like_prob - 1 of its block cell.  Empty when all was observed."""
     m, n = data.spec.num_users, data.spec.num_items
     mask = np.ones((m, n), dtype=bool)
     mask[data.observed.users, data.observed.items] = False
     rows, cols = np.nonzero(mask)
-    return RatingSet(rows, cols, data.expected_ratings[rows, cols], m, n)
+    expected = 2.0 * data.spec.like_probs[data.user_group[rows], data.item_group[cols]] - 1.0
+    return RatingSet(rows, cols, expected, m, n)
 
 
 def spec_to_json(spec: BlockModelSpec) -> str:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from faircf.ingest import filter_dataset, genre_stats, parse, split
-from conftest import write_ml_corpus
+from faircf.ingest import DEFAULT_MIN_RATINGS, filter_dataset, genre_stats, parse, split
+from conftest import MINI_MOVIES, MINI_USERS, write_ml_corpus
 from oracles import entries
 
 
@@ -16,8 +16,12 @@ def test_parse_reads_whole_archive(mini_ml_dir):
     raw = parse(mini_ml_dir)
     assert len(raw.users) == 6 and len(raw.movies) == 5
     assert raw.num_ratings == 11
-    assert raw.users[1] == ("F", 1, 10, "48067")
-    assert raw.movies[3] == ("Space Probe (1997)", ("Sci-Fi", "Action"))
+    users = [line.split("::") for line in MINI_USERS.splitlines()]
+    assert raw.users == {int(uid): gender == "F" for uid, gender, *_ in users}
+    assert raw.users[1] is True
+    movies = [line.split("::") for line in MINI_MOVIES.splitlines()]
+    assert raw.movies == {int(mid): tuple(genres.split("|")) for mid, _, genres in movies}
+    assert raw.movies[3] == ("Sci-Fi", "Action")
     assert raw.rating_values.min() >= 1 and raw.rating_values.max() <= 5
 
 
@@ -33,10 +37,16 @@ def test_parse_rejects_missing_file(tmp_path):
     ("ratings", "1::99::5::978300760\n", "unknown movie"),
     ("ratings", "9::1::5::978300760\n", "unknown user"),
     ("ratings", "", "no ratings"),
+    # a repeated id is a fault at its second line, not a silent last-line-wins
+    pytest.param("users", MINI_USERS + "1::M::1::10::48067\n",
+                 "users.dat: line 7: duplicate user 1$", id="repeated-last-user"),
+    pytest.param("users", "4::M::45::7::02460\n" + MINI_USERS,
+                 "users.dat: line 5: duplicate user 4$", id="repeated-first-user"),
+    pytest.param("movies", MINI_MOVIES + "3::Space Probe (1997)::Sci-Fi\n",
+                 "movies.dat: line 6: duplicate movie 3$", id="repeated-movie"),
 ])
 def test_parse_reports_bad_lines(tmp_path, column, content, message):
-    kwargs = {column: content} if column == "users" else {"ratings": content}
-    corpus = write_ml_corpus(tmp_path / "corrupt", **kwargs)
+    corpus = write_ml_corpus(tmp_path / "corrupt", **{column: content})
     with pytest.raises(ValueError, match=message):
         parse(corpus)
 
@@ -140,7 +150,7 @@ def test_filter_matches_a_per_rating_reference(bulk_ml_dir):
     # vectorized one: both must give the same arrays and ids exactly.
     raw = parse(bulk_ml_dir)
     data = filter_dataset(raw)
-    selected = {mid for mid, (_, gs) in raw.movies.items() if set(gs) & set(data.genres)}
+    selected = {mid for mid, gs in raw.movies.items() if set(gs) & set(data.genres)}
     counts = {}
     for uid, mid in zip(raw.rating_users.tolist(), raw.rating_movies.tolist()):
         if mid in selected:
@@ -148,7 +158,7 @@ def test_filter_matches_a_per_rating_reference(bulk_ml_dir):
     kept = [(uid, mid, value) for uid, mid, value in zip(raw.rating_users.tolist(),
                                                          raw.rating_movies.tolist(),
                                                          raw.rating_values.tolist())
-            if mid in selected and counts[uid] >= data.min_ratings]
+            if mid in selected and counts[uid] >= DEFAULT_MIN_RATINGS]
     user_ids = sorted({uid for uid, _, _ in kept})
     movie_ids = sorted({mid for _, mid, _ in kept})
     assert data.user_ids.tolist() == user_ids and data.movie_ids.tolist() == movie_ids

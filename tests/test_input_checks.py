@@ -25,7 +25,7 @@ def one_penalty_result():
     return ExperimentResult(plan, {"none": [FairnessReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * 2})
 
 
-NO_RATINGS = MovieLensRaw({}, {}, *[np.zeros(0, dtype=np.int64)] * 4)
+NO_RATINGS = MovieLensRaw({}, {}, *[np.zeros(0, dtype=np.int64)] * 3)
 
 CASES = {
     "plan-no-penalties": (lambda: ExperimentPlan("synthetic_U", penalties=()),
@@ -39,6 +39,12 @@ CASES = {
                            "test_fraction must lie strictly between 0 and 1"),
     "config-penalty-weight": (lambda: TrainConfig(penalty_weight=-1.0),
                               "penalty_weight must be >= 0"),
+    # NaN fails every comparison, so each range check must be one that NaN fails
+    "config-reg-nan": (lambda: TrainConfig(lambda_reg=float("nan")), "lambda_reg must be >= 0"),
+    "config-rate-nan": (lambda: TrainConfig(learning_rate=float("nan")),
+                        "learning_rate must be > 0"),
+    "config-weight-nan": (lambda: TrainConfig(penalty_weight=np.nan),
+                          "penalty_weight must be >= 0"),
     "spec-no-users": (lambda: BlockModelSpec(num_users=0),
                       "num_users and num_items must be positive"),
     "spec-no-items": (lambda: BlockModelSpec(num_items=-3),

@@ -10,6 +10,7 @@ from faircf.cli import main
 from faircf.data import read_groups, read_ratings
 from faircf.fairness import FairnessReport
 from faircf.model import ModelParams, load_params, predict, save_params
+from conftest import MINI_USERS, write_ml_corpus
 
 
 def make_dataset(tmp_path):
@@ -117,6 +118,37 @@ def test_a_diverging_train_prints_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "objective became non-finite at iteration 0" in err[0]
+
+
+@pytest.mark.parametrize("text", ["", "\n \t\n"])
+def test_train_names_an_empty_rating_file(tmp_path, capsys, text):
+    # the grid comes from the dataset's manifest, so the file may hold no entry
+    data = make_dataset(tmp_path)
+    (data / "ratings.tsv").write_text(text, encoding="utf-8")
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "model")]) == 1
+    assert (f"faircf train: {data / 'ratings.tsv'}: cannot train on an empty rating set\n"
+            == capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text", ["", "\n \t\n"])
+def test_evaluate_names_an_empty_target_file(tmp_path, capsys, text):
+    data = make_dataset(tmp_path)
+    model = train_model(tmp_path, data)
+    targets = tmp_path / "targets.tsv"
+    targets.write_text(text, encoding="utf-8")
+    assert main(["evaluate", "--model", str(model), "--data", str(data), "--targets", str(targets),
+                 "--out", str(tmp_path / "report")]) == 1
+    assert (f"faircf evaluate: {targets}: cannot evaluate on an empty target set\n"
+            == capsys.readouterr().err)
+
+
+def test_prepare_movielens_names_a_repeated_user(tmp_path, capsys):
+    # the last line of a repeated id used to win: user 1 became a man
+    archive = write_ml_corpus(tmp_path / "ml", users=MINI_USERS + "1::M::1::10::48067\n")
+    assert main(["prepare-movielens", "--ml-dir", str(archive), "--min-ratings", "2",
+                 "--out", str(tmp_path / "prepared")]) == 1
+    assert (f"faircf prepare-movielens: {archive / 'users.dat'}: line 7: duplicate user 1\n"
+            == capsys.readouterr().err)
 
 
 def test_train_without_a_group_file(tmp_path, capsys):

@@ -64,12 +64,14 @@ def test_quota_remainders_go_to_largest():
 
 def test_expected_ratings_follow_like_table():
     data = generate(builtin_specs(num_users=40, num_items=30, seed=3)["U"])
-    w_users = np.nonzero(data.user_group == 0)[0]
-    fem_items = np.nonzero(data.item_group == 0)[0]
-    stem_items = np.nonzero(data.item_group == 1)[0]
+    held = evaluation_set(data)
+    w_users = data.user_group[held.users] == 0
+    fem_items = w_users & (data.item_group[held.items] == 0)
+    stem_items = w_users & (data.item_group[held.items] == 1)
+    assert fem_items.any() and stem_items.any()
     # 2 * 0.8 - 1 and 2 * 0.2 - 1
-    assert data.expected_ratings[np.ix_(w_users, fem_items)] == pytest.approx(0.6)
-    assert data.expected_ratings[np.ix_(w_users, stem_items)] == pytest.approx(-0.6)
+    assert held.values[fem_items] == pytest.approx(0.6)
+    assert held.values[stem_items] == pytest.approx(-0.6)
 
 
 def test_observed_values_are_signs():
@@ -116,8 +118,9 @@ def test_evaluation_set_is_the_exact_complement():
     seen = set(zip(data.observed.users.tolist(), data.observed.items.tolist()))
     held_keys = set(zip(held.users.tolist(), held.items.tolist()))
     assert not seen & held_keys
+    expected = 2 * LIKE_PROBS[np.ix_(data.user_group, data.item_group)] - 1
     for u, i, v in entries(held):
-        assert v == data.expected_ratings[u, i]
+        assert v == expected[u, i]
 
 
 def test_population_mix_puts_nonparity_in_the_truth():
@@ -125,8 +128,9 @@ def test_population_mix_puts_nonparity_in_the_truth():
     # group means -0.12 and +0.12 on the full grid; U balances them out.
     for setting, want in (("P", 0.24), ("U", 0.0)):
         data = generate(builtin_specs(num_users=400, num_items=300, seed=0)[setting])
-        rows, cols = np.indices(data.expected_ratings.shape).reshape(2, -1)
-        grid = RatingSet(rows, cols, data.expected_ratings[rows, cols], 400, 300)
+        expected = 2 * LIKE_PROBS[np.ix_(data.user_group, data.item_group)] - 1
+        rows, cols = np.indices(expected.shape).reshape(2, -1)
+        grid = RatingSet(rows, cols, expected[rows, cols], 400, 300)
         truth = metric("nonparity", group_item_averages(grid.values, grid, data.groups))
         assert truth == pytest.approx(want, abs=1e-12)
 
