@@ -53,8 +53,34 @@ def repeats(keys):
     return repeated
 
 
-class RatingSet:
-    """Sparse set of observed (user, item, value) triples on a fixed grid.
+def _read_only(array, dtype) -> np.ndarray:
+    """A read-only copy of ``array`` as ``dtype``."""
+    array = np.array(array, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
+class _ReadOnlyArrays:
+    """Pickling for a container of read-only arrays.  An unpickled array is
+    writable, so each one is made read-only again, and a kept plan (see
+    ``RatingSet.plan``) stays behind."""
+
+    def __getstate__(self):
+        return {name: value for name, value in self.__dict__.items() if name != "_plan"}
+
+    def __setstate__(self, state):
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class RatingSet(_ReadOnlyArrays):
+    """Sparse set of observed (user, item, value) triples on a fixed grid;
+    immutable: it holds read-only copies of the arrays it is given, and
+    checks them once, when built.  It keeps the RatingPlan of the last
+    groups object ``plan`` was asked for; a pickled set leaves it behind.
 
     Parameters
     ----------
@@ -68,12 +94,18 @@ class RatingSet:
         (user, item) pair may appear at most once.
     """
 
-    def __init__(self, users, items, values, num_users, num_items):
-        self.users = np.ascontiguousarray(users, dtype=np.int64)
-        self.items = np.ascontiguousarray(items, dtype=np.int64)
-        self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self.num_users = int(num_users)
-        self.num_items = int(num_items)
+    users: np.ndarray
+    items: np.ndarray
+    values: np.ndarray
+    num_users: int
+    num_items: int
+    _plan = None            # not a field: the plan that ``plan`` keeps
+
+    def __post_init__(self):
+        for name, dtype in (("users", np.int64), ("items", np.int64), ("values", np.float64)):
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
+        object.__setattr__(self, "num_users", int(self.num_users))
+        object.__setattr__(self, "num_items", int(self.num_items))
         self.validate()
 
     def validate(self):
@@ -104,16 +136,29 @@ class RatingSet:
         return RatingSet(self.users[index], self.items[index], self.values[index],
                          self.num_users, self.num_items)
 
+    def plan(self, groups: GroupAssignment) -> RatingPlan:
+        """The RatingPlan of these entries under ``groups``.  It is built on
+        the first request for that GroupAssignment object and kept in one
+        slot, so that every later request for the same object gets the same
+        plan, lazy tables and all, until a request names another object.
+        Both containers are immutable, so a kept plan cannot go stale.
+        Calls that share a plan must not run at the same time in threads:
+        ``model.accumulate_gradient`` points its pattern at their weights."""
+        if self._plan is None or self._plan.groups is not groups:
+            object.__setattr__(self, "_plan", RatingPlan(self, groups))
+        return self._plan
 
-@dataclass(eq=False)
-class GroupAssignment:
+
+@dataclass(frozen=True, eq=False)
+class GroupAssignment(_ReadOnlyArrays):
     """Binary per-user group labels; ``disadvantaged[i]`` is True for the
-    disadvantaged group."""
+    disadvantaged group.  Immutable: it holds a read-only copy of the labels
+    it is given."""
 
     disadvantaged: np.ndarray
 
     def __post_init__(self):
-        self.disadvantaged = np.ascontiguousarray(self.disadvantaged, dtype=bool)
+        object.__setattr__(self, "disadvantaged", _read_only(self.disadvantaged, bool))
         if self.disadvantaged.ndim != 1:
             raise ValueError("disadvantaged must be a 1-d boolean array")
 
@@ -126,7 +171,10 @@ class RatingPlan:
     """Everything a training run or an evaluation derives from ``(ratings,
     groups)`` alone, built once and then read by every pass over the entries.
     The training kernels (``trainer.loss_terms``, ``fairness.penalty_terms``,
-    ``model.accumulate_gradient``) take their entries as a plan.
+    ``model.accumulate_gradient``) take their entries as a plan, and
+    ``trainer.train`` and ``experiments.evaluate`` take theirs from
+    ``RatingSet.plan``, which keeps it on the set: every call on the same
+    set and the same groups object shares one plan and its tables.
 
     It exposes the rating arrays like a RatingSet does.  The group labels
     must cover the users of the grid, which is checked when the plan is
@@ -137,14 +185,14 @@ class RatingPlan:
     * ``counts`` and ``avg_rating``: (num_items, 2) tables of the entry
       count and the mean rating of each (item, group) cell, columns
       advantaged and disadvantaged (bincount sums in entry order; NaN where
-      the count is 0).  Both are read-only, as every pass shares them;
+      the count is 0).  These three are read-only, as every pass shares them;
     * ``pattern``: ``(A, A.T, order)``, the user-major CSR matrix of the
       grid, whose slot s holds entry ``order[s]``, and its CSC view, built
       once from the same arrays, so no item-major pattern is ever built
       (``order``, a stable argsort of the users in their smallest unsigned
       type, radix-sorted up to 65536 users, is None for entries in user
       order).  Each accumulate_gradient call points the data of both at
-      the new weights.
+      the new weights, so the pattern holds the last weights it was given.
     """
 
     def __init__(self, ratings: RatingSet, groups: GroupAssignment):
@@ -160,7 +208,9 @@ class RatingPlan:
 
     @cached_property
     def key(self) -> np.ndarray:
-        return 2 * self.items + self.groups.disadvantaged[self.users]
+        key = 2 * self.items + self.groups.disadvantaged[self.users]
+        key.setflags(write=False)
+        return key
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -308,7 +358,9 @@ def read_fields(path, sep, kinds, encoding="utf-8", skip=0):
     ``_read_whole``), which takes only what ``int``/``float`` take, to the
     same value, and keeps a str field as written.  A file that fails a guard
     of that call is read a line at a time by ``_read_lines``, which alone
-    applies the rules above.
+    applies the rules above.  The arrays of a whole-file parse are strided
+    views of its one table, so a reader that stores a column copies it
+    once, as a RatingSet does.
     """
     return _read_whole(path, sep, kinds, encoding, skip) or _read_lines(path, sep, kinds, encoding, skip)
 
@@ -380,7 +432,7 @@ def _read_whole(path, sep, kinds, encoding, skip):
             return None
     if len(table) != rows or any((table[gap] != b"").any() for gap in gaps):
         return None
-    return np.arange(skip + 1, skip + 1 + rows), [table[f"f{k}"].copy() for k in range(n)]
+    return np.arange(skip + 1, skip + 1 + rows), [table[f"f{k}"] for k in range(n)]
 
 
 def _line_count(path, skip):

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
-from .data import GroupAssignment, RatingPlan, RatingSet, check_field_types, csv_text, text_table
+from .data import GroupAssignment, RatingSet, check_field_types, csv_text, text_table
 from .fairness import (PENALTY_KINDS, FairnessReport, METRIC_NAMES, check_penalty,
                        group_item_averages, metric)
 from .ingest import FilteredDataset, check_test_fraction, filter_dataset, parse, split
@@ -187,7 +187,7 @@ def evaluate(params: ModelParams, targets: RatingSet, groups: GroupAssignment) -
     five unfairness metrics computed on the target set."""
     if len(targets) == 0:
         raise ValueError("cannot evaluate on an empty target set")
-    plan = RatingPlan(targets, groups)
+    plan = targets.plan(groups)
     preds = predict_entries(params, plan.users, plan.items)
     error = float(np.mean((preds - plan.values) ** 2))
     avgs = group_item_averages(preds, plan)

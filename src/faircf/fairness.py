@@ -112,14 +112,15 @@ def group_item_averages(predictions, ratings, groups: GroupAssignment | None = N
     """Per-item and overall group means of predictions and observed scores.
 
     ``predictions`` is aligned with the entries of ``ratings``: a RatingSet
-    with its ``groups``, or a RatingPlan that holds them.  One bincount over
-    the plan's (item, group) key gives every per-item prediction sum, and
-    the column totals of those sums give the overall means; the count and
-    mean-rating tables come with the plan.
+    with its ``groups``, whose plan the set keeps (``RatingSet.plan``), or a
+    RatingPlan that holds them.  One bincount over the plan's (item, group)
+    key gives every per-item prediction sum, and the column totals of those
+    sums give the overall means; the count and mean-rating tables come with
+    the plan.
     """
     if groups is None and not isinstance(ratings, RatingPlan):
         raise ValueError("group statistics need group labels")
-    plan = ratings if isinstance(ratings, RatingPlan) else RatingPlan(ratings, groups)
+    plan = ratings if isinstance(ratings, RatingPlan) else ratings.plan(groups)
     predictions = np.asarray(predictions, dtype=np.float64)
     if predictions.shape != plan.values.shape:
         raise ValueError("predictions must align with the rating entries")

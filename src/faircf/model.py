@@ -15,6 +15,7 @@ The bias vectors are deliberately left out of the norm term.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -90,8 +91,10 @@ class TrainConfig:
 
     ``penalty`` selects the fairness term added to the objective (one of
     ``fairness.PENALTY_KINDS``); ``penalty_weight`` scales it and defaults
-    to equal weighting.  Adam's decay rates and denominator offset are not
-    settings: ``trainer`` holds the published defaults as constants.
+    to equal weighting.  ``lambda_reg`` and ``penalty_weight`` must be
+    finite; ``learning_rate`` may be inf (every update then diverges).
+    Adam's decay rates and denominator offset are not settings: ``trainer``
+    holds the published defaults as constants.
     """
 
     d: int = 2
@@ -108,6 +111,8 @@ class TrainConfig:
             raise ValueError("latent dimension must be >= 1")
         if not self.lambda_reg >= 0:     # NaN fails every comparison
             raise ValueError("lambda_reg must be >= 0")
+        if self.lambda_reg == math.inf:
+            raise ValueError("lambda_reg must be finite")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if not self.learning_rate > 0:
@@ -115,6 +120,8 @@ class TrainConfig:
         check_penalty(self.penalty)
         if not self.penalty_weight >= 0:
             raise ValueError("penalty_weight must be >= 0")
+        if self.penalty_weight == math.inf:
+            raise ValueError("penalty_weight must be finite")
 
 
 def predict(params: ModelParams, user: int, item: int) -> float:

@@ -150,17 +150,25 @@ def _assign_groups(proportions: np.ndarray, total: int, rng: np.random.Generator
 
 
 def generate(spec: BlockModelSpec) -> SyntheticDataset:
-    """Draw one dataset from the block model."""
+    """Draw one dataset from the block model: a cell is liked (observed) when
+    its like (observation) draw lies below the probability of its block
+    cell, compared one user block at a time against that block's row of
+    probabilities spread over the item blocks."""
     m, n = spec.num_users, spec.num_items
     # Independent substreams: user assignment, item assignment, likes, observation.
     streams = np.random.SeedSequence(spec.seed).spawn(4)
     user_group = _assign_groups(spec.user_group_proportions, m, np.random.default_rng(streams[0]))
     item_group = _assign_groups(spec.item_group_proportions, n, np.random.default_rng(streams[1]))
 
-    cell_like = spec.like_probs[user_group][:, item_group]
-    cell_obs = spec.obs_probs[user_group][:, item_group]
-    likes = np.random.default_rng(streams[2]).random((m, n)) < cell_like
-    observed_mask = np.random.default_rng(streams[3]).random((m, n)) < cell_obs
+    like_draw = np.random.default_rng(streams[2]).random((m, n))
+    obs_draw = np.random.default_rng(streams[3]).random((m, n))
+    likes = np.empty((m, n), dtype=bool)
+    observed_mask = np.empty((m, n), dtype=bool)
+    for g in range(len(spec.user_group_labels)):
+        block = user_group == g
+        likes[block] = like_draw[block] < spec.like_probs[g][item_group]
+        observed_mask[block] = obs_draw[block] < spec.obs_probs[g][item_group]
+    del like_draw, obs_draw                 # freed before the set below copies its arrays
 
     rows, cols = np.nonzero(observed_mask)
     values = np.where(likes[rows, cols], 1.0, -1.0)

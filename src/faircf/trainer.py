@@ -8,8 +8,9 @@ Each iteration computes the exact gradient of
 "none") over the whole training set (no minibatching) and applies one Adam
 update.  Everything that depends only on the ratings and the group labels
 (the group check, each entry's (item, group) key with the count and
-mean-rating tables, the CSR pattern of the grid and its CSC view) is built
-once per run, as a RatingPlan.
+mean-rating tables, the CSR pattern of the grid and its CSC view) is a
+RatingPlan, built once per (ratings, groups) pair and kept on the rating
+set (``RatingSet.plan``), so every run on the same pair shares it.
 One pass per update then predicts the observed cells once, reads the
 objective, the penalty and dL/dyhat per entry off that prediction, and
 chains the latter back to the parameters once.  Parameters are initialized
@@ -114,7 +115,7 @@ def train(ratings: RatingSet, groups: GroupAssignment,
     """
     if len(ratings) == 0:
         raise ValueError("cannot train on an empty rating set")
-    plan = RatingPlan(ratings, groups)
+    plan = ratings.plan(groups)
     rng = np.random.default_rng(config.seed)
     m, n, d = ratings.num_users, ratings.num_items, config.d
     params = init_params(m, n, d, rng)

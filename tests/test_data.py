@@ -1,7 +1,9 @@
 """Rating-set containers, the TSV interchange formats, and the one field
 reader behind every input file."""
 
+import pickle
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -88,6 +90,79 @@ def test_read_ratings_names_the_line_of_a_grid_error(tmp_path, text, dims, line,
     with pytest.raises(ValueError, match=f"line {line}: .*{message}") as info:
         read_ratings(path, **dims)
     assert str(info.value).startswith(f"{path}: ")
+
+
+def test_containers_keep_their_own_copies():
+    users, items, values = np.array([0, 0, 2]), np.array([1, 2, 0]), np.array([1.0, -1.0, 0.25])
+    labels = np.array([True, False, True])
+    ratings, groups = RatingSet(users, items, values, 3, 3), GroupAssignment(labels)
+    users[0], items[0], values[0], labels[0] = 1, 0, 9.0, False
+    assert entries(ratings) == [(0, 1, 1.0), (0, 2, -1.0), (2, 0, 0.25)]
+    assert groups.disadvantaged.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("write", [
+    lambda r, g: r.users.__setitem__(0, 1),
+    lambda r, g: r.values.fill(0.0),
+    lambda r, g: g.disadvantaged.__setitem__(0, False),
+], ids=["users", "values", "disadvantaged"])
+def test_the_arrays_of_a_container_are_read_only(write):
+    ratings, groups = small_set(), GroupAssignment([True, False, True])
+    with pytest.raises(ValueError, match="read-only"):
+        write(ratings, groups)
+    assert entries(ratings) == entries(small_set()) and groups.disadvantaged.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("name", ["users", "values", "num_items", "disadvantaged"])
+def test_the_attributes_of_a_container_cannot_be_rebound(name):
+    ratings, groups = small_set(), GroupAssignment([True, False, True])
+    owner = groups if name == "disadvantaged" else ratings
+    with pytest.raises(AttributeError):
+        setattr(owner, name, getattr(owner, name))
+
+
+def test_a_set_keeps_the_plan_of_the_last_groups_object():
+    ratings, groups = small_set(), GroupAssignment([True, False, True])
+    plan = ratings.plan(groups)
+    assert ratings.plan(groups) is plan and plan.groups is groups
+    other = GroupAssignment(groups.disadvantaged)
+    assert ratings.plan(other) is not plan and ratings.plan(other).groups is other
+    assert ratings.plan(groups) is not plan          # one slot: the first plan is gone
+
+
+def test_a_plan_that_fails_its_check_is_not_kept():
+    ratings, groups = small_set(), GroupAssignment([True, False, True])
+    plan = ratings.plan(groups)
+    with pytest.raises(ValueError, match="group labels cover 2 users"):
+        ratings.plan(GroupAssignment([True, False]))
+    assert ratings.plan(groups) is plan
+
+
+def test_a_pickled_set_arrives_read_only_and_without_its_plan():
+    ratings, groups = small_set(), GroupAssignment([True, False, True])
+    ratings.plan(groups).key                    # a kept plan with a built table
+    sent = pickle.dumps((ratings, groups))
+    assert sent == pickle.dumps((small_set(), GroupAssignment([True, False, True])))
+    got, got_groups = pickle.loads(sent)
+    assert entries(got) == entries(ratings) and got.num_users == 3
+    for array in (got.users, got.items, got.values, got_groups.disadvantaged):
+        assert not array.flags.writeable
+    assert got.plan(got_groups).groups is got_groups
+
+
+def describe_in_a_worker(ratings, groups):
+    """What a worker process sees of a set and its groups."""
+    arrays = (ratings.users, ratings.items, ratings.values, groups.disadvantaged)
+    return (entries(ratings), [a.flags.writeable for a in arrays], "_plan" in vars(ratings),
+            len(ratings.plan(groups).key))
+
+
+def test_a_set_crosses_a_process_boundary_read_only():
+    ratings, groups = small_set(), GroupAssignment([True, False, True])
+    ratings.plan(groups).key
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        got = pool.submit(describe_in_a_worker, ratings, groups).result(timeout=60)
+    assert got == (entries(ratings), [False] * 4, False, 3)
 
 
 def test_groups_round_trip(tmp_path):

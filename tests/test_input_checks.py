@@ -45,6 +45,12 @@ CASES = {
                         "learning_rate must be > 0"),
     "config-weight-nan": (lambda: TrainConfig(penalty_weight=np.nan),
                           "penalty_weight must be >= 0"),
+    # An infinite weight overflows the first objective; an infinite learning
+    # rate stays allowed (tests/test_trainer.py forces divergence with it).
+    "config-reg-inf": (lambda: TrainConfig(lambda_reg=float("inf")), "lambda_reg must be finite"),
+    "config-weight-inf": (lambda: TrainConfig(penalty_weight=np.inf),
+                          "penalty_weight must be finite"),
+    "config-reg-minus-inf": (lambda: TrainConfig(lambda_reg=-np.inf), "lambda_reg must be >= 0"),
     "spec-no-users": (lambda: BlockModelSpec(num_users=0),
                       "num_users and num_items must be positive"),
     "spec-no-items": (lambda: BlockModelSpec(num_items=-3),

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from faircf import experiments, fairness, model, trainer
+from faircf import data, experiments, fairness, model, trainer
 from faircf.data import GroupAssignment, RatingSet
 from faircf.experiments import evaluate
 from faircf.model import ModelParams, TrainConfig, mf_objective
@@ -158,6 +158,16 @@ def test_train_checks_group_coverage():
         train(ratings, bad, TrainConfig(iterations=1))
 
 
+def count_calls(monkeypatch, calls, owner, name):
+    """Replace ``owner.name`` by a wrapper that counts its calls in ``calls``."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
 @pytest.mark.parametrize("penalty, penalized", [("none", 0), ("value", 1)])
 def test_train_runs_one_pass_per_update_over_one_plan(monkeypatch, penalty, penalized):
     """Calls inside one train of N updates: N + 1 predictions (the last one
@@ -165,21 +175,59 @@ def test_train_runs_one_pass_per_update_over_one_plan(monkeypatch, penalty, pena
     penalized, and one plan built, which checks the group labels."""
     ratings, groups = tiny_problem(4)
     calls = Counter()
-
-    def count(owner, name):
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
-
     for module in (model, fairness, trainer, experiments):
         for name in ("predict_entries", "accumulate_gradient", "group_item_averages"):
             if hasattr(module, name):
-                count(module, name)
-    count(trainer, "RatingPlan")
+                count_calls(monkeypatch, calls, module, name)
+    count_calls(monkeypatch, calls, data, "RatingPlan")       # every plan is built there
     n = 7
     train(ratings, groups, TrainConfig(iterations=n, penalty=penalty))
     assert calls == Counter(predict_entries=n + 1, accumulate_gradient=n,
                             group_item_averages=(n + 1) * penalized, RatingPlan=1)
+
+
+def test_one_set_and_one_groups_object_build_one_plan(monkeypatch):
+    """A plain train, a penalized train, an evaluate and a group_item_averages
+    call on the same rating set and the same groups object share the plan the
+    set keeps; the set keeps one plan, so each switch to another groups
+    object builds one."""
+    ratings, groups = tiny_problem(4)
+    calls = Counter()
+    count_calls(monkeypatch, calls, data, "RatingPlan")
+    params, _ = train(ratings, groups, TrainConfig(iterations=3))
+    train(ratings, groups, TrainConfig(iterations=3, penalty="value"))
+    evaluate(params, ratings, groups)
+    fairness.group_item_averages(np.zeros(len(ratings)), ratings, groups)
+    assert calls["RatingPlan"] == 1
+    same_labels = GroupAssignment(groups.disadvantaged)
+    train(ratings, same_labels, TrainConfig(iterations=3, penalty="value"))
+    evaluate(params, ratings, same_labels)
+    assert calls["RatingPlan"] == 2
+    evaluate(params, ratings, groups)
+    assert calls["RatingPlan"] == 3
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["user-ordered", "shuffled"])
+def test_a_kept_plan_gives_the_bits_of_a_fresh_one(shuffled):
+    """train and evaluate on one set, switching between two groups objects,
+    give the bits that a new set, and so a fresh plan, gives every time."""
+    rng = np.random.default_rng(12)
+    ratings, groups, _ = random_instance(rng, max_users=9, max_items=7)
+    if shuffled:
+        ratings = ratings.subset(rng.permutation(len(ratings)))
+    assert np.any(np.diff(ratings.users) < 0) == shuffled
+    others = GroupAssignment(~groups.disadvantaged)
+
+    def run(rating_set, labels, penalty):
+        config = TrainConfig(iterations=6, seed=3, penalty=penalty)
+        params, trace = train(rating_set, labels, config)
+        report = np.array(list(evaluate(params, rating_set, labels).as_dict().values()))
+        return [a.tobytes() for a in (params.flat, trace.objective, trace.penalty, report)]
+
+    def fresh():
+        return RatingSet(ratings.users, ratings.items, ratings.values,
+                         ratings.num_users, ratings.num_items)
+
+    for labels in (groups, others, groups, others):
+        for penalty in ("none", "value", "nonparity"):
+            assert run(ratings, labels, penalty) == run(fresh(), labels, penalty)
