@@ -62,11 +62,12 @@ def _read_only(array, dtype) -> np.ndarray:
 
 class _ReadOnlyArrays:
     """Pickling for a container of read-only arrays.  An unpickled array is
-    writable, so each one is made read-only again, and a kept plan (see
-    ``RatingSet.plan``) stays behind."""
+    writable, so each one is made read-only again, and the tables a rating
+    set keeps (``RatingSet.pattern`` and ``RatingSet.cells``) stay behind."""
 
     def __getstate__(self):
-        return {name: value for name, value in self.__dict__.items() if name != "_plan"}
+        return {name: value for name, value in self.__dict__.items()
+                if name not in ("pattern", "_cells")}
 
     def __setstate__(self, state):
         for value in state.values():
@@ -79,8 +80,16 @@ class _ReadOnlyArrays:
 class RatingSet(_ReadOnlyArrays):
     """Sparse set of observed (user, item, value) triples on a fixed grid;
     immutable: it holds read-only copies of the arrays it is given, and
-    checks them once, when built.  It keeps the RatingPlan of the last
-    groups object ``plan`` was asked for; a pickled set leaves it behind.
+    checks them once, when built.
+
+    It keeps two tables, each built on first use: ``pattern``, from the
+    entries alone, and ``cells``, from the entries and the last groups
+    object it was asked for; the set is immutable, so neither can go stale.
+    Beside the set's own arrays they hold the CSR indices and data (the data
+    being the last weights array ``model.accumulate_gradient`` was given)
+    and the int64 (item, group) key of each entry.  A pickled set leaves
+    both behind.  Calls that share a set must not run at the same time in
+    threads: each accumulate_gradient call points the pattern at its weights.
 
     Parameters
     ----------
@@ -99,7 +108,7 @@ class RatingSet(_ReadOnlyArrays):
     values: np.ndarray
     num_users: int
     num_items: int
-    _plan = None            # not a field: the plan that ``plan`` keeps
+    _cells = None           # not a field: (groups, key, counts, avg_rating) that ``cells`` keeps
 
     def __post_init__(self):
         for name, dtype in (("users", np.int64), ("items", np.int64), ("values", np.float64)):
@@ -136,17 +145,51 @@ class RatingSet(_ReadOnlyArrays):
         return RatingSet(self.users[index], self.items[index], self.values[index],
                          self.num_users, self.num_items)
 
-    def plan(self, groups: GroupAssignment) -> RatingPlan:
-        """The RatingPlan of these entries under ``groups``.  It is built on
-        the first request for that GroupAssignment object and kept in one
-        slot, so that every later request for the same object gets the same
-        plan, lazy tables and all, until a request names another object.
-        Both containers are immutable, so a kept plan cannot go stale.
-        Calls that share a plan must not run at the same time in threads:
-        ``model.accumulate_gradient`` points its pattern at their weights."""
-        if self._plan is None or self._plan.groups is not groups:
-            object.__setattr__(self, "_plan", RatingPlan(self, groups))
-        return self._plan
+    def check_groups(self, groups: GroupAssignment):
+        """Raise ValueError unless ``groups`` labels exactly the users of the grid."""
+        if groups.num_users != self.num_users:
+            raise ValueError(
+                f"group labels cover {groups.num_users} users, ratings declare {self.num_users}")
+
+    @cached_property
+    def pattern(self):
+        """``(A, A.T, order)``: the user-major CSR matrix of the grid, whose
+        slot s holds entry ``order[s]``, and its CSC view, built once from
+        the same arrays, so no item-major pattern is ever built (``order``,
+        a stable argsort of the users in their smallest unsigned type,
+        radix-sorted up to 65536 users, is None for entries in user order)."""
+        users, items = self.users, self.items
+        order = None
+        if np.any(users[1:] < users[:-1]):
+            order = np.argsort(users.astype(np.min_scalar_type(self.num_users - 1)), kind="stable")
+            items = items[order]
+        indptr = np.zeros(self.num_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(users, minlength=self.num_users), out=indptr[1:])
+        shape = (self.num_users, self.num_items)
+        a = sparse.csr_matrix((np.zeros(len(self)), items, indptr), shape=shape)
+        return a, a.T, order
+
+    def cells(self, groups: GroupAssignment):
+        """``(key, counts, avg_rating)``, read-only: the (item, group) cell
+        ``2 * item + dis`` of each entry, ``dis`` its user's disadvantaged
+        flag under ``groups``, and (num_items, 2) tables of the entry count
+        and the mean rating of each cell, columns advantaged and
+        disadvantaged (bincount sums in entry order; NaN where the count is
+        0).  Built after ``check_groups`` on the first request for a groups
+        object, and kept in one slot until a request names another; a
+        request that fails the check leaves the slot as it was."""
+        if self._cells is None or self._cells[0] is not groups:
+            self.check_groups(groups)
+            n = self.num_items
+            key = 2 * self.items + groups.disadvantaged[self.users]
+            counts = np.bincount(key, minlength=2 * n).reshape(n, 2)
+            sums = np.bincount(key, weights=self.values, minlength=2 * n)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                avg_rating = sums.reshape(n, 2) / counts
+            for table in (key, counts, avg_rating):
+                table.setflags(write=False)
+            object.__setattr__(self, "_cells", (groups, key, counts, avg_rating))
+        return self._cells[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,79 +208,6 @@ class GroupAssignment(_ReadOnlyArrays):
     @property
     def num_users(self):
         return int(self.disadvantaged.shape[0])
-
-
-class RatingPlan:
-    """Everything a training run or an evaluation derives from ``(ratings,
-    groups)`` alone, built once and then read by every pass over the entries.
-    The training kernels (``trainer.loss_terms``, ``fairness.penalty_terms``,
-    ``model.accumulate_gradient``) take their entries as a plan, and
-    ``trainer.train`` and ``experiments.evaluate`` take theirs from
-    ``RatingSet.plan``, which keeps it on the set: every call on the same
-    set and the same groups object shares one plan and its tables.
-
-    It exposes the rating arrays like a RatingSet does.  The group labels
-    must cover the users of the grid, which is checked when the plan is
-    built.  The rest is built on first use:
-
-    * ``key``: the (item, group) cell of each entry, ``2 * item + dis``,
-      with ``dis`` the entry's user's disadvantaged flag;
-    * ``counts`` and ``avg_rating``: (num_items, 2) tables of the entry
-      count and the mean rating of each (item, group) cell, columns
-      advantaged and disadvantaged (bincount sums in entry order; NaN where
-      the count is 0).  These three are read-only, as every pass shares them;
-    * ``pattern``: ``(A, A.T, order)``, the user-major CSR matrix of the
-      grid, whose slot s holds entry ``order[s]``, and its CSC view, built
-      once from the same arrays, so no item-major pattern is ever built
-      (``order``, a stable argsort of the users in their smallest unsigned
-      type, radix-sorted up to 65536 users, is None for entries in user
-      order).  Each accumulate_gradient call points the data of both at
-      the new weights, so the pattern holds the last weights it was given.
-    """
-
-    def __init__(self, ratings: RatingSet, groups: GroupAssignment):
-        if groups.num_users != ratings.num_users:
-            raise ValueError(
-                f"group labels cover {groups.num_users} users, ratings declare {ratings.num_users}")
-        self.groups = groups
-        self.users, self.items, self.values = ratings.users, ratings.items, ratings.values
-        self.num_users, self.num_items = ratings.num_users, ratings.num_items
-
-    def __len__(self):
-        return int(self.values.shape[0])
-
-    @cached_property
-    def key(self) -> np.ndarray:
-        key = 2 * self.items + self.groups.disadvantaged[self.users]
-        key.setflags(write=False)
-        return key
-
-    @cached_property
-    def counts(self) -> np.ndarray:
-        counts = np.bincount(self.key, minlength=2 * self.num_items).reshape(self.num_items, 2)
-        counts.setflags(write=False)
-        return counts
-
-    @cached_property
-    def avg_rating(self) -> np.ndarray:
-        sums = np.bincount(self.key, weights=self.values, minlength=2 * self.num_items)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            avg = sums.reshape(self.num_items, 2) / self.counts
-        avg.setflags(write=False)
-        return avg
-
-    @cached_property
-    def pattern(self):
-        users, items = self.users, self.items
-        order = None
-        if np.any(users[1:] < users[:-1]):
-            order = np.argsort(users.astype(np.min_scalar_type(self.num_users - 1)), kind="stable")
-            items = items[order]
-        indptr = np.zeros(self.num_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(users, minlength=self.num_users), out=indptr[1:])
-        shape = (self.num_users, self.num_items)
-        a = sparse.csr_matrix((np.zeros(len(self)), items, indptr), shape=shape)
-        return a, a.T, order
 
 
 def write_ratings(ratings: RatingSet, path):

@@ -187,10 +187,9 @@ def evaluate(params: ModelParams, targets: RatingSet, groups: GroupAssignment) -
     five unfairness metrics computed on the target set."""
     if len(targets) == 0:
         raise ValueError("cannot evaluate on an empty target set")
-    plan = targets.plan(groups)
-    preds = predict_entries(params, plan.users, plan.items)
-    error = float(np.mean((preds - plan.values) ** 2))
-    avgs = group_item_averages(preds, plan)
+    preds = predict_entries(params, targets.users, targets.items)
+    error = float(np.mean((preds - targets.values) ** 2))
+    avgs = group_item_averages(preds, targets, groups)
     return FairnessReport(error, *(metric(k, avgs) for k in METRIC_NAMES[1:]))
 
 

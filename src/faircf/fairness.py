@@ -3,7 +3,7 @@
 Every metric compares prediction behaviour between the disadvantaged and the
 advantaged user group.  The shared statistic is a table with one row per item
 and one column per group (0 advantaged, 1 disadvantaged), the layout of
-``RatingPlan.key``: the mean predicted score, the mean observed score and the
+``RatingSet.cells``: the mean predicted score, the mean observed score and the
 entry count of each (item, group) cell, over exactly the (user, item) pairs
 present in the supplied RatingSet, plus each group's overall mean
 prediction, read off the same table: the column total of the prediction
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupAssignment, RatingPlan, csv_text
+from .data import GroupAssignment, RatingSet, csv_text
 
 # kind -> (transform of a group's signed error, its slope); slope 0 at the
 # kinks of |e| and of the hinges.  Non-parity compares the overall means.
@@ -107,29 +107,28 @@ class FairnessReport:
         return cls(*(float(c) for c in cells))
 
 
-def group_item_averages(predictions, ratings, groups: GroupAssignment | None = None
+def group_item_averages(predictions, ratings: RatingSet, groups: GroupAssignment | None = None
                         ) -> GroupItemAverages:
     """Per-item and overall group means of predictions and observed scores.
 
-    ``predictions`` is aligned with the entries of ``ratings``: a RatingSet
-    with its ``groups``, whose plan the set keeps (``RatingSet.plan``), or a
-    RatingPlan that holds them.  One bincount over the plan's (item, group)
-    key gives every per-item prediction sum, and the column totals of those
-    sums give the overall means; the count and mean-rating tables come with
-    the plan.
+    ``predictions`` is aligned with the entries of ``ratings``.  One
+    bincount over the (item, group) key that the set keeps for ``groups``
+    (``RatingSet.cells``) gives every per-item prediction sum, and the
+    column totals of those sums give the overall means; the count and
+    mean-rating tables are kept with the key.
     """
-    if groups is None and not isinstance(ratings, RatingPlan):
+    if groups is None:
         raise ValueError("group statistics need group labels")
-    plan = ratings if isinstance(ratings, RatingPlan) else ratings.plan(groups)
+    key, counts, avg_rating = ratings.cells(groups)
     predictions = np.asarray(predictions, dtype=np.float64)
-    if predictions.shape != plan.values.shape:
+    if predictions.shape != ratings.values.shape:
         raise ValueError("predictions must align with the rating entries")
-    n, counts = plan.num_items, plan.counts
-    pred_sums = np.bincount(plan.key, weights=predictions, minlength=2 * n).reshape(n, 2)
+    n = ratings.num_items
+    pred_sums = np.bincount(key, weights=predictions, minlength=2 * n).reshape(n, 2)
     with np.errstate(invalid="ignore", divide="ignore"):
         avg_pred = pred_sums / counts
         overall = pred_sums.sum(axis=0) / counts.sum(axis=0)
-    return GroupItemAverages(avg_pred, plan.avg_rating, counts, overall)
+    return GroupItemAverages(avg_pred, avg_rating, counts, overall)
 
 
 def _gap(kind: str, avgs: GroupItemAverages):
@@ -186,10 +185,11 @@ def _smoothed_terms(kind: str, avgs: GroupItemAverages) -> tuple[float, np.ndarr
     return float(np.mean(value)), coeff
 
 
-def penalty_terms(kind: str, predictions, plan: RatingPlan,
+def penalty_terms(kind: str, predictions, ratings: RatingSet, groups: GroupAssignment,
                   weight: float = 1.0) -> tuple[float, np.ndarray]:
     """The weighted smoothed ``kind`` penalty (a PENALTY_KINDS entry other
-    than "none") and its derivative d penalty / d yhat_k for every rating
-    entry, from ``predictions`` already made for the entries of ``plan``."""
-    value, coeff = _smoothed_terms(kind, group_item_averages(predictions, plan))
-    return weight * value, (weight * coeff).ravel()[plan.key]
+    than "none") under ``groups`` and its derivative d penalty / d yhat_k
+    for every rating entry, from ``predictions`` already made for the
+    entries of ``ratings``."""
+    value, coeff = _smoothed_terms(kind, group_item_averages(predictions, ratings, groups))
+    return weight * value, (weight * coeff).ravel()[ratings.cells(groups)[0]]

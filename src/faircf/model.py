@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (RatingPlan, RatingSet, check_field_types, open_text, read_fields, reject,
-                   write_fields)
+from .data import RatingSet, check_field_types, open_text, read_fields, reject, write_fields
 from .fairness import PENALTY_KINDS, check_penalty     # PENALTY_KINDS is re-exported
 
 
@@ -172,12 +171,12 @@ def predict_matrix(params: ModelParams) -> np.ndarray:
             + params.user_bias[:, None] + params.item_bias[None, :])
 
 
-def mf_objective_terms(params: ModelParams, ratings, predictions,
+def mf_objective_terms(params: ModelParams, ratings: RatingSet, predictions,
                        lambda_reg: float) -> tuple[float, np.ndarray]:
     """The objective and its derivative dJ/dyhat_k for every rating entry,
-    from ``predictions`` already made for ``ratings`` (a RatingSet or a
-    RatingPlan).  The L2 part of the gradient is added by
-    accumulate_gradient."""
+    from ``predictions`` already made for ``ratings``; it reads only their
+    values, so it builds no table on the set.  The L2 part of the gradient
+    is added by accumulate_gradient."""
     if len(ratings) == 0:
         raise ValueError("cannot evaluate the objective on an empty rating set")
     residual = predictions - ratings.values
@@ -195,21 +194,23 @@ def mf_objective(params: ModelParams, ratings: RatingSet, lambda_reg: float) -> 
     return mf_objective_terms(params, ratings, preds, lambda_reg)[0]
 
 
-def accumulate_gradient(params: ModelParams, plan: RatingPlan, weights,
+def accumulate_gradient(params: ModelParams, ratings: RatingSet, weights,
                         lambda_reg: float = 0.0) -> ModelParams:
     """Chain per-entry prediction-space derivatives dL/dyhat_k back to the
     parameters, plus ``lambda_reg`` times the factor matrices (the gradient
-    of the L2 term).  ``weights`` is aligned with the entries of ``plan``;
-    the gradient comes back in the parameter layout.
+    of the L2 term).  ``weights`` is aligned with the entries of
+    ``ratings``; the gradient comes back in the parameter layout.
 
-    The weights fill the plan's user-major CSR matrix A and its CSC twin
-    A.T, which share one data array (one gather for shuffled entries), and
-    ``A @ [Q, 1]`` and ``A.T @ [P, 1]`` give the user and the item gradients,
-    factors and bias together.  Each output sums its terms in a fixed order
-    (a user's entries in entry order; an item's in user order, then entry
-    order), so results are reproducible bit for bit.
+    The weights fill the user-major CSR matrix A and its CSC twin A.T that
+    the set keeps (``RatingSet.pattern``), which share one data array (one
+    gather for shuffled entries), and ``A @ [Q, 1]`` and ``A.T @ [P, 1]``
+    give the user and the item gradients, factors and bias together.  The
+    pattern keeps the weights of the last call, so calls on one set must
+    not run at the same time in threads.  Each output sums its terms in a
+    fixed order (a user's entries in entry order; an item's in user order,
+    then entry order), so results are reproducible bit for bit.
     """
-    a, at, order = plan.pattern
+    a, at, order = ratings.pattern
     a.data = at.data = weights if order is None else weights[order]
     m, n, d = params.num_users, params.num_items, params.d
     p, q, _, _ = params.arrays()

@@ -6,11 +6,11 @@ Each iteration computes the exact gradient of
 
 (S_kind the smoothed ``kind`` metric of ``fairness``, absent for kind
 "none") over the whole training set (no minibatching) and applies one Adam
-update.  Everything that depends only on the ratings and the group labels
-(the group check, each entry's (item, group) key with the count and
-mean-rating tables, the CSR pattern of the grid and its CSC view) is a
-RatingPlan, built once per (ratings, groups) pair and kept on the rating
-set (``RatingSet.plan``), so every run on the same pair shares it.
+update.  The group labels are checked before the first update.  The CSR
+pattern of the grid and, for a penalty, each entry's (item, group) key with
+the count and mean-rating tables are kept on the rating set
+(``RatingSet.pattern``, ``RatingSet.cells``), so every run on the same set
+shares them.
 One pass per update then predicts the observed cells once, reads the
 objective, the penalty and dL/dyhat per entry off that prediction, and
 chains the latter back to the parameters once.  Parameters are initialized
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GroupAssignment, RatingPlan, RatingSet, csv_text
+from .data import GroupAssignment, RatingSet, csv_text
 from .fairness import penalty_terms
 from .model import (ModelParams, TrainConfig, accumulate_gradient, mf_objective_terms,
                     predict_entries)
@@ -89,17 +89,17 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, first_moment: np.ndarray,
     return theta, m, v
 
 
-def loss_terms(params: ModelParams, plan: RatingPlan,
+def loss_terms(params: ModelParams, ratings: RatingSet, groups: GroupAssignment,
                config: TrainConfig) -> tuple[float, float, np.ndarray]:
-    """One prediction pass over the entries of ``plan``: the objective, the
-    weighted penalty and dL/dyhat for every entry; ``accumulate_gradient(
-    params, plan, weights, config.lambda_reg)`` turns the last into the
-    gradient of L."""
-    preds = predict_entries(params, plan.users, plan.items)
-    objective, weights = mf_objective_terms(params, plan, preds, config.lambda_reg)
+    """One prediction pass over the entries of ``ratings``: the objective,
+    the weighted penalty under ``groups`` and dL/dyhat for every entry;
+    ``accumulate_gradient(params, ratings, weights, config.lambda_reg)``
+    turns the last into the gradient of L."""
+    preds = predict_entries(params, ratings.users, ratings.items)
+    objective, weights = mf_objective_terms(params, ratings, preds, config.lambda_reg)
     if config.penalty == "none":
         return objective, 0.0, weights
-    pen, pen_weights = penalty_terms(config.penalty, preds, plan, config.penalty_weight)
+    pen, pen_weights = penalty_terms(config.penalty, preds, ratings, groups, config.penalty_weight)
     weights += pen_weights
     return objective, pen, weights
 
@@ -115,7 +115,7 @@ def train(ratings: RatingSet, groups: GroupAssignment,
     """
     if len(ratings) == 0:
         raise ValueError("cannot train on an empty rating set")
-    plan = ratings.plan(groups)
+    ratings.check_groups(groups)
     rng = np.random.default_rng(config.seed)
     m, n, d = ratings.num_users, ratings.num_items, config.d
     params = init_params(m, n, d, rng)
@@ -129,11 +129,11 @@ def train(ratings: RatingSet, groups: GroupAssignment,
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.iterations + 1):
             if t:
-                grad = accumulate_gradient(params, plan, weights, config.lambda_reg).flat
+                grad = accumulate_gradient(params, ratings, weights, config.lambda_reg).flat
                 theta, first, second = adam_step(params.flat, grad, first, second, t, config)
                 params = ModelParams.from_flat(theta, m, n, d)
             # The pass after update t gives its trace entry and starts update t + 1.
-            obj, pen, weights = loss_terms(params, plan, config)
+            obj, pen, weights = loss_terms(params, ratings, groups, config)
             if not (math.isfinite(obj) and math.isfinite(pen)):
                 raise DivergenceError(t, obj + pen, params)
             objectives[t], penalties[t] = obj, pen

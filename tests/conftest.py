@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import faircf
-from faircf.data import RatingPlan
 from faircf.model import TrainConfig, accumulate_gradient
 from faircf.trainer import loss_terms
 
@@ -128,12 +127,11 @@ def ml1m_dir():
 
 def loss_pass(params, ratings, groups, kind="none", lambda_reg=0.0, weight=1.0):
     """The objective, the weighted ``kind`` penalty and the gradient of their
-    sum, from the trainer's ``loss_terms`` and ``accumulate_gradient`` on a
-    plan of ``(ratings, groups)``."""
-    plan = RatingPlan(ratings, groups)
+    sum, from the trainer's ``loss_terms`` and ``accumulate_gradient`` on
+    ``ratings`` under ``groups``."""
     config = TrainConfig(d=params.d, lambda_reg=lambda_reg, penalty=kind, penalty_weight=weight)
-    objective, pen, weights = loss_terms(params, plan, config)
-    return objective, pen, accumulate_gradient(params, plan, weights, lambda_reg)
+    objective, pen, weights = loss_terms(params, ratings, groups, config)
+    return objective, pen, accumulate_gradient(params, ratings, weights, lambda_reg)
 
 
 def subprocess_env(**changes):

@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from faircf.data import (GroupAssignment, RatingPlan, RatingSet, read_groups, read_ratings,
+from faircf.data import (GroupAssignment, RatingSet, read_groups, read_ratings,
                          write_groups, write_ratings)
 from faircf.ingest import parse
 from faircf.model import ModelParams, load_params, save_params
@@ -121,48 +121,58 @@ def test_the_attributes_of_a_container_cannot_be_rebound(name):
         setattr(owner, name, getattr(owner, name))
 
 
-def test_a_set_keeps_the_plan_of_the_last_groups_object():
+def test_a_set_keeps_the_cells_of_the_last_groups_object():
     ratings, groups = small_set(), GroupAssignment([True, False, True])
-    plan = ratings.plan(groups)
-    assert ratings.plan(groups) is plan and plan.groups is groups
+    cells = ratings.cells(groups)
+    assert all(got is kept and not got.flags.writeable
+               for got, kept in zip(ratings.cells(groups), cells))
     other = GroupAssignment(groups.disadvantaged)
-    assert ratings.plan(other) is not plan and ratings.plan(other).groups is other
-    assert ratings.plan(groups) is not plan          # one slot: the first plan is gone
+    assert ratings.cells(other)[0] is not cells[0]
+    assert ratings.cells(groups)[0] is not cells[0]          # one slot: the first tables are gone
 
 
-def test_a_plan_that_fails_its_check_is_not_kept():
+def test_cells_that_fail_their_check_are_not_kept():
     ratings, groups = small_set(), GroupAssignment([True, False, True])
-    plan = ratings.plan(groups)
+    key = ratings.cells(groups)[0]
     with pytest.raises(ValueError, match="group labels cover 2 users"):
-        ratings.plan(GroupAssignment([True, False]))
-    assert ratings.plan(groups) is plan
+        ratings.cells(GroupAssignment([True, False]))
+    assert ratings.cells(groups)[0] is key
+
+
+KEPT = {"pattern", "_cells"}     # what a set keeps in its __dict__ once built
 
 
 def test_a_pickled_set_arrives_read_only_and_without_its_plan():
+    """A set sent with its pattern and cells built pickles to the bytes of a
+    fresh one, and arrives without them."""
     ratings, groups = small_set(), GroupAssignment([True, False, True])
-    ratings.plan(groups).key                    # a kept plan with a built table
+    ratings.pattern, ratings.cells(groups)
+    assert KEPT <= set(vars(ratings))
     sent = pickle.dumps((ratings, groups))
     assert sent == pickle.dumps((small_set(), GroupAssignment([True, False, True])))
     got, got_groups = pickle.loads(sent)
     assert entries(got) == entries(ratings) and got.num_users == 3
+    assert not KEPT & set(vars(got))
     for array in (got.users, got.items, got.values, got_groups.disadvantaged):
         assert not array.flags.writeable
-    assert got.plan(got_groups).groups is got_groups
+    assert got.cells(got_groups)[1].tolist() == ratings.cells(groups)[1].tolist()
 
 
 def describe_in_a_worker(ratings, groups):
     """What a worker process sees of a set and its groups."""
     arrays = (ratings.users, ratings.items, ratings.values, groups.disadvantaged)
-    return (entries(ratings), [a.flags.writeable for a in arrays], "_plan" in vars(ratings),
-            len(ratings.plan(groups).key))
+    return (entries(ratings), [a.flags.writeable for a in arrays],
+            sorted(KEPT & set(vars(ratings))), len(ratings.cells(groups)[0]))
 
 
 def test_a_set_crosses_a_process_boundary_read_only():
+    """As a sweep's worker (``--jobs``) gets it: read-only, without the
+    pattern and the cells built in the parent."""
     ratings, groups = small_set(), GroupAssignment([True, False, True])
-    ratings.plan(groups).key
+    ratings.pattern, ratings.cells(groups)
     with ProcessPoolExecutor(max_workers=1) as pool:
         got = pool.submit(describe_in_a_worker, ratings, groups).result(timeout=60)
-    assert got == (entries(ratings), [False] * 4, False, 3)
+    assert got == (entries(ratings), [False] * 4, [], 3)
 
 
 def test_groups_round_trip(tmp_path):
@@ -175,8 +185,8 @@ def test_groups_round_trip(tmp_path):
 
 def test_groups_must_cover_grid():
     groups = GroupAssignment(np.array([True, False]))
-    with pytest.raises(ValueError):
-        RatingPlan(small_set(), groups)
+    with pytest.raises(ValueError, match="^group labels cover 2 users, ratings declare 3$"):
+        small_set().cells(groups)
 
 
 def test_group_file_rejects_gaps(tmp_path):
@@ -260,7 +270,7 @@ def test_plan_order_is_the_stable_argsort_of_shuffled_entries(num_users):
     shuffle = np.random.default_rng(num_users).permutation(users.size)
     users, items = users[shuffle], items[shuffle]
     ratings = RatingSet(users, items, np.ones(users.size), num_users, 4)
-    pattern, _, order = RatingPlan(ratings, GroupAssignment(np.zeros(num_users, bool))).pattern
+    pattern, _, order = ratings.pattern
     assert order.dtype == np.intp
     assert np.array_equal(order, np.argsort(users.astype(np.int64), kind="stable"))
     assert np.array_equal(pattern.indices, items[order])

@@ -5,7 +5,6 @@ import zlib
 import numpy as np
 import pytest
 
-from faircf.data import RatingPlan
 from faircf.fairness import penalty_terms
 from faircf.model import PENALTY_KINDS, accumulate_gradient, predict_entries
 from conftest import loss_pass
@@ -17,10 +16,9 @@ GRADED_KINDS = [k for k in PENALTY_KINDS if k != "none"]
 def penalty_and_gradient(kind, params, ratings, groups, weight=1.0):
     """The weighted penalty and its gradient alone, from ``penalty_terms``
     and ``accumulate_gradient``."""
-    plan = RatingPlan(ratings, groups)
-    preds = predict_entries(params, plan.users, plan.items)
-    pen, weights = penalty_terms(kind, preds, plan, weight)
-    return pen, accumulate_gradient(params, plan, weights)
+    preds = predict_entries(params, ratings.users, ratings.items)
+    pen, weights = penalty_terms(kind, preds, ratings, groups, weight)
+    return pen, accumulate_gradient(params, ratings, weights)
 
 
 def sample_smooth_point(rng, kind):

@@ -20,6 +20,10 @@ def empty_ratings():
     return RatingSet([], [], [], 2, 2)
 
 
+def two_users():
+    return RatingSet([0, 1], [0, 1], [1.0, -1.0], 2, 2)
+
+
 def one_penalty_result():
     plan = ExperimentPlan("synthetic_U", penalties=("none",), trials=2)
     return ExperimentResult(plan, {"none": [FairnessReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * 2})
@@ -105,6 +109,17 @@ CASES = {
     "evaluate-empty": (lambda: evaluate(ModelParams.zeros(2, 2, 1), empty_ratings(),
                                         GroupAssignment([True, False])),
                        "cannot evaluate on an empty target set"),
+    # Labels that do not cover the grid are refused before the first update,
+    # penalized or not, and by evaluate.
+    "train-labels-none": (lambda: train(two_users(), GroupAssignment([True, False, True]),
+                                        TrainConfig(iterations=1)),
+                          "group labels cover 3 users, ratings declare 2"),
+    "train-labels-value": (lambda: train(two_users(), GroupAssignment([True]),
+                                         TrainConfig(iterations=1, penalty="value")),
+                           "group labels cover 1 users, ratings declare 2"),
+    "evaluate-labels": (lambda: evaluate(ModelParams.zeros(2, 2, 1), two_users(),
+                                         GroupAssignment([True])),
+                        "group labels cover 1 users, ratings declare 2"),
     "genre-unknown": (lambda: GenreStats([]).get("Western"), "'Western'"),
 }
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircf.data import GroupAssignment, RatingPlan, RatingSet
+from faircf.data import GroupAssignment, RatingSet
 from faircf.model import (ModelParams, TrainConfig, accumulate_gradient,
                           load_params, mf_objective, predict,
                           predict_entries, predict_matrix, save_params)
@@ -143,28 +143,27 @@ def loop_gradient(params, ratings, weights):
 
 def test_accumulate_gradient_matches_loop():
     rng = np.random.default_rng(11)
-    ratings, groups, params = random_instance(rng)
+    ratings, _, params = random_instance(rng)
     weights = rng.normal(size=len(ratings))
-    got = accumulate_gradient(params, RatingPlan(ratings, groups), weights)
+    got = accumulate_gradient(params, ratings, weights)
     for got_arr, want_arr in zip(got.arrays(), loop_gradient(params, ratings, weights).arrays()):
         assert got_arr == pytest.approx(want_arr)
 
 
 @pytest.mark.parametrize("shuffled", [False, True])
 def test_one_plan_takes_new_weights_on_every_call(shuffled):
-    """The CSR matrix of a plan and its CSC view share their weights, which
-    each call replaces: call after call on one plan, each gradient equals
-    a fresh plan's bit for bit, and the one-entry-at-a-time loop's."""
+    """The CSR matrix a set keeps and its CSC view share their weights,
+    which each call replaces: call after call on one set, each gradient
+    equals a fresh set's bit for bit, and the one-entry-at-a-time loop's."""
     rng = np.random.default_rng(17)
-    ratings, groups, params = random_instance(rng, max_users=6, max_items=5, d=3)
+    ratings, _, params = random_instance(rng, max_users=6, max_items=5, d=3)
     if shuffled:
         ratings = ratings.subset(rng.permutation(len(ratings)))
-    plan = RatingPlan(ratings, groups)
-    assert (plan.pattern[2] is not None) == shuffled
+    assert (ratings.pattern[2] is not None) == shuffled
     for _ in range(4):
         weights = rng.normal(size=len(ratings))
-        got = accumulate_gradient(params, plan, weights)
-        fresh = accumulate_gradient(params, RatingPlan(ratings, groups), weights)
+        got = accumulate_gradient(params, ratings, weights)
+        fresh = accumulate_gradient(params, ratings.subset(slice(None)), weights)
         assert np.array_equal(got.flat, fresh.flat)
         assert got.flat == pytest.approx(loop_gradient(params, ratings, weights).flat)
 

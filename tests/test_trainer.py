@@ -168,49 +168,74 @@ def count_calls(monkeypatch, calls, owner, name):
     monkeypatch.setattr(owner, name, counted)
 
 
+def count_table_builds(monkeypatch, calls):
+    """Count in ``calls["tables"]`` every (item, group) table that
+    ``RatingSet.cells`` builds, told apart by the key it returns."""
+    keys, cells = [], data.RatingSet.cells
+
+    def counted(self, groups):
+        got = cells(self, groups)
+        if not any(got[0] is key for key in keys):
+            keys.append(got[0])
+            calls["tables"] += 1
+        return got
+    monkeypatch.setattr(data.RatingSet, "cells", counted)
+
+
 @pytest.mark.parametrize("penalty, penalized", [("none", 0), ("value", 1)])
 def test_train_runs_one_pass_per_update_over_one_plan(monkeypatch, penalty, penalized):
     """Calls inside one train of N updates: N + 1 predictions (the last one
-    gives the final trace entry), N accumulations, group averages only when
-    penalized, and one plan built, which checks the group labels."""
+    gives the final trace entry), N accumulations, and group averages and
+    an (item, group) table only when penalized: a plain train builds none."""
     ratings, groups = tiny_problem(4)
     calls = Counter()
     for module in (model, fairness, trainer, experiments):
         for name in ("predict_entries", "accumulate_gradient", "group_item_averages"):
             if hasattr(module, name):
                 count_calls(monkeypatch, calls, module, name)
-    count_calls(monkeypatch, calls, data, "RatingPlan")       # every plan is built there
+    count_table_builds(monkeypatch, calls)
     n = 7
     train(ratings, groups, TrainConfig(iterations=n, penalty=penalty))
     assert calls == Counter(predict_entries=n + 1, accumulate_gradient=n,
-                            group_item_averages=(n + 1) * penalized, RatingPlan=1)
+                            group_item_averages=(n + 1) * penalized, tables=penalized)
+
+
+def test_a_second_groups_object_reuses_the_pattern_of_the_set():
+    """The CSR pattern depends on the entries alone, so training under
+    another groups object builds no new one."""
+    ratings, groups = tiny_problem(4)
+    train(ratings, groups, TrainConfig(iterations=2, penalty="value"))
+    pattern = ratings.pattern
+    others = GroupAssignment(~groups.disadvantaged)
+    train(ratings, others, TrainConfig(iterations=2, penalty="value"))
+    assert ratings.pattern is pattern
 
 
 def test_one_set_and_one_groups_object_build_one_plan(monkeypatch):
     """A plain train, a penalized train, an evaluate and a group_item_averages
-    call on the same rating set and the same groups object share the plan the
-    set keeps; the set keeps one plan, so each switch to another groups
-    object builds one."""
+    call on the same rating set and the same groups object share the (item,
+    group) tables the set keeps; the set keeps one groups object's tables,
+    so each switch to another groups object builds them again."""
     ratings, groups = tiny_problem(4)
     calls = Counter()
-    count_calls(monkeypatch, calls, data, "RatingPlan")
+    count_table_builds(monkeypatch, calls)
     params, _ = train(ratings, groups, TrainConfig(iterations=3))
     train(ratings, groups, TrainConfig(iterations=3, penalty="value"))
     evaluate(params, ratings, groups)
     fairness.group_item_averages(np.zeros(len(ratings)), ratings, groups)
-    assert calls["RatingPlan"] == 1
+    assert calls["tables"] == 1
     same_labels = GroupAssignment(groups.disadvantaged)
     train(ratings, same_labels, TrainConfig(iterations=3, penalty="value"))
     evaluate(params, ratings, same_labels)
-    assert calls["RatingPlan"] == 2
+    assert calls["tables"] == 2
     evaluate(params, ratings, groups)
-    assert calls["RatingPlan"] == 3
+    assert calls["tables"] == 3
 
 
 @pytest.mark.parametrize("shuffled", [False, True], ids=["user-ordered", "shuffled"])
 def test_a_kept_plan_gives_the_bits_of_a_fresh_one(shuffled):
     """train and evaluate on one set, switching between two groups objects,
-    give the bits that a new set, and so a fresh plan, gives every time."""
+    give the bits that a new set, and so fresh tables, give every time."""
     rng = np.random.default_rng(12)
     ratings, groups, _ = random_instance(rng, max_users=9, max_items=7)
     if shuffled:
