@@ -85,11 +85,9 @@ class RatingSet(_ReadOnlyArrays):
     It keeps two tables, each built on first use: ``pattern``, from the
     entries alone, and ``cells``, from the entries and the last groups
     object it was asked for; the set is immutable, so neither can go stale.
-    Beside the set's own arrays they hold the CSR indices and data (the data
-    being the last weights array ``model.accumulate_gradient`` was given)
-    and the int64 (item, group) key of each entry.  A pickled set leaves
-    both behind.  Calls that share a set must not run at the same time in
-    threads: each accumulate_gradient call points the pattern at its weights.
+    Beside the set's own arrays they hold the CSR indices, a data array that
+    no call writes, and the int64 (item, group) key of each entry; one set
+    may be shared by concurrent calls, and a pickled set leaves both behind.
 
     Parameters
     ----------
@@ -111,10 +109,10 @@ class RatingSet(_ReadOnlyArrays):
     _cells = None           # not a field: (groups, key, counts, avg_rating) that ``cells`` keeps
 
     def __post_init__(self):
+        check_field_types(self)
         for name, dtype in (("users", np.int64), ("items", np.int64), ("values", np.float64)):
             object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
-        object.__setattr__(self, "num_users", int(self.num_users))
-        object.__setattr__(self, "num_items", int(self.num_items))
+        self.__dict__.update(num_users=int(self.num_users), num_items=int(self.num_items))
         self.validate()
 
     def validate(self):
@@ -176,9 +174,9 @@ class RatingSet(_ReadOnlyArrays):
         and the mean rating of each cell, columns advantaged and
         disadvantaged (bincount sums in entry order; NaN where the count is
         0).  Built after ``check_groups`` on the first request for a groups
-        object, and kept in one slot until a request names another; a
-        request that fails the check leaves the slot as it was."""
-        if self._cells is None or self._cells[0] is not groups:
+        object, and kept in one slot until a request names another (each
+        request reads the slot once); a failed check leaves the slot as is."""
+        if (kept := self._cells) is None or kept[0] is not groups:
             self.check_groups(groups)
             n = self.num_items
             key = 2 * self.items + groups.disadvantaged[self.users]
@@ -188,8 +186,8 @@ class RatingSet(_ReadOnlyArrays):
                 avg_rating = sums.reshape(n, 2) / counts
             for table in (key, counts, avg_rating):
                 table.setflags(write=False)
-            object.__setattr__(self, "_cells", (groups, key, counts, avg_rating))
-        return self._cells[1:]
+            object.__setattr__(self, "_cells", kept := (groups, key, counts, avg_rating))
+        return kept[1:]
 
 
 @dataclass(frozen=True, eq=False)

@@ -183,8 +183,11 @@ class ExperimentResult:
 
 
 def evaluate(params: ModelParams, targets: RatingSet, groups: GroupAssignment) -> FairnessReport:
-    """Score a model against held-out targets: mean squared error plus the
-    five unfairness metrics computed on the target set."""
+    """Score a model against held-out targets on its grid: mean squared
+    error plus the five unfairness metrics computed on the target set."""
+    if (params.num_users, params.num_items) != (targets.num_users, targets.num_items):
+        raise ValueError(f"model grid {params.num_users} x {params.num_items} does not match "
+                         f"target grid {targets.num_users} x {targets.num_items}")
     if len(targets) == 0:
         raise ValueError("cannot evaluate on an empty target set")
     preds = predict_entries(params, targets.users, targets.items)

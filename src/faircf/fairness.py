@@ -107,8 +107,7 @@ class FairnessReport:
         return cls(*(float(c) for c in cells))
 
 
-def group_item_averages(predictions, ratings: RatingSet, groups: GroupAssignment | None = None
-                        ) -> GroupItemAverages:
+def group_item_averages(predictions, ratings: RatingSet, groups: GroupAssignment) -> GroupItemAverages:
     """Per-item and overall group means of predictions and observed scores.
 
     ``predictions`` is aligned with the entries of ``ratings``.  One
@@ -117,8 +116,6 @@ def group_item_averages(predictions, ratings: RatingSet, groups: GroupAssignment
     column totals of those sums give the overall means; the count and
     mean-rating tables are kept with the key.
     """
-    if groups is None:
-        raise ValueError("group statistics need group labels")
     key, counts, avg_rating = ratings.cells(groups)
     predictions = np.asarray(predictions, dtype=np.float64)
     if predictions.shape != ratings.values.shape:

@@ -15,6 +15,7 @@ The bias vectors are deliberately left out of the norm term.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import re
@@ -201,16 +202,17 @@ def accumulate_gradient(params: ModelParams, ratings: RatingSet, weights,
     of the L2 term).  ``weights`` is aligned with the entries of
     ``ratings``; the gradient comes back in the parameter layout.
 
-    The weights fill the user-major CSR matrix A and its CSC twin A.T that
-    the set keeps (``RatingSet.pattern``), which share one data array (one
-    gather for shuffled entries), and ``A @ [Q, 1]`` and ``A.T @ [P, 1]``
-    give the user and the item gradients, factors and bias together.  The
-    pattern keeps the weights of the last call, so calls on one set must
-    not run at the same time in threads.  Each output sums its terms in a
-    fixed order (a user's entries in entry order; an item's in user order,
-    then entry order), so results are reproducible bit for bit.
+    The weights fill shallow copies of the user-major CSR matrix A and its
+    CSC twin A.T that the set keeps (``RatingSet.pattern``), one data array
+    for both (one gather for shuffled entries); the kept pair is never
+    written, so concurrent calls may share a set.  ``A @ [Q, 1]`` and
+    ``A.T @ [P, 1]`` give the user and the item gradients, factors and bias
+    together.  Each output sums its terms in a fixed order (a user's entries
+    in entry order; an item's in user order, then entry order), so results
+    are reproducible bit for bit.
     """
     a, at, order = ratings.pattern
+    a, at = copy.copy(a), copy.copy(at)
     a.data = at.data = weights if order is None else weights[order]
     m, n, d = params.num_users, params.num_items, params.d
     p, q, _, _ = params.arrays()

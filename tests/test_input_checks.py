@@ -86,6 +86,13 @@ CASES = {
                         "like_probs: expected numbers, got {'W': 0.5}"),
     "ratings-empty-grid": (lambda: RatingSet([], [], [], 0, 1),
                            "rating grid must have at least one user and one item"),
+    # A grid size is an int, not truncated to one.
+    "ratings-users-float": (lambda: RatingSet([0, 1], [0, 0], [1.0, 1.0], 2.9, 1),
+                            "num_users: expected int, got 2.9"),
+    "ratings-users-bool": (lambda: RatingSet([0], [0], [1.0], True, 1),
+                           "num_users: expected int, got True"),
+    "ratings-items-float": (lambda: RatingSet([0], [0], [1.0], 1, 1.0),
+                            "num_items: expected int, got 1.0"),
     "groups-2d": (lambda: GroupAssignment(np.zeros((2, 2), dtype=bool)),
                   "disadvantaged must be a 1-d boolean array"),
     "params-1d-factors": (lambda: ModelParams([1.0], [[1.0]], [0.0], [0.0]),
@@ -99,8 +106,6 @@ CASES = {
     "averages-misaligned": (lambda: group_item_averages(np.zeros(3), empty_ratings(),
                                                         GroupAssignment([True, False])),
                             "predictions must align with the rating entries"),
-    "averages-no-labels": (lambda: group_item_averages(np.zeros(0), empty_ratings()),
-                           "group statistics need group labels"),
     "filter-min-ratings": (lambda: filter_dataset(NO_RATINGS, min_ratings=0),
                            "min_ratings must be >= 1"),
     "train-empty": (lambda: train(empty_ratings(), GroupAssignment([True, False]),
@@ -120,6 +125,16 @@ CASES = {
     "evaluate-labels": (lambda: evaluate(ModelParams.zeros(2, 2, 1), two_users(),
                                          GroupAssignment([True])),
                         "group labels cover 1 users, ratings declare 2"),
+    # A model scores only targets on its own grid, smaller or larger.
+    "evaluate-fewer-users": (lambda: evaluate(ModelParams.zeros(1, 2, 1), two_users(),
+                                              GroupAssignment([True, False])),
+                             "model grid 1 x 2 does not match target grid 2 x 2"),
+    "evaluate-fewer-items": (lambda: evaluate(ModelParams.zeros(2, 1, 1), two_users(),
+                                              GroupAssignment([True, False])),
+                             "model grid 2 x 1 does not match target grid 2 x 2"),
+    "evaluate-more-users": (lambda: evaluate(ModelParams.zeros(3, 2, 1), two_users(),
+                                             GroupAssignment([True, False])),
+                            "model grid 3 x 2 does not match target grid 2 x 2"),
     "genre-unknown": (lambda: GenreStats([]).get("Western"), "'Western'"),
 }
 
@@ -128,6 +143,12 @@ CASES = {
 def test_an_invalid_input_raises_when_built(build, message):
     with pytest.raises((KeyError, ValueError), match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_a_rating_set_takes_numpy_integer_grid_sizes_as_ints():
+    ratings = RatingSet([0, 1], [0, 2], [1.0, 1.0], np.int64(2), np.int32(3))
+    assert (ratings.num_users, ratings.num_items) == (2, 3)
+    assert type(ratings.num_users) is int and type(ratings.num_items) is int
 
 
 def test_configs_take_numpy_integers_and_keep_a_list_of_str_as_a_tuple():

@@ -1,6 +1,7 @@
 """Prediction, squared objective, and analytic gradients of the base model."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -152,9 +153,9 @@ def test_accumulate_gradient_matches_loop():
 
 @pytest.mark.parametrize("shuffled", [False, True])
 def test_one_plan_takes_new_weights_on_every_call(shuffled):
-    """The CSR matrix a set keeps and its CSC view share their weights,
-    which each call replaces: call after call on one set, each gradient
-    equals a fresh set's bit for bit, and the one-entry-at-a-time loop's."""
+    """Each call puts its own weights into the CSR pattern a set keeps:
+    call after call on one set, each gradient equals a fresh set's bit for
+    bit, and the one-entry-at-a-time loop's."""
     rng = np.random.default_rng(17)
     ratings, _, params = random_instance(rng, max_users=6, max_items=5, d=3)
     if shuffled:
@@ -166,6 +167,24 @@ def test_one_plan_takes_new_weights_on_every_call(shuffled):
         fresh = accumulate_gradient(params, ratings.subset(slice(None)), weights)
         assert np.array_equal(got.flat, fresh.flat)
         assert got.flat == pytest.approx(loop_gradient(params, ratings, weights).flat)
+
+
+def test_a_call_writes_nothing_into_the_kept_pattern():
+    """accumulate_gradient leaves the pattern a set keeps as it was, so the
+    set holds no reference to the weights of a call once it returns."""
+    rng = np.random.default_rng(19)
+    ratings, _, params = random_instance(rng, max_users=6, max_items=5)
+    a, at, order = ratings.pattern
+    assert order is None        # entries in user order: no gather copies the weights
+    data, data_t = a.data, at.data
+    kept = data.copy(), data_t.copy()
+    weights = rng.normal(size=len(ratings))
+    alive = weakref.ref(weights)
+    accumulate_gradient(params, ratings, weights)
+    del weights
+    assert alive() is None
+    assert a.data is data and at.data is data_t
+    assert np.array_equal(data, kept[0]) and np.array_equal(data_t, kept[1])
 
 
 def test_params_validation():

@@ -2,6 +2,7 @@
 actual learning."""
 
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -209,6 +210,20 @@ def test_a_second_groups_object_reuses_the_pattern_of_the_set():
     others = GroupAssignment(~groups.disadvantaged)
     train(ratings, others, TrainConfig(iterations=2, penalty="value"))
     assert ratings.pattern is pattern
+
+
+def test_two_threads_training_on_one_set_each_give_their_serial_bits():
+    """Runs in two threads share the pattern and the cells of one set, and
+    each gives the parameters it gives alone, plain and penalized."""
+    data = generate(builtin_specs(num_users=400, num_items=300, seed=0)["P+O"])
+    configs = (TrainConfig(iterations=60, seed=0),
+               TrainConfig(iterations=60, seed=1, penalty="value"))
+    serial = [train(data.observed, data.groups, config)[0].flat for config in configs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(3):
+            runs = [pool.submit(train, data.observed, data.groups, config) for config in configs]
+            for run, want in zip(runs, serial):
+                assert np.array_equal(run.result(timeout=120)[0].flat, want)
 
 
 def test_one_set_and_one_groups_object_build_one_plan(monkeypatch):
