@@ -8,7 +8,7 @@ factor matrices (the biases are unregularized).
 import numpy as np
 
 from faircf import ModelParams, RatingSet, TrainConfig, GroupAssignment
-from faircf.model import mf_objective, predict, predict_matrix
+from faircf.model import mf_objective, predict, predict_entries
 from faircf.trainer import train
 
 rng = np.random.default_rng(0)
@@ -29,11 +29,11 @@ print(f"objective: {trace.objective[0]:.4f} (first) -> {trace.objective[-1]:.4f}
 print(f"recheck against the returned parameters: "
       f"{mf_objective(params, ratings, config.lambda_reg):.4f}")
 
-dense = predict_matrix(params)
 held_out = np.ones((12, 8), dtype=bool)
 held_out[users, items] = False
+predicted = predict_entries(params, *np.nonzero(held_out))
 print(f"held-out rmse vs planted truth: "
-      f"{np.sqrt(np.mean((dense[held_out] - truth[held_out]) ** 2)):.3f}")
+      f"{np.sqrt(np.mean((predicted - truth[held_out]) ** 2)):.3f}")
 print(f"single prediction, user 3 on item 5: {predict(params, 3, 5):+.3f} "
       f"(truth {truth[3, 5]:+.3f})")
 

@@ -34,7 +34,7 @@ from .data import (read_groups, read_json_object, read_ratings, write_fields, wr
 from .experiments import (SCENARIOS, SETTING_BY_SCENARIO, ExperimentPlan, evaluate, render,
                           render_settings, run_bias_settings_study, run_experiment,
                           write_long_csv)
-from .fairness import PENALTY_KINDS
+from .fairness import PENALTY_KINDS, check_penalty
 from .ingest import (ARCHIVE_FILES, DEFAULT_GENRES, DEFAULT_MIN_RATINGS, filter_dataset,
                      genre_stats, parse)
 from .model import TrainConfig, load_params, save_params
@@ -292,26 +292,24 @@ def _cmd_experiment(params: dict):
     scenario = params["scenario"]
     default_trials = 3 if scenario.startswith("synthetic") else 5
     trials = default_trials if params["trials"] is None else params["trials"]
-    config = _train_config(params)
+    fields = dict(trials=trials, config=_train_config(params), seed=params["seed"],
+                  num_users=params["users"], num_items=params["items"], ml_dir=params["ml_dir"],
+                  test_fraction=params["test_fraction"], jobs=params["jobs"])
     if scenario == "movielens" and not params["ml_dir"]:
         raise UsageError("--ml-dir is required for the movielens scenario")
+    penalties = tuple(p.strip() for p in params["penalties"].split(",") if p.strip())
     out = Path(params["out"])
     if scenario == "fig1":
-        results = run_bias_settings_study(trials=trials, num_users=params["users"],
-                                          num_items=params["items"], config=config,
-                                          seed=params["seed"], jobs=params["jobs"])
+        for name in penalties:      # recorded in the manifest, though fig1 trains "none" only
+            check_penalty(name)
+        results = run_bias_settings_study(**fields)
         rows = [row for res in results.values() for row in res.long_rows()]
         table = render_settings(results)
         csv_table = render_settings(results, fmt="csv")
         summary = {"settings": {name: res.summary_dict() for name, res in results.items()}}
         dataset = {"trials": trials, "settings": list(results)}
     else:
-        penalties = tuple(p.strip() for p in params["penalties"].split(",") if p.strip())
-        plan = ExperimentPlan(scenario=scenario, penalties=penalties, trials=trials,
-                              config=config, seed=params["seed"], num_users=params["users"],
-                              num_items=params["items"], ml_dir=params["ml_dir"],
-                              test_fraction=params["test_fraction"], jobs=params["jobs"])
-        result = run_experiment(plan)
+        result = run_experiment(ExperimentPlan(scenario, penalties, **fields))
         rows = result.long_rows()
         table = render(result)
         csv_table = render(result, fmt="csv")

@@ -154,12 +154,11 @@ class RatingSet(_ReadOnlyArrays):
         """``(A, A.T, order)``: the user-major CSR matrix of the grid, whose
         slot s holds entry ``order[s]``, and its CSC view, built once from
         the same arrays, so no item-major pattern is ever built (``order``,
-        a stable argsort of the users in their smallest unsigned type,
-        radix-sorted up to 65536 users, is None for entries in user order)."""
+        a stable argsort of the users, is None for entries in user order)."""
         users, items = self.users, self.items
         order = None
         if np.any(users[1:] < users[:-1]):
-            order = np.argsort(users.astype(np.min_scalar_type(self.num_users - 1)), kind="stable")
+            order = np.argsort(users, kind="stable")
             items = items[order]
         indptr = np.zeros(self.num_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(users, minlength=self.num_users), out=indptr[1:])

@@ -16,6 +16,7 @@ are computed from the reports, so neither is stored.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +33,6 @@ from .fairness import (PENALTY_KINDS, FairnessReport, METRIC_NAMES, check_penalt
                        group_item_averages, metric)
 from .ingest import FilteredDataset, check_test_fraction, filter_dataset, parse, split
 from .model import ModelParams, TrainConfig, predict_entries
-from .seeding import derive_seed
 from .synthetic import BlockModelSpec, builtin_specs, evaluation_set, generate
 from .trainer import train
 
@@ -55,6 +55,15 @@ METRIC_LABELS = {
     "under": "Underestimation", "over": "Overestimation", "nonparity": "Non-Parity",
 }
 SIGNIFICANCE_LEVEL = 0.05     # a paired t-test p-value below it tells two penalties apart
+
+
+def derive_seed(base: int, *labels: str) -> int:
+    """Stable 63-bit seed for the root seed ``base`` and a label path, e.g.
+    ``derive_seed(root, "train", "value", "3")``: the same on every platform
+    and in any call order."""
+    text = ":".join([str(int(base)), *map(str, labels)])
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little") & ((1 << 63) - 1)
 
 
 @dataclass(frozen=True)
@@ -85,12 +94,10 @@ class ExperimentPlan:
             if p in self.penalties[:i]:
                 raise ValueError(f"duplicate penalty {p!r}")
             check_penalty(p)
-        if self.scenario == "movielens":
-            if not self.ml_dir:
-                raise ValueError("the movielens scenario needs ml_dir")
-            check_test_fraction(self.test_fraction)
-        else:
-            BlockModelSpec(num_users=self.num_users, num_items=self.num_items)   # checks the grid
+        if self.scenario == "movielens" and not self.ml_dir:
+            raise ValueError("the movielens scenario needs ml_dir")
+        check_test_fraction(self.test_fraction)
+        BlockModelSpec(num_users=self.num_users, num_items=self.num_items)   # checks the grid
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -255,18 +262,13 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     return ExperimentResult(plan, {pen: [out[pen] for out in outputs] for pen in plan.penalties})
 
 
-def run_bias_settings_study(trials: int = 5, num_users: int = BlockModelSpec.num_users,
-                            num_items: int = BlockModelSpec.num_items,
-                            config: TrainConfig = TrainConfig(), seed: int = 0,
-                            jobs: int = 1) -> dict:
+def run_bias_settings_study(trials: int = 5, **plan_fields) -> dict:
     """Penalty-free comparison across the four synthetic settings; returns
-    an ExperimentResult per setting keyed U, O, P, P+O."""
-    results = {}
-    for scenario, setting in SETTING_BY_SCENARIO.items():
-        plan = ExperimentPlan(scenario=scenario, penalties=("none",), trials=trials, config=config,
-                              seed=seed, num_users=num_users, num_items=num_items, jobs=jobs)
-        results[setting] = run_experiment(plan)
-    return results
+    an ExperimentResult per setting keyed U, O, P, P+O.  ``plan_fields``
+    are the other ExperimentPlan fields (``config``, ``seed``,
+    ``num_users``, ...), shared by the four plans."""
+    return {setting: run_experiment(ExperimentPlan(scenario, ("none",), trials, **plan_fields))
+            for scenario, setting in SETTING_BY_SCENARIO.items()}
 
 
 def _render_table(key: str, rows, fmt: str) -> str:

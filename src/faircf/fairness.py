@@ -183,7 +183,7 @@ def _smoothed_terms(kind: str, avgs: GroupItemAverages) -> tuple[float, np.ndarr
 
 
 def penalty_terms(kind: str, predictions, ratings: RatingSet, groups: GroupAssignment,
-                  weight: float = 1.0) -> tuple[float, np.ndarray]:
+                  weight: float) -> tuple[float, np.ndarray]:
     """The weighted smoothed ``kind`` penalty (a PENALTY_KINDS entry other
     than "none") under ``groups`` and its derivative d penalty / d yhat_k
     for every rating entry, from ``predictions`` already made for the

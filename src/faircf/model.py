@@ -113,6 +113,8 @@ class TrainConfig:
             raise ValueError("lambda_reg must be >= 0")
         if self.lambda_reg == math.inf:
             raise ValueError("lambda_reg must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if not self.learning_rate > 0:
@@ -125,17 +127,18 @@ class TrainConfig:
 
 
 def predict(params: ModelParams, user: int, item: int) -> float:
-    """Predicted score for a single (user, item) pair."""
+    """Predicted score for a single (user, item) pair, by ``predict_entries``."""
     if not 0 <= user < params.num_users:
         raise IndexError(f"user index {user} out of range")
     if not 0 <= item < params.num_items:
         raise IndexError(f"item index {item} out of range")
-    return float(params.user_vectors[user] @ params.item_vectors[item]
-                 + params.user_bias[user] + params.item_bias[item])
+    return float(predict_entries(params, [user], [item])[0])
 
 
 def predict_entries(params: ModelParams, users, items) -> np.ndarray:
-    """Predicted scores for parallel index arrays (indices assumed valid).
+    """Predicted scores for parallel index arrays (indices assumed valid):
+    the one prediction kernel, through which ``predict``, training and
+    ``experiments.evaluate`` all score.
 
     The factor columns come from contiguous copies of the transposed factor
     matrices.  The item side of every entry is gathered.  The user side is
@@ -166,12 +169,6 @@ def predict_entries(params: ModelParams, users, items) -> np.ndarray:
     return out
 
 
-def predict_matrix(params: ModelParams) -> np.ndarray:
-    """Dense (num_users, num_items) prediction matrix."""
-    return (params.user_vectors @ params.item_vectors.T
-            + params.user_bias[:, None] + params.item_bias[None, :])
-
-
 def mf_objective_terms(params: ModelParams, ratings: RatingSet, predictions,
                        lambda_reg: float) -> tuple[float, np.ndarray]:
     """The objective and its derivative dJ/dyhat_k for every rating entry,
@@ -196,7 +193,7 @@ def mf_objective(params: ModelParams, ratings: RatingSet, lambda_reg: float) -> 
 
 
 def accumulate_gradient(params: ModelParams, ratings: RatingSet, weights,
-                        lambda_reg: float = 0.0) -> ModelParams:
+                        lambda_reg: float) -> ModelParams:
     """Chain per-entry prediction-space derivatives dL/dyhat_k back to the
     parameters, plus ``lambda_reg`` times the factor matrices (the gradient
     of the L2 term).  ``weights`` is aligned with the entries of

@@ -12,6 +12,7 @@ import pytest
 
 from faircf.cli import main
 from faircf.data import read_ratings
+from faircf.fairness import PENALTY_KINDS
 from faircf.model import load_params
 from conftest import subprocess_env
 
@@ -322,6 +323,18 @@ def test_fig1_experiment_flow(tmp_path):
     run_ok(["rerun", str(out / "manifest.json"), "--out", str(redo)])
     for name in outputs:
         assert (redo / name).read_bytes() == (out / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--penalties", "bogus,zzz", f"unknown penalty 'bogus'; valid: {', '.join(PENALTY_KINDS)}"),
+    ("--test-fraction", "7", "test_fraction must lie strictly between 0 and 1"),
+], ids=["penalties", "test-fraction"])
+def test_fig1_checks_the_fields_it_records(tmp_path, capsys, flag, value, message):
+    """fig1 trains penalty "none" alone and splits no archive, but its
+    manifest records --penalties and --test-fraction, so it checks them."""
+    assert main(["experiment", "--scenario", "fig1", flag, value,
+                 "--out", str(tmp_path / "fig1")]) == 1
+    assert capsys.readouterr().err == f"faircf experiment: {message}\n"
 
 
 def test_jobs_flag_gives_identical_tables(tmp_path):

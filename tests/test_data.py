@@ -263,7 +263,7 @@ def test_every_input_format_skips_blank_lines_and_names_the_faulty_line(tmp_path
                 read(path)
 
 
-@pytest.mark.parametrize("num_users", [3, 300, 70_000])      # uint8, uint16, uint32 users
+@pytest.mark.parametrize("num_users", [3, 300, 70_000])
 def test_plan_order_is_the_stable_argsort_of_shuffled_entries(num_users):
     users = np.repeat(np.arange(num_users), 4)
     items = np.tile(np.arange(4), num_users)

@@ -5,11 +5,10 @@ import pytest
 import scipy.stats
 
 from faircf.data import GroupAssignment, RatingSet
-from faircf.experiments import (SIGNIFICANCE_LEVEL, ExperimentPlan, evaluate,
+from faircf.experiments import (SIGNIFICANCE_LEVEL, ExperimentPlan, derive_seed, evaluate,
                                 paired_t_statistic, parse_table_csv, render,
                                 run_experiment, write_long_csv)
 from faircf.model import ModelParams, TrainConfig
-from faircf.seeding import derive_seed
 from oracles import brute_force_metrics, predictions_for, random_instance
 
 

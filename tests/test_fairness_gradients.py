@@ -18,7 +18,7 @@ def penalty_and_gradient(kind, params, ratings, groups, weight=1.0):
     and ``accumulate_gradient``."""
     preds = predict_entries(params, ratings.users, ratings.items)
     pen, weights = penalty_terms(kind, preds, ratings, groups, weight)
-    return pen, accumulate_gradient(params, ratings, weights)
+    return pen, accumulate_gradient(params, ratings, weights, 0.0)
 
 
 def sample_smooth_point(rng, kind):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from faircf.data import GroupAssignment, RatingSet
-from faircf.experiments import ExperimentPlan, ExperimentResult, evaluate, render
+from faircf.experiments import (ExperimentPlan, ExperimentResult, evaluate,
+                                paired_t_statistic, render)
 from faircf.fairness import PENALTY_KINDS, FairnessReport, group_item_averages
 from faircf.ingest import GenreStats, MovieLensRaw, filter_dataset
 from faircf.model import ModelParams, TrainConfig
@@ -41,8 +42,14 @@ CASES = {
                       "num_users and num_items must be positive"),
     "plan-test-fraction": (lambda: ExperimentPlan("movielens", ml_dir="x", test_fraction=1.5),
                            "test_fraction must lie strictly between 0 and 1"),
+    # A plan checks every field it records, whichever scenario reads it.
+    "plan-synthetic-test-fraction": (lambda: ExperimentPlan("synthetic_U", test_fraction=7.0),
+                                     "test_fraction must lie strictly between 0 and 1"),
+    "plan-movielens-users": (lambda: ExperimentPlan("movielens", ml_dir="x", num_users=-5),
+                             "num_users and num_items must be positive"),
     "config-penalty-weight": (lambda: TrainConfig(penalty_weight=-1.0),
                               "penalty_weight must be >= 0"),
+    "config-seed-negative": (lambda: TrainConfig(seed=-1), "seed must be non-negative"),
     # NaN fails every comparison, so each range check must be one that NaN fails
     "config-reg-nan": (lambda: TrainConfig(lambda_reg=float("nan")), "lambda_reg must be >= 0"),
     "config-rate-nan": (lambda: TrainConfig(learning_rate=float("nan")),
@@ -106,6 +113,12 @@ CASES = {
     "averages-misaligned": (lambda: group_item_averages(np.zeros(3), empty_ratings(),
                                                         GroupAssignment([True, False])),
                             "predictions must align with the rating entries"),
+    "t-test-lengths": (lambda: paired_t_statistic([1.0, 2.0], [1.0, 2.0, 3.0]),
+                       "paired samples must be 1-d arrays of equal length"),
+    "t-test-2d": (lambda: paired_t_statistic([[1.0, 2.0]], [[3.0, 4.0]]),
+                  "paired samples must be 1-d arrays of equal length"),
+    "t-test-one-pair": (lambda: paired_t_statistic([1.0], [2.0]),
+                        "paired t-test needs at least 2 pairs"),
     "filter-min-ratings": (lambda: filter_dataset(NO_RATINGS, min_ratings=0),
                            "min_ratings must be >= 1"),
     "train-empty": (lambda: train(empty_ratings(), GroupAssignment([True, False]),

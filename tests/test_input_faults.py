@@ -3,6 +3,7 @@ the line; plus the library paths that reject such input."""
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -199,6 +200,14 @@ def test_read_ratings_needs_dimensions_for_an_empty_file(tmp_path):
     with pytest.raises(ValueError, match="empty rating file needs explicit grid dimensions"):
         read_ratings(path)
     assert len(read_ratings(path, num_users=2, num_items=3)) == 0
+
+
+def test_read_ratings_names_the_file_of_a_grid_fault(tmp_path):
+    path = tmp_path / "ratings.tsv"
+    path.write_text("0\t0\t1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: rating grid must have "
+                                         "at least one user and one item$"):
+        read_ratings(path, num_users=0, num_items=3)
 
 
 def test_load_params_rejects_missing_rows(tmp_path):

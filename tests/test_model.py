@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from faircf.data import GroupAssignment, RatingSet
 from faircf.model import (ModelParams, TrainConfig, accumulate_gradient,
                           load_params, mf_objective, predict,
-                          predict_entries, predict_matrix, save_params)
+                          predict_entries, save_params)
+from faircf.synthetic import builtin_specs, generate
+from faircf.trainer import train
 from conftest import loss_pass
 from oracles import entries, finite_difference, oracle_loss, random_instance
 
@@ -60,12 +62,22 @@ def test_gradient_hand_values():
 def test_prediction_helpers_agree():
     rng = np.random.default_rng(7)
     ratings, _, params = random_instance(rng, max_users=5, max_items=4)
-    dense = predict_matrix(params)
-    assert dense.shape == (ratings.num_users, ratings.num_items)
     per_entry = predict_entries(params, ratings.users, ratings.items)
     for k, (u, i, _) in enumerate(entries(ratings)):
-        assert per_entry[k] == pytest.approx(predict(params, u, i))
-        assert dense[u, i] == pytest.approx(per_entry[k])
+        assert per_entry[k] == predict(params, u, i)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_predict_gives_the_bits_of_the_kernel_on_a_trained_model(d):
+    """predict scores a pair through predict_entries, so it gives the
+    kernel's bits exactly; a dot product of the two vectors may fuse its
+    multiply-adds and differ in the last bit."""
+    data = generate(builtin_specs(num_users=400, num_items=300, seed=0)["P+O"])
+    params = train(data.observed, data.groups, TrainConfig(d=d, iterations=100))[0]
+    rng = np.random.default_rng(d)
+    users, items = rng.integers(400, size=2000), rng.integers(300, size=2000)
+    single = [predict(params, u, i) for u, i in zip(users.tolist(), items.tolist())]
+    assert single == predict_entries(params, users, items).tolist()
 
 
 def test_gradient_matches_finite_differences():
@@ -128,7 +140,6 @@ def test_user_runs_predict_the_bits_of_the_gather(case):
     for k in range(1, params.d):
         in_k_order += p[users, k] * q[items, k]
     assert np.array_equal(ordered, in_k_order + u[users] + v[items])
-    np.testing.assert_allclose(ordered, predict_matrix(params)[users, items], rtol=1e-12)
 
 
 def loop_gradient(params, ratings, weights):
@@ -146,7 +157,7 @@ def test_accumulate_gradient_matches_loop():
     rng = np.random.default_rng(11)
     ratings, _, params = random_instance(rng)
     weights = rng.normal(size=len(ratings))
-    got = accumulate_gradient(params, ratings, weights)
+    got = accumulate_gradient(params, ratings, weights, 0.0)
     for got_arr, want_arr in zip(got.arrays(), loop_gradient(params, ratings, weights).arrays()):
         assert got_arr == pytest.approx(want_arr)
 
@@ -163,8 +174,8 @@ def test_one_plan_takes_new_weights_on_every_call(shuffled):
     assert (ratings.pattern[2] is not None) == shuffled
     for _ in range(4):
         weights = rng.normal(size=len(ratings))
-        got = accumulate_gradient(params, ratings, weights)
-        fresh = accumulate_gradient(params, ratings.subset(slice(None)), weights)
+        got = accumulate_gradient(params, ratings, weights, 0.0)
+        fresh = accumulate_gradient(params, ratings.subset(slice(None)), weights, 0.0)
         assert np.array_equal(got.flat, fresh.flat)
         assert got.flat == pytest.approx(loop_gradient(params, ratings, weights).flat)
 
@@ -180,7 +191,7 @@ def test_a_call_writes_nothing_into_the_kept_pattern():
     kept = data.copy(), data_t.copy()
     weights = rng.normal(size=len(ratings))
     alive = weakref.ref(weights)
-    accumulate_gradient(params, ratings, weights)
+    accumulate_gradient(params, ratings, weights, 0.0)
     del weights
     assert alive() is None
     assert a.data is data and at.data is data_t
