@@ -126,10 +126,6 @@ class UsageError(Exception):
     pass
 
 
-def _archive_checksums(ml_dir) -> dict:
-    return {str(p): _checksum(p) for p in map(Path(ml_dir).joinpath, ARCHIVE_FILES)}
-
-
 def _checksum(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -157,6 +153,8 @@ def _resolve(command: str, cli_values: dict, file_values: dict, origin: str) -> 
         env_name = ENV_PREFIX + key.upper()
         if env_name in os.environ:
             value, source = os.environ[env_name], env_name
+        if name in file_values and key in file_values and name != key:
+            raise UsageError(f"{origin}: {name!r} and {key!r} name one parameter")
         if name in file_values or key in file_values:
             spelling = name if name in file_values else key
             value, source = file_values[spelling], f"{origin}: {spelling}"
@@ -185,9 +183,9 @@ def _train_config(params: dict, **fixed) -> TrainConfig:
                                    for flag, (name, _) in _TRAIN_PARAMS.items()})
 
 
-def _dataset_dims(data_dir: Path):
-    """Grid dimensions recorded by a previous generate/prepare run, if any."""
-    manifest = data_dir / "manifest.json"
+def _dataset_dims(manifest: Path):
+    """Grid dimensions recorded by a previous generate/prepare run in
+    ``manifest``, if it exists."""
     if not manifest.exists():
         return None, None
     ds = read_json_object(manifest, "manifest").get("dataset", {})
@@ -200,41 +198,28 @@ def _dataset_dims(data_dir: Path):
     return dims
 
 
-def _check_group_count(groups, groups_path: Path, num_users: int, grid_path: Path):
-    """Raise, naming both files, unless the group file labels exactly the
-    users of the grid that ``grid_path`` sets."""
-    if groups.num_users != num_users:
-        raise ValueError(f"{groups_path} labels {groups.num_users} users, "
-                         f"but the grid of {grid_path} has {num_users} users")
-
-
-def _load_dataset(data_dir: Path):
-    ratings_path = data_dir / "ratings.tsv"
-    groups_path = data_dir / "groups.tsv"
-    if not ratings_path.exists():
-        raise FileNotFoundError(f"missing {ratings_path}")
-    if not groups_path.exists():
-        raise FileNotFoundError(f"missing {groups_path}")
+def _read_labelled_set(groups_path: Path, ratings_path: Path, grid_path: Path, num_users,
+                       num_items, use: str):
+    """The group labels and the ratings on the grid that ``grid_path`` sets
+    (``num_users`` None: one user per label).  Labels for another user count
+    are a fault naming both files, an empty set one reading ``cannot <use>``."""
     groups = read_groups(groups_path)
-    num_users, num_items = _dataset_dims(data_dir)
     ratings = read_ratings(ratings_path, num_users=num_users or groups.num_users,
                            num_items=num_items)
-    _check_group_count(groups, groups_path, ratings.num_users, ratings_path)
+    if groups.num_users != ratings.num_users:
+        raise ValueError(f"{groups_path} labels {groups.num_users} users, "
+                         f"but the grid of {grid_path} has {ratings.num_users} users")
     if not len(ratings):
-        raise ValueError(f"{ratings_path}: cannot train on an empty rating set")
-    return ratings, groups, {str(ratings_path): _checksum(ratings_path),
-                             str(groups_path): _checksum(groups_path)}
+        raise ValueError(f"{ratings_path}: cannot {use}")
+    return groups, ratings
 
 
 def _cmd_generate(params: dict):
     if (params["scenario"] is None) == (params["spec"] is None):
         raise UsageError("generate needs exactly one of --scenario or --spec")
-    inputs = {}
-    if params["spec"]:
-        spec = load_spec(params["spec"])
-        inputs[params["spec"]] = _checksum(params["spec"])
-    else:
-        spec = builtin_specs()[GENERATE_SCENARIOS[params["scenario"]]]
+    inputs = [params["spec"]] if params["spec"] else []
+    spec = (load_spec(params["spec"]) if params["spec"]
+            else builtin_specs()[GENERATE_SCENARIOS[params["scenario"]]])
     flags = {"seed": params["seed"], "num_users": params["users"], "num_items": params["items"]}
     spec = replace(spec, **{name: value for name, value in flags.items() if value is not None})
     ds = generate(spec)
@@ -255,7 +240,13 @@ def _cmd_generate(params: dict):
 
 def _cmd_train(params: dict):
     data_dir = Path(params["data"])
-    ratings, groups, inputs = _load_dataset(data_dir)
+    ratings_path, groups_path = data_dir / "ratings.tsv", data_dir / "groups.tsv"
+    for path in (ratings_path, groups_path):
+        if not path.exists():
+            raise FileNotFoundError(f"missing {path}")
+    manifest = data_dir / "manifest.json"       # the grid of a generate or prepare run, if any
+    groups, ratings = _read_labelled_set(groups_path, ratings_path, ratings_path,
+                                         *_dataset_dims(manifest), "train on an empty rating set")
     config = _train_config(params, penalty=params["penalty"], seed=params["seed"])
     model, trace = train(ratings, groups, config)
     out = Path(params["out"])
@@ -263,6 +254,7 @@ def _cmd_train(params: dict):
     trace.write_csv(out / "trace.csv")
     dataset = {"num_users": ratings.num_users, "num_items": ratings.num_items,
                "num_ratings": len(ratings)}
+    inputs = [ratings_path, groups_path] + ([manifest] if manifest.exists() else [])
     return inputs, ["model.txt", "trace.csv"], dataset
 
 
@@ -271,21 +263,17 @@ def _cmd_evaluate(params: dict):
     data_dir = Path(params["data"])
     model = load_params(model_path)
     groups_path = data_dir / "groups.tsv"
-    groups = read_groups(groups_path)
-    _check_group_count(groups, groups_path, model.num_users, model_path)
     targets_path = Path(params["targets"]) if params["targets"] else data_dir / "expected.tsv"
     if not targets_path.exists():
         raise FileNotFoundError(
             f"no target file: {targets_path} (pass --targets to point at one)")
-    targets = read_ratings(targets_path, num_users=model.num_users, num_items=model.num_items)
-    if not len(targets):
-        raise ValueError(f"{targets_path}: cannot evaluate on an empty target set")
+    groups, targets = _read_labelled_set(groups_path, targets_path, model_path, model.num_users,
+                                         model.num_items, "evaluate on an empty target set")
     report = evaluate(model, targets, groups)
     out = Path(params["out"])
     (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    inputs = {str(p): _checksum(p) for p in (model_path, groups_path, targets_path)}
     dataset = {"num_targets": len(targets)}
-    return inputs, ["report.csv"], dataset
+    return [model_path, groups_path, targets_path], ["report.csv"], dataset
 
 
 def _cmd_experiment(params: dict):
@@ -315,7 +303,8 @@ def _cmd_experiment(params: dict):
         csv_table = render(result, fmt="csv")
         summary = result.summary_dict()
         dataset = {"trials": trials, "penalties": list(penalties)}
-    inputs = _archive_checksums(params["ml_dir"]) if scenario == "movielens" else {}
+    inputs = ([Path(params["ml_dir"]) / name for name in ARCHIVE_FILES]
+              if scenario == "movielens" else [])
     write_long_csv(rows, out / "results.csv")
     (out / "table.txt").write_text(table, encoding="utf-8")
     (out / "table.csv").write_text(csv_table, encoding="utf-8")
@@ -336,7 +325,6 @@ def _cmd_prepare_movielens(params: dict):
         write_fields(out / name, "\t", (np.arange(ids.size), ids))
     (out / "genre_stats.csv").write_text(stats.to_csv(), encoding="utf-8")
     (out / "genre_stats.txt").write_text(stats.render(), encoding="utf-8")
-    inputs = _archive_checksums(ml_dir)
     dataset = {
         "num_users": data.ratings.num_users,
         "num_items": data.ratings.num_items,
@@ -346,7 +334,7 @@ def _cmd_prepare_movielens(params: dict):
     }
     outputs = ["ratings.tsv", "groups.tsv", "user_map.tsv", "movie_map.tsv",
                "genre_stats.csv", "genre_stats.txt"]
-    return inputs, outputs, dataset
+    return [ml_dir / name for name in ARCHIVE_FILES], outputs, dataset
 
 
 _HANDLERS = {
@@ -363,6 +351,7 @@ def _run_command(command: str, params: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     inputs, outputs, dataset = _HANDLERS[command](params)
+    inputs = {str(path): _checksum(path) for path in inputs}
     write_json(out / "manifest.json", {
         "tool": "faircf",
         "version": __version__,

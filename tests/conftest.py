@@ -104,6 +104,16 @@ def bulk_ml_dir(tmp_path_factory):
     return write_bulk_ml_corpus(tmp_path_factory.mktemp("bulk-ml"))
 
 
+@pytest.fixture(autouse=True)
+def no_faircf_environment(monkeypatch):
+    """Unset every FAIRCF_* variable of the shell but FAIRCF_ML1M_DIR, so a
+    command's parameters come from its test alone; a test that needs such a
+    variable sets it with monkeypatch."""
+    for name in list(os.environ):
+        if name.startswith("FAIRCF_") and name != "FAIRCF_ML1M_DIR":
+            monkeypatch.delenv(name)
+
+
 def find_ml1m_dir():
     """Real MovieLens-1M directory, or None when it is not around."""
     candidates = []

@@ -215,6 +215,24 @@ def test_rerun_detects_changed_inputs(tmp_path):
                  "--out", str(tmp_path / "redo")]) == 1
 
 
+def test_rerun_refuses_a_changed_dataset_manifest(tmp_path, capsys):
+    """train takes its grid from <data>/manifest.json, so it records that file
+    among its inputs and a rerun checks it."""
+    data = make_dataset(tmp_path)
+    model_dir = tmp_path / "model"
+    run_ok(["train", "--data", str(data), "--iterations", "5", "--out", str(model_dir)])
+    assert sorted(read_manifest(model_dir)["input_checksums"]) == [
+        str(data / name) for name in ("groups.tsv", "manifest.json", "ratings.tsv")]
+    doc = read_manifest(data)
+    doc["dataset"]["num_items"] = 25
+    (data / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    redo = tmp_path / "redo"
+    assert main(["rerun", str(model_dir / "manifest.json"), "--out", str(redo)]) == 1
+    assert (f"manifest input changed since the recorded run: {data / 'manifest.json'}"
+            in capsys.readouterr().err)
+    assert not redo.exists()
+
+
 def test_precedence_flag_over_config_over_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FAIRCF_SEED", "5")
     env_only = tmp_path / "env"
@@ -252,6 +270,11 @@ def test_precedence_flag_over_config_over_env(tmp_path, monkeypatch, capsys):
     ("config", {"penalty_weight": None}, "{config}: penalty_weight: expected float, got null"),
     ("manifest", {"penalty-weight": None},
      "{manifest}: params: penalty-weight: expected float, got null"),
+    # Both spellings of one parameter in one file: neither wins silently.
+    ("config", {"learning-rate": 0.1, "learning_rate": 0.5},
+     "{config}: 'learning-rate' and 'learning_rate' name one parameter"),
+    ("manifest", {"learning-rate": 0.1, "learning_rate": 0.5},
+     "{manifest}: params: 'learning-rate' and 'learning_rate' name one parameter"),
 ])
 def test_a_bad_value_names_where_it_came_from(tmp_path, monkeypatch, capsys, origin, setting,
                                               message):
@@ -388,6 +411,8 @@ def test_train_without_dataset_manifest_infers_grid(tmp_path):
     run_ok(["train", "--data", str(data), "--iterations", "2",
             "--out", str(tmp_path / "model")])
     assert load_params(tmp_path / "model" / "model.txt").num_users == 20
+    assert sorted(read_manifest(tmp_path / "model")["input_checksums"]) == [
+        str(data / name) for name in ("groups.tsv", "ratings.tsv")]
 
 
 def test_train_rejects_a_negative_group_index(tmp_path, capsys):

@@ -50,3 +50,16 @@ def test_demo_runs_without_warnings(demo):
     proc = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
                           capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
+
+
+# setuptools 65 warns that its pyproject.toml table is in beta.
+@pytest.mark.filterwarnings(r"ignore:Support for `\[tool.setuptools\]`")
+def test_the_package_version_is_the_modules():
+    """pyproject.toml takes the version from faircf.__version__, the one
+    place it is written."""
+    pytest.importorskip("setuptools")
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    import faircf
+    config = read_configuration(ROOT / "pyproject.toml")
+    assert config["project"]["version"] == faircf.__version__
