@@ -18,7 +18,8 @@ Every numeric file (these, the model, the MovieLens id maps) is written by
 ``write_fields``, every report table by ``text_table`` or ``csv_text``.
 Floats are written with ``repr`` everywhere, so a read-back is bit-identical.
 JSON files (configs, manifests, summaries, specs) go through ``read_json_object``
-and ``write_json``; ``check_field_types`` is every config's field-type rule.
+and ``write_json``; ``check_field_types`` is the field rule of every
+container and config.
 """
 
 from __future__ import annotations
@@ -47,37 +48,27 @@ class RatingEntryError(ValueError):
 
 
 def repeats(keys):
-    """True at every entry whose key already appeared earlier."""
+    """True at every entry whose key already appeared earlier; keys that are
+    strictly ascending, or distinct once sorted, take no ``np.unique``."""
+    if np.all(keys[1:] > keys[:-1]) or np.all(np.diff(np.sort(keys))):
+        return np.zeros(keys.size, dtype=bool)
     repeated = np.ones(keys.size, dtype=bool)
     repeated[np.unique(keys, return_index=True)[1]] = False
     return repeated
 
 
-def _read_only(array, dtype) -> np.ndarray:
-    """A read-only copy of ``array`` as ``dtype``."""
-    array = np.array(array, dtype=dtype)
-    array.setflags(write=False)
-    return array
+class Container:
+    """Base of a frozen dataclass that holds arrays: it is pickled as its
+    fields, so unpickling goes through its constructor, which converts,
+    checks and freezes them as for a new one; what it builds later, such as
+    ``RatingSet.pattern``, stays behind."""
 
-
-class _ReadOnlyArrays:
-    """Pickling for a container of read-only arrays.  An unpickled array is
-    writable, so each one is made read-only again, and the tables a rating
-    set keeps (``RatingSet.pattern`` and ``RatingSet.cells``) stay behind."""
-
-    def __getstate__(self):
-        return {name: value for name, value in self.__dict__.items()
-                if name not in ("pattern", "_cells")}
-
-    def __setstate__(self, state):
-        for value in state.values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-        self.__dict__.update(state)
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class RatingSet(_ReadOnlyArrays):
+class RatingSet(Container):
     """Sparse set of observed (user, item, value) triples on a fixed grid;
     immutable: it holds read-only copies of the arrays it is given, and
     checks them once, when built.
@@ -101,18 +92,15 @@ class RatingSet(_ReadOnlyArrays):
         (user, item) pair may appear at most once.
     """
 
-    users: np.ndarray
-    items: np.ndarray
-    values: np.ndarray
+    users: IntArray
+    items: IntArray
+    values: FloatArray
     num_users: int
     num_items: int
     _cells = None           # not a field: (groups, key, counts, avg_rating) that ``cells`` keeps
 
     def __post_init__(self):
         check_field_types(self)
-        for name, dtype in (("users", np.int64), ("items", np.int64), ("values", np.float64)):
-            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
-        self.__dict__.update(num_users=int(self.num_users), num_items=int(self.num_items))
         self.validate()
 
     def validate(self):
@@ -128,9 +116,8 @@ class RatingSet(_ReadOnlyArrays):
             if items.min() < 0 or items.max() >= self.num_items:
                 raise RatingEntryError("item index out of range",
                                        (items < 0) | (items >= self.num_items))
-            keys = users * self.num_items + items       # strictly ascending needs no sort
-            if np.any(keys[1:] <= keys[:-1]) and not np.all(np.diff(np.sort(keys))):
-                raise RatingEntryError("duplicate (user, item) pair", repeats(keys))
+            if (repeated := repeats(users * self.num_items + items)).any():
+                raise RatingEntryError("duplicate (user, item) pair", repeated)
         finite = np.isfinite(self.values)
         if not np.all(finite):
             raise RatingEntryError("rating values must be finite", ~finite)
@@ -190,15 +177,15 @@ class RatingSet(_ReadOnlyArrays):
 
 
 @dataclass(frozen=True, eq=False)
-class GroupAssignment(_ReadOnlyArrays):
+class GroupAssignment(Container):
     """Binary per-user group labels; ``disadvantaged[i]`` is True for the
     disadvantaged group.  Immutable: it holds a read-only copy of the labels
     it is given."""
 
-    disadvantaged: np.ndarray
+    disadvantaged: BoolArray
 
     def __post_init__(self):
-        object.__setattr__(self, "disadvantaged", _read_only(self.disadvantaged, bool))
+        check_field_types(self)
         if self.disadvantaged.ndim != 1:
             raise ValueError("disadvantaged must be a 1-d boolean array")
 
@@ -291,24 +278,51 @@ def write_json(path, doc):
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-# A config field's annotation -> the types its value may take; a bool is none of them.
+# A field's annotation -> the types its value may take; a bool is none of them.
 _FIELD_TYPES = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating),
                 "str": str, "str | None": (str, type(None)), "tuple": (list, tuple)}
+# An array field's annotation -> the dtype it is kept in, the dtype kinds it
+# takes (np.can_cast then refuses a lossy one, such as uint64) and what it expects.
+IntArray = FloatArray = BoolArray = np.ndarray
+_ARRAY_TYPES = {"IntArray": (np.int64, "iu", "integers"), "BoolArray": (bool, "b", "booleans"),
+                "FloatArray": (np.float64, "iuf", "numbers")}
 
 
-def check_field_types(config, **classes):
-    """Raise ``<field>: expected <type>, got <value>`` unless each int, float,
-    str, optional str and tuple field of the dataclass ``config`` holds its
-    type (see _FIELD_TYPES), and each field annotated with a name in
-    ``classes`` (as ``TrainConfig=TrainConfig``) holds an instance of that
-    class; a tuple field must hold str, and is stored as a tuple."""
-    for f in fields(config):
-        value, types = getattr(config, f.name), _FIELD_TYPES.get(f.type) or classes.get(f.type)
-        if types and (not isinstance(value, types) or isinstance(value, bool)
-                      or f.type == "tuple" and not all(isinstance(v, str) for v in value)):
-            raise ValueError(f"{f.name}: expected {f.type}, got {value!r}")
-        if f.type == "tuple":
-            object.__setattr__(config, f.name, tuple(value))
+def check_field_types(container, **classes):
+    """The one rule for the fields of the frozen dataclass ``container``:
+    raise ``<field>: expected <what>, got <value>`` unless each field holds
+    what its annotation names, then store it in its kept form.
+
+    * An int, float, str, optional str or tuple field holds its type (see
+      _FIELD_TYPES); a numpy scalar is stored as its Python value, and a
+      tuple field must hold str and is stored as a tuple.
+    * A field annotated with a name in ``classes`` (as
+      ``TrainConfig=TrainConfig``) holds an instance of that class.
+    * An IntArray, FloatArray or BoolArray field holds an array (or what
+      ``np.asarray`` makes one of) whose kind converts to int64, float64 or
+      bool without loss (an empty one always does), and is stored as a
+      read-only copy in that dtype."""
+    for f in fields(container):
+        value = getattr(container, f.name)
+        if f.type in _ARRAY_TYPES:
+            dtype, kinds, expected = _ARRAY_TYPES[f.type]
+            try:
+                array = np.asarray(value)
+                if array.size and not (array.dtype.kind in kinds
+                                       and np.can_cast(array.dtype, dtype)):
+                    raise ValueError
+            except (ValueError, Warning):       # numpy < 1.24 warns of a ragged list
+                raise ValueError(f"{f.name}: expected {expected}, got {value!r}") from None
+            value = np.array(array, dtype=dtype)
+            value.setflags(write=False)
+        else:
+            types = _FIELD_TYPES.get(f.type) or classes.get(f.type)
+            if types and (not isinstance(value, types) or isinstance(value, bool)
+                          or f.type == "tuple" and not all(isinstance(v, str) for v in value)):
+                raise ValueError(f"{f.name}: expected {f.type}, got {value!r}")
+            value = (tuple(value) if f.type == "tuple"
+                     else value.item() if isinstance(value, np.generic) else value)
+        object.__setattr__(container, f.name, value)
 
 
 def read_fields(path, sep, kinds, encoding="utf-8", skip=0):

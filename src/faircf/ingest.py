@@ -97,7 +97,8 @@ class GenreStats:
 
 def parse(ml_dir) -> MovieLensRaw:
     """Parse the ARCHIVE_FILES of the archive directory, keeping what the filter
-    reads; every field is checked, and a repeated user or movie id is a fault."""
+    reads; every field is checked, and a repeated user id, movie id or
+    (user, movie) pair is a fault at its second line."""
     paths = [Path(ml_dir) / name for name in ARCHIVE_FILES]
     for p in paths:
         if not p.exists():
@@ -122,6 +123,15 @@ def parse(ml_dir) -> MovieLensRaw:
     reject(ratings_path, lines, (r_values < 1) | (r_values > 5), "rating outside 1..5")
     reject(ratings_path, lines, ~np.isin(r_users, uids), "unknown user {}", r_users)
     reject(ratings_path, lines, ~np.isin(r_movies, mids), "unknown movie {}", r_movies)
+    # A pair's key from the offsets of its ids, known by now, within their
+    # ranges, or from their ranks where the ranges are too wide for int64.
+    span = int(mids.max()) - int(mids.min()) + 1
+    if (int(uids.max()) - int(uids.min()) + 1) * span < 2**63:
+        keys = (r_users - uids.min()) * span + (r_movies - mids.min())
+    else:
+        keys = (np.searchsorted(np.sort(uids), r_users) * mids.size
+                + np.searchsorted(np.sort(mids), r_movies))
+    reject(ratings_path, lines, repeats(keys), "duplicate (user, movie) pair")
     return MovieLensRaw(users, movies, r_users, r_movies, r_values.astype(np.float64))
 
 

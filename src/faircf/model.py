@@ -127,11 +127,13 @@ class TrainConfig:
 
 
 def predict(params: ModelParams, user: int, item: int) -> float:
-    """Predicted score for a single (user, item) pair, by ``predict_entries``."""
-    if not 0 <= user < params.num_users:
-        raise IndexError(f"user index {user} out of range")
-    if not 0 <= item < params.num_items:
-        raise IndexError(f"item index {item} out of range")
+    """Predicted score for a single (user, item) pair, by ``predict_entries``;
+    an index must be an int or a numpy integer, not a bool."""
+    for name, index, size in (("user", user, params.num_users), ("item", item, params.num_items)):
+        if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
+            raise TypeError(f"{name} index: expected int, got {index!r}")
+        if not 0 <= index < size:
+            raise IndexError(f"{name} index {index} out of range")
     return float(predict_entries(params, [user], [item])[0])
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import GroupAssignment, RatingSet, check_field_types, read_json_object
+from .data import (Container, FloatArray, GroupAssignment, RatingSet, check_field_types,
+                   read_json_object)
 
 USER_GROUPS = ("W", "WS", "MS", "M")
 ITEM_GROUPS = ("Fem", "STEM", "Masc")
@@ -58,16 +59,16 @@ POP_IMBALANCED = np.array([0.4, 0.1, 0.4, 0.1])
 
 
 @dataclass(frozen=True, eq=False)
-class BlockModelSpec:
+class BlockModelSpec(Container):
     """Complete description of one synthetic data distribution; immutable
     (the arrays are read-only copies), and checked once, when built."""
 
     user_group_labels: tuple = USER_GROUPS
-    user_group_proportions: np.ndarray = field(default_factory=lambda: POP_UNIFORM)
+    user_group_proportions: FloatArray = field(default_factory=lambda: POP_UNIFORM)
     item_group_labels: tuple = ITEM_GROUPS
-    item_group_proportions: np.ndarray = field(default_factory=lambda: np.full(3, 1.0 / 3.0))
-    like_probs: np.ndarray = field(default_factory=lambda: LIKE_PROBS)
-    obs_probs: np.ndarray = field(default_factory=lambda: OBS_UNIFORM)
+    item_group_proportions: FloatArray = field(default_factory=lambda: np.full(3, 1.0 / 3.0))
+    like_probs: FloatArray = field(default_factory=lambda: LIKE_PROBS)
+    obs_probs: FloatArray = field(default_factory=lambda: OBS_UNIFORM)
     num_users: int = 400
     num_items: int = 300
     seed: int = 0
@@ -75,13 +76,6 @@ class BlockModelSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("user_group_proportions", "item_group_proportions", "like_probs", "obs_probs"):
-            try:
-                value = np.array(getattr(self, name), dtype=np.float64)     # the spec's own copy
-            except (TypeError, ValueError):
-                raise ValueError(f"{name}: expected numbers, got {getattr(self, name)!r}") from None
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
         n_ug, n_ig = len(self.user_group_labels), len(self.item_group_labels)
         if self.num_users <= 0 or self.num_items <= 0:
             raise ValueError("num_users and num_items must be positive")

@@ -372,6 +372,18 @@ def test_jobs_flag_gives_identical_tables(tmp_path):
     assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
 
 
+def test_a_movielens_sweep_with_jobs_writes_the_serial_files(tmp_path, bulk_ml_dir):
+    """The one sweep whose workers unpickle a rating set: synthetic trials
+    build their sets in the worker, the movielens dataset is sent to it."""
+    args = ["experiment", "--scenario", "movielens", "--ml-dir", str(bulk_ml_dir),
+            "--trials", "2", "--iterations", "5", "--penalties", "none,value"]
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    run_ok(args + ["--out", str(serial)])
+    run_ok(args + ["--jobs", "2", "--out", str(parallel)])
+    for name in ("results.csv", "table.csv", "summary.json"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2],                                                   # top level not an object
     {"command": ["train"]},                                   # command not a string

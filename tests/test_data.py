@@ -242,7 +242,7 @@ FORMATS = {
     "movies.dat": ("movies.dat", lambda n: [], lambda i: f"{i + 1}::Film {i} (1995)::Action",
                    _dat_reader("movies"), "1::Film", "x::Film::Action"),
     "ratings.dat": ("ratings.dat", lambda n: [],
-                    lambda i: f"{i % 6 + 1}::{i % 5 + 1}::{i % 5 + 1}::{978300000 + i}",
+                    lambda i: f"{i // 50 + 1}::{i % 50 + 1}::{i % 5 + 1}::{978300000 + i}",
                     _dat_reader("rating_values"), "1::1::5", "1::1::x::978300760"),
 }
 
@@ -250,7 +250,10 @@ FORMATS = {
 @pytest.mark.parametrize("fmt", list(FORMATS))
 def test_every_input_format_skips_blank_lines_and_names_the_faulty_line(tmp_path, fmt):
     name, header, row, read, short, unconvertible = FORMATS[fmt]
-    write_ml_corpus(tmp_path)                   # the .dat formats read the whole archive
+    # The .dat formats read the whole archive: 60 users and 50 movies, so
+    # that the 3000 ratings rate 3000 distinct (user, movie) pairs.
+    write_ml_corpus(tmp_path, users="".join(FORMATS["users.dat"][2](i) + "\n" for i in range(60)),
+                    movies="".join(FORMATS["movies.dat"][2](i) + "\n" for i in range(50)))
     path = tmp_path / name
     rows = [row(i) + "\n" for i in range(3000)]
     lines = header(len(rows)) + rows[:2] + ["\n", " \t \n"] + rows[2:]

@@ -1,10 +1,12 @@
 """Trial harness: evaluation, paired tests, aggregation, and rendering."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from faircf.data import GroupAssignment, RatingSet
+from faircf.data import GroupAssignment, RatingSet, write_json
 from faircf.experiments import (SIGNIFICANCE_LEVEL, ExperimentPlan, derive_seed, evaluate,
                                 paired_t_statistic, parse_table_csv, render,
                                 run_experiment, write_long_csv)
@@ -120,6 +122,14 @@ def test_parallel_trials_match_serial():
     parallel = run_experiment(tiny_plan(jobs=2))
     assert serial.means == parallel.means
     assert serial.indistinguishable == parallel.indistinguishable
+
+
+def test_a_plan_of_numpy_integers_writes_its_summary_as_json(tmp_path):
+    plan = tiny_plan(penalties=("none",), trials=np.int64(2), seed=np.int32(3),
+                     num_users=np.int64(20), config=TrainConfig(iterations=np.int64(2)))
+    summary = run_experiment(plan).summary_dict()
+    write_json(tmp_path / "summary.json", summary)
+    assert json.loads((tmp_path / "summary.json").read_text(encoding="utf-8")) == summary
 
 
 def test_movielens_scenario_runs_on_corpus(bulk_ml_dir):

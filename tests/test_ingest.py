@@ -1,10 +1,12 @@
 """Archive parsing, the genre/activity filter, stats, and splitting."""
 
+import re
+
 import numpy as np
 import pytest
 
 from faircf.ingest import DEFAULT_MIN_RATINGS, filter_dataset, genre_stats, parse, split
-from conftest import MINI_MOVIES, MINI_USERS, write_ml_corpus
+from conftest import MINI_MOVIES, MINI_RATINGS, MINI_USERS, write_ml_corpus
 from oracles import entries
 
 
@@ -48,6 +50,35 @@ def test_parse_rejects_missing_file(tmp_path):
 def test_parse_reports_bad_lines(tmp_path, column, content, message):
     corpus = write_ml_corpus(tmp_path / "corrupt", **{column: content})
     with pytest.raises(ValueError, match=message):
+        parse(corpus)
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("name", ["users", "movies", "ratings"])
+def test_a_line_written_twice_is_a_fault_at_its_copy(tmp_path, name, position):
+    """A repeated user id, movie id or (user, movie) pair names the file
+    and the line of its second occurrence."""
+    text = {"users": MINI_USERS, "movies": MINI_MOVIES, "ratings": MINI_RATINGS}[name]
+    rows = text.splitlines(keepends=True)
+    k = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[position]
+    corpus = write_ml_corpus(tmp_path / "ml", **{name: "".join(rows[:k + 1] + rows[k:])})
+    path = re.escape(str(corpus / f"{name}.dat"))
+    with pytest.raises(ValueError, match=f"^{path}: line {k + 2}: "
+                                         "duplicate (user|movie|\\(user, movie\\) pair)"):
+        parse(corpus)
+
+
+def test_ratings_out_of_order_are_not_repeats(tmp_path):
+    rows = MINI_RATINGS.splitlines(keepends=True)
+    assert parse(write_ml_corpus(tmp_path / "ml", ratings="".join(rows[::-1]))).num_ratings == 11
+
+
+def test_a_repeated_pair_is_found_among_ids_too_far_apart_for_offsets(tmp_path):
+    users = f"{-2**62}::F::1::10::48067\n{2**62}::M::56::16::70072\n"
+    ratings = f"{2**62}::1::5::1\n{-2**62}::1::4::2\n"
+    assert parse(write_ml_corpus(tmp_path / "ok", users=users, ratings=ratings)).num_ratings == 2
+    corpus = write_ml_corpus(tmp_path / "ml", users=users, ratings=ratings + f"{2**62}::1::3::3\n")
+    with pytest.raises(ValueError, match=r"ratings\.dat: line 3: duplicate \(user, movie\) pair$"):
         parse(corpus)
 
 

@@ -102,6 +102,18 @@ CASES = {
                             "num_items: expected int, got 1.0"),
     "groups-2d": (lambda: GroupAssignment(np.zeros((2, 2), dtype=bool)),
                   "disadvantaged must be a 1-d boolean array"),
+    # An index or label array is refused unless its kind converts without loss.
+    "ratings-users-floats": (lambda: RatingSet(np.array([0.7, 1.9]), [0, 0], [1.0, 2.0], 2, 1),
+                             "users: expected integers, got array([0.7, 1.9])"),
+    "ratings-items-bools": (lambda: RatingSet([0, 1], [True, False], [1.0, 2.0], 2, 1),
+                            "items: expected integers, got [True, False]"),
+    "groups-str": (lambda: GroupAssignment(["0", "1"]),
+                   "disadvantaged: expected booleans, got ['0', '1']"),
+    "groups-float": (lambda: GroupAssignment(np.array([0.0, 1.0])),
+                     "disadvantaged: expected booleans, got array([0., 1.])"),
+    "spec-proportions-str": (lambda: BlockModelSpec(user_group_proportions=["0.25"] * 4),
+                             "user_group_proportions: expected numbers, "
+                             "got ['0.25', '0.25', '0.25', '0.25']"),
     "params-1d-factors": (lambda: ModelParams([1.0], [[1.0]], [0.0], [0.0]),
                           "factor matrices must be 2-d"),
     "params-item-bias": (lambda: ModelParams([[1.0]], [[1.0]], [0.0], [0.0, 0.0]),
@@ -170,3 +182,11 @@ def test_configs_take_numpy_integers_and_keep_a_list_of_str_as_a_tuple():
     assert plan.penalties == ("none", "value")
     assert BlockModelSpec(user_group_labels=list("ABCD"),
                           disadvantaged_user_groups=["A"]).user_group_labels == tuple("ABCD")
+
+
+def test_a_numpy_scalar_field_is_kept_as_its_python_value():
+    config = TrainConfig(iterations=np.int64(3), lambda_reg=np.float32(0.5),
+                         penalty=np.str_("value"))
+    assert [type(config.iterations), type(config.lambda_reg), type(config.penalty)] \
+        == [int, float, str]
+    assert type(BlockModelSpec(seed=np.uint8(4)).seed) is int

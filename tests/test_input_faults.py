@@ -5,13 +5,14 @@ import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
 
 from faircf.cli import main
 from faircf.data import read_groups, read_ratings
 from faircf.fairness import FairnessReport
 from faircf.model import ModelParams, load_params, predict, save_params
-from conftest import MINI_USERS, write_ml_corpus
+from conftest import MINI_RATINGS, MINI_USERS, write_ml_corpus
 
 
 def make_dataset(tmp_path):
@@ -152,6 +153,15 @@ def test_prepare_movielens_names_a_repeated_user(tmp_path, capsys):
             == capsys.readouterr().err)
 
 
+def test_prepare_movielens_names_a_repeated_rating(tmp_path, capsys):
+    # a pair rated twice used to fail in RatingSet, naming no file or line
+    archive = write_ml_corpus(tmp_path / "ml", ratings=MINI_RATINGS + "3::2::1::978302999\n")
+    assert main(["prepare-movielens", "--ml-dir", str(archive), "--min-ratings", "2",
+                 "--out", str(tmp_path / "prepared")]) == 1
+    assert (f"faircf prepare-movielens: {archive / 'ratings.dat'}: line 12: "
+            "duplicate (user, movie) pair\n" == capsys.readouterr().err)
+
+
 def test_train_without_a_group_file(tmp_path, capsys):
     data = make_dataset(tmp_path)
     (data / "groups.tsv").unlink()
@@ -233,3 +243,16 @@ def test_predict_rejects_an_item_out_of_range():
         predict(params, 0, 3)
     with pytest.raises(IndexError, match="item index -1 out of range"):
         predict(params, 0, -1)
+
+
+@pytest.mark.parametrize("user, item, message", [
+    (1.5, 0, "user index: expected int, got 1.5"),     # used to score user 1
+    (1, 0.5, "item index: expected int, got 0.5"),     # used to raise numpy's IndexError
+    (True, 0, "user index: expected int, got True"),
+    (0, np.float64(2.0), f"item index: expected int, got {np.float64(2.0)!r}"),
+])
+def test_predict_refuses_an_index_that_is_no_int(user, item, message):
+    params = ModelParams.zeros(2, 3, 1)
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        predict(params, user, item)
+    assert predict(params, np.int64(1), np.int32(2)) == 0.0

@@ -1,5 +1,7 @@
 """Block-model generator: quotas, rates, complements, and the builtin settings."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,10 @@ def test_spec_holds_read_only_copies_of_its_arrays():
     for name in ("user_group_proportions", "item_group_proportions", "like_probs", "obs_probs"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(spec, name)[0] = 0.0
+
+
+def test_a_pickled_spec_arrives_read_only():
+    spec = pickle.loads(pickle.dumps(BlockModelSpec(obs_probs=np.full((4, 3), 0.5))))
+    assert np.all(spec.obs_probs == 0.5)
+    for name in ("user_group_proportions", "item_group_proportions", "like_probs", "obs_probs"):
+        assert not getattr(spec, name).flags.writeable
