@@ -5,10 +5,11 @@ Commands: ``generate`` (synthetic datasets), ``train`` (one model),
 ``prepare-movielens`` (archive filtering), and ``rerun`` (repeat a recorded
 run from its manifest).
 
-Every command writes a ``manifest.json`` into its output directory holding
-the resolved parameters, input checksums, output names, tool version,
-wall-clock time, environment and peak RSS, its own and its workers';
-``rerun`` replays it and reproduces the result files byte for byte.
+Every command writes its result files and a ``manifest.json`` holding the
+resolved parameters, input checksums, the names of the files written, tool
+version, wall-clock time, environment and peak RSS, its own and its workers'.
+``rerun`` checks the input checksums and repeats the command; it does not
+compare the files it writes with those of the recorded run.
 Precedence: flags > --config file > FAIRCF_* environment variables > defaults.
 Exit codes: 0 success, 2 usage error, 1 data/runtime error.
 """
@@ -21,6 +22,7 @@ import resource
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import os
@@ -224,10 +226,9 @@ def _cmd_generate(params: dict):
     spec = replace(spec, **{name: value for name, value in flags.items() if value is not None})
     ds = generate(spec)
     held_out = evaluation_set(ds)
-    out = Path(params["out"])
-    write_ratings(ds.observed, out / "ratings.tsv")
-    write_groups(ds.groups, out / "groups.tsv")
-    write_ratings(held_out, out / "expected.tsv")
+    outputs = {"ratings.tsv": partial(write_ratings, ds.observed),
+               "groups.tsv": partial(write_groups, ds.groups),
+               "expected.tsv": partial(write_ratings, held_out)}
     dataset = {
         "num_users": spec.num_users,
         "num_items": spec.num_items,
@@ -235,7 +236,7 @@ def _cmd_generate(params: dict):
         "num_expected": len(held_out),
         "seed": spec.seed,
     }
-    return inputs, ["ratings.tsv", "groups.tsv", "expected.tsv"], dataset
+    return inputs, outputs, dataset
 
 
 def _cmd_train(params: dict):
@@ -249,13 +250,10 @@ def _cmd_train(params: dict):
                                          *_dataset_dims(manifest), "train on an empty rating set")
     config = _train_config(params, penalty=params["penalty"], seed=params["seed"])
     model, trace = train(ratings, groups, config)
-    out = Path(params["out"])
-    save_params(model, out / "model.txt")
-    trace.write_csv(out / "trace.csv")
     dataset = {"num_users": ratings.num_users, "num_items": ratings.num_items,
                "num_ratings": len(ratings)}
     inputs = [ratings_path, groups_path] + ([manifest] if manifest.exists() else [])
-    return inputs, ["model.txt", "trace.csv"], dataset
+    return inputs, {"model.txt": partial(save_params, model), "trace.csv": trace.write_csv}, dataset
 
 
 def _cmd_evaluate(params: dict):
@@ -270,10 +268,8 @@ def _cmd_evaluate(params: dict):
     groups, targets = _read_labelled_set(groups_path, targets_path, model_path, model.num_users,
                                          model.num_items, "evaluate on an empty target set")
     report = evaluate(model, targets, groups)
-    out = Path(params["out"])
-    (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     dataset = {"num_targets": len(targets)}
-    return [model_path, groups_path, targets_path], ["report.csv"], dataset
+    return [model_path, groups_path, targets_path], {"report.csv": report.to_csv()}, dataset
 
 
 def _cmd_experiment(params: dict):
@@ -286,7 +282,6 @@ def _cmd_experiment(params: dict):
     if scenario == "movielens" and not params["ml_dir"]:
         raise UsageError("--ml-dir is required for the movielens scenario")
     penalties = tuple(p.strip() for p in params["penalties"].split(",") if p.strip())
-    out = Path(params["out"])
     if scenario == "fig1":
         for name in penalties:      # recorded in the manifest, though fig1 trains "none" only
             check_penalty(name)
@@ -305,11 +300,9 @@ def _cmd_experiment(params: dict):
         dataset = {"trials": trials, "penalties": list(penalties)}
     inputs = ([Path(params["ml_dir"]) / name for name in ARCHIVE_FILES]
               if scenario == "movielens" else [])
-    write_long_csv(rows, out / "results.csv")
-    (out / "table.txt").write_text(table, encoding="utf-8")
-    (out / "table.csv").write_text(csv_table, encoding="utf-8")
-    write_json(out / "summary.json", summary)
-    return inputs, ["results.csv", "table.txt", "table.csv", "summary.json"], dataset
+    outputs = {"results.csv": partial(write_long_csv, rows), "table.txt": table,
+               "table.csv": csv_table, "summary.json": partial(write_json, doc=summary)}
+    return inputs, outputs, dataset
 
 
 def _cmd_prepare_movielens(params: dict):
@@ -318,22 +311,15 @@ def _cmd_prepare_movielens(params: dict):
     raw = parse(ml_dir)
     data = filter_dataset(raw, genres=genres, min_ratings=params["min_ratings"])
     stats = genre_stats(data)
-    out = Path(params["out"])
-    write_ratings(data.ratings, out / "ratings.tsv")
-    write_groups(data.groups, out / "groups.tsv")
-    for name, ids in (("user_map.tsv", data.user_ids), ("movie_map.tsv", data.movie_ids)):
-        write_fields(out / name, "\t", (np.arange(ids.size), ids))
-    (out / "genre_stats.csv").write_text(stats.to_csv(), encoding="utf-8")
-    (out / "genre_stats.txt").write_text(stats.render(), encoding="utf-8")
-    dataset = {
-        "num_users": data.ratings.num_users,
-        "num_items": data.ratings.num_items,
-        "num_ratings": len(data.ratings),
-        "user_map_sha256": _checksum(out / "user_map.tsv"),
-        "movie_map_sha256": _checksum(out / "movie_map.tsv"),
-    }
-    outputs = ["ratings.tsv", "groups.tsv", "user_map.tsv", "movie_map.tsv",
-               "genre_stats.csv", "genre_stats.txt"]
+    num_users, num_items = data.ratings.num_users, data.ratings.num_items
+    outputs = {"ratings.tsv": partial(write_ratings, data.ratings),
+               "groups.tsv": partial(write_groups, data.groups),
+               "user_map.tsv": partial(write_fields, sep="\t",
+                                       columns=(np.arange(num_users), data.user_ids)),
+               "movie_map.tsv": partial(write_fields, sep="\t",
+                                        columns=(np.arange(num_items), data.movie_ids)),
+               "genre_stats.csv": stats.to_csv(), "genre_stats.txt": stats.render()}
+    dataset = {"num_users": num_users, "num_items": num_items, "num_ratings": len(data.ratings)}
     return [ml_dir / name for name in ARCHIVE_FILES], outputs, dataset
 
 
@@ -347,11 +333,17 @@ _HANDLERS = {
 
 
 def _run_command(command: str, params: dict) -> int:
+    """Write a handler's outputs (name -> text, or a writer of the path), then a manifest naming them."""
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     inputs, outputs, dataset = _HANDLERS[command](params)
     inputs = {str(path): _checksum(path) for path in inputs}
+    for name, content in outputs.items():
+        if isinstance(content, str):
+            (out / name).write_text(content, encoding="utf-8")
+        else:
+            content(out / name)
     write_json(out / "manifest.json", {
         "tool": "faircf",
         "version": __version__,

@@ -28,6 +28,7 @@ import csv
 import io
 import json
 import os
+import reprlib
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -290,8 +291,8 @@ _ARRAY_TYPES = {"IntArray": (np.int64, "iu", "integers"), "BoolArray": (bool, "b
 
 def check_field_types(container, **classes):
     """The one rule for the fields of the frozen dataclass ``container``:
-    raise ``<field>: expected <what>, got <value>`` unless each field holds
-    what its annotation names, then store it in its kept form.
+    raise ``<field>: expected <what>, got <value>`` (a bounded repr) unless
+    each field holds what its annotation names, then store it in its kept form.
 
     * An int, float, str, optional str or tuple field holds its type (see
       _FIELD_TYPES); a numpy scalar is stored as its Python value, and a
@@ -312,14 +313,14 @@ def check_field_types(container, **classes):
                                        and np.can_cast(array.dtype, dtype)):
                     raise ValueError
             except (ValueError, Warning):       # numpy < 1.24 warns of a ragged list
-                raise ValueError(f"{f.name}: expected {expected}, got {value!r}") from None
+                raise ValueError(f"{f.name}: expected {expected}, got {reprlib.repr(value)}") from None
             value = np.array(array, dtype=dtype)
             value.setflags(write=False)
         else:
             types = _FIELD_TYPES.get(f.type) or classes.get(f.type)
             if types and (not isinstance(value, types) or isinstance(value, bool)
                           or f.type == "tuple" and not all(isinstance(v, str) for v in value)):
-                raise ValueError(f"{f.name}: expected {f.type}, got {value!r}")
+                raise ValueError(f"{f.name}: expected {f.type}, got {reprlib.repr(value)}")
             value = (tuple(value) if f.type == "tuple"
                      else value.item() if isinstance(value, np.generic) else value)
         object.__setattr__(container, f.name, value)

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GroupAssignment, RatingSet, csv_text, read_fields, reject, repeats, text_table
+from .data import (Container, GroupAssignment, IntArray, RatingSet, check_field_types, csv_text,
+                   read_fields, reject, repeats, text_table)
 
 ARCHIVE_FILES = ("users.dat", "movies.dat", "ratings.dat")
 DEFAULT_GENRES = ("Action", "Crime", "Musical", "Romance", "Sci-Fi")
@@ -41,21 +42,22 @@ class MovieLensRaw:
         return int(self.rating_values.shape[0])
 
 
-@dataclass(eq=False)
-class FilteredDataset:
-    """Reindexed study subset.
-
-    ``movie_genres[j]`` lists the selected genres movie j carries (a movie
-    can count toward several).  ``user_ids``/``movie_ids`` map the new
-    contiguous indices back to the archive ids; ``genres`` is in the archive's spelling.
-    """
+@dataclass(frozen=True, eq=False)
+class FilteredDataset(Container):
+    """Reindexed study subset, immutable.  ``movie_genres[j]`` lists the
+    selected genres movie j carries (a movie can count toward several).
+    ``user_ids``/``movie_ids`` (read-only) map the new contiguous indices back
+    to the archive ids; ``genres`` is in the archive's spelling."""
 
     ratings: RatingSet
     groups: GroupAssignment
     movie_genres: list
-    user_ids: np.ndarray
-    movie_ids: np.ndarray
+    user_ids: IntArray
+    movie_ids: IntArray
     genres: tuple
+
+    def __post_init__(self):
+        check_field_types(self, RatingSet=RatingSet, GroupAssignment=GroupAssignment)
 
 
 @dataclass

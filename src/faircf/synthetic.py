@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import (Container, FloatArray, GroupAssignment, RatingSet, check_field_types,
-                   read_json_object)
+from .data import (Container, FloatArray, GroupAssignment, IntArray, RatingSet,
+                   check_field_types, read_json_object)
 
 USER_GROUPS = ("W", "WS", "MS", "M")
 ITEM_GROUPS = ("Fem", "STEM", "Masc")
@@ -97,17 +97,21 @@ class BlockModelSpec(Container):
             raise ValueError(f"disadvantaged groups {sorted(unknown)} not among the user labels")
 
 
-@dataclass(eq=False)
-class SyntheticDataset:
-    """Generated data: the observed ratings, the binary labels the model may
-    see and the hidden user and item blocks (indices into the spec's labels),
-    from which ``evaluation_set`` reads the expected score of a cell."""
+@dataclass(frozen=True, eq=False)
+class SyntheticDataset(Container):
+    """Generated data, immutable: the observed ratings, the binary labels the
+    model may see and the hidden user and item blocks (read-only indices into
+    the spec's labels), from which ``evaluation_set`` reads a cell's expected score."""
 
     observed: RatingSet
     groups: GroupAssignment
-    user_group: np.ndarray
-    item_group: np.ndarray
+    user_group: IntArray
+    item_group: IntArray
     spec: BlockModelSpec
+
+    def __post_init__(self):
+        check_field_types(self, RatingSet=RatingSet, GroupAssignment=GroupAssignment,
+                          BlockModelSpec=BlockModelSpec)
 
 
 def builtin_specs(num_users: int = BlockModelSpec.num_users,

@@ -160,6 +160,26 @@ def test_prepare_movielens_flow(tmp_path, mini_ml_dir):
     assert load_params(model_dir / "model.txt").num_items == 4
 
 
+def test_a_manifest_lists_exactly_the_files_beside_it(tmp_path, mini_ml_dir):
+    """Every command's manifest names, as ``outputs``, the files its run
+    wrote into ``out``: no more and no fewer."""
+    data = make_dataset(tmp_path)
+    sweep = ["--users", "12", "--items", "9", "--trials", "2", "--iterations", "3"]
+    runs = {
+        "train": ["train", "--data", str(data), "--iterations", "3"],
+        "evaluate": ["evaluate", "--model", str(tmp_path / "train" / "model.txt"),
+                     "--data", str(data)],
+        "synthetic": ["experiment", "--scenario", "synthetic_PO", *sweep],
+        "fig1": ["experiment", "--scenario", "fig1", *sweep],
+        "prepare": ["prepare-movielens", "--ml-dir", str(mini_ml_dir), "--min-ratings", "2"],
+    }
+    for name, argv in runs.items():
+        run_ok(argv + ["--out", str(tmp_path / name)])
+    for out in [data] + [tmp_path / name for name in runs]:
+        written = sorted(path.name for path in out.iterdir() if path.name != "manifest.json")
+        assert read_manifest(out)["outputs"] == written
+
+
 def test_rerun_reproduces_bytes(tmp_path, monkeypatch):
     data = make_dataset(tmp_path)
     model_dir = tmp_path / "model"
@@ -360,16 +380,24 @@ def test_fig1_checks_the_fields_it_records(tmp_path, capsys, flag, value, messag
     assert capsys.readouterr().err == f"faircf experiment: {message}\n"
 
 
-def test_jobs_flag_gives_identical_tables(tmp_path):
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    args = ["experiment", "--scenario", "synthetic_U", "--trials", "2",
-            "--users", "15", "--items", "12", "--iterations", "15",
-            "--penalties", "none"]
+def assert_jobs_write_the_serial_files(tmp_path, *flags):
+    """Several trials (of several penalties, or settings): results assembled
+    out of (penalty, trial) order would differ."""
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    args = ["experiment", *flags, "--users", "15", "--items", "12", "--iterations", "15"]
     run_ok(args + ["--out", str(serial)])
     run_ok(args + ["--jobs", "2", "--out", str(parallel)])
-    assert (serial / "table.csv").read_bytes() == (parallel / "table.csv").read_bytes()
-    assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
+    for name in ("results.csv", "table.txt", "table.csv", "summary.json"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+def test_jobs_flag_gives_identical_tables(tmp_path):
+    assert_jobs_write_the_serial_files(tmp_path, "--scenario", "synthetic_U", "--trials", "3",
+                                       "--penalties", "none,value,nonparity")
+
+
+def test_fig1_with_jobs_writes_the_serial_files(tmp_path):
+    assert_jobs_write_the_serial_files(tmp_path, "--scenario", "fig1", "--trials", "2")
 
 
 def test_a_movielens_sweep_with_jobs_writes_the_serial_files(tmp_path, bulk_ml_dir):

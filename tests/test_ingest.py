@@ -1,5 +1,6 @@
 """Archive parsing, the genre/activity filter, stats, and splitting."""
 
+import pickle
 import re
 
 import numpy as np
@@ -91,6 +92,17 @@ def test_filter_keeps_expected_users_and_movies(mini_ml_dir):
     assert len(data.ratings) == 9
     assert data.groups.disadvantaged.tolist() == [True, False, True, False]
     assert set(data.movie_genres[2]) == {"Sci-Fi", "Action"}
+
+
+def test_a_filtered_dataset_holds_read_only_ids(mini_ml_dir):
+    """The ids are what prepare-movielens writes into its id maps; a movielens
+    worker receives the dataset pickled, through its constructor."""
+    data = filtered(mini_ml_dir)
+    for copy in (data, pickle.loads(pickle.dumps(data))):
+        for name in ("user_ids", "movie_ids"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(copy, name)[0] = 99
+        assert copy.user_ids.tolist() == [1, 2, 3, 4] and copy.movie_ids.tolist() == [1, 2, 3, 5]
 
 
 def test_filter_reindexes_ratings(mini_ml_dir):

@@ -11,9 +11,9 @@ from faircf.data import GroupAssignment, RatingSet
 from faircf.experiments import (ExperimentPlan, ExperimentResult, evaluate,
                                 paired_t_statistic, render)
 from faircf.fairness import PENALTY_KINDS, FairnessReport, group_item_averages
-from faircf.ingest import GenreStats, MovieLensRaw, filter_dataset
+from faircf.ingest import FilteredDataset, GenreStats, MovieLensRaw, filter_dataset
 from faircf.model import ModelParams, TrainConfig
-from faircf.synthetic import BlockModelSpec
+from faircf.synthetic import BlockModelSpec, SyntheticDataset
 from faircf.trainer import train
 
 
@@ -107,6 +107,16 @@ CASES = {
                              "users: expected integers, got array([0.7, 1.9])"),
     "ratings-items-bools": (lambda: RatingSet([0, 1], [True, False], [1.0, 2.0], 2, 1),
                             "items: expected integers, got [True, False]"),
+    # A long refused value is cut short: 65 characters, not 500,030.
+    "ratings-users-long": (lambda: RatingSet([0.5] * 100000, [0] * 100000, [1.0] * 100000, 1, 1),
+                           "users: expected integers, got [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, ...]"),
+    # A dataset refuses a set, labels or spec of another class.
+    "synthetic-groups-none": (lambda: SyntheticDataset(two_users(), None, [0, 1], [0, 1],
+                                                       BlockModelSpec()),
+                              "groups: expected GroupAssignment, got None"),
+    "filtered-ratings-list": (lambda: FilteredDataset([], GroupAssignment([True]), [], [1], [],
+                                                      ("Action",)),
+                              "ratings: expected RatingSet, got []"),
     "groups-str": (lambda: GroupAssignment(["0", "1"]),
                    "disadvantaged: expected booleans, got ['0', '1']"),
     "groups-float": (lambda: GroupAssignment(np.array([0.0, 1.0])),

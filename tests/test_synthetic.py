@@ -202,6 +202,18 @@ def test_spec_holds_read_only_copies_of_its_arrays():
             getattr(spec, name)[0] = 0.0
 
 
+def test_a_dataset_refuses_a_write_to_its_blocks():
+    """``evaluation_set`` reads its targets from the hidden blocks, so a
+    write to them, on a dataset or on its pickled copy, is refused."""
+    data = generate(builtin_specs(8, 6)["P"])
+    targets = evaluation_set(data).values
+    for copy in (data, pickle.loads(pickle.dumps(data))):
+        for name in ("user_group", "item_group"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(copy, name)[:] = 0
+        assert np.array_equal(evaluation_set(copy).values, targets)
+
+
 def test_a_pickled_spec_arrives_read_only():
     spec = pickle.loads(pickle.dumps(BlockModelSpec(obs_probs=np.full((4, 3), 0.5))))
     assert np.all(spec.obs_probs == 0.5)
