@@ -6,7 +6,7 @@ multi-trial experiment harness.  The containers and the training config are
 exported here; everything else is imported from its module.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .data import GroupAssignment, RatingSet
 from .model import ModelParams, TrainConfig

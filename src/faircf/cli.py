@@ -334,11 +334,11 @@ _HANDLERS = {
 
 def _run_command(command: str, params: dict) -> int:
     """Write a handler's outputs (name -> text, or a writer of the path), then a manifest naming them."""
-    out = Path(params["out"])
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     inputs, outputs, dataset = _HANDLERS[command](params)
     inputs = {str(path): _checksum(path) for path in inputs}
+    out = Path(params["out"])
+    out.mkdir(parents=True, exist_ok=True)      # after the handler: a failed run leaves no directory
     for name, content in outputs.items():
         if isinstance(content, str):
             (out / name).write_text(content, encoding="utf-8")

@@ -11,13 +11,13 @@ pattern of the grid and, for a penalty, each entry's (item, group) key with
 the count and mean-rating tables are kept on the rating set
 (``RatingSet.pattern``, ``RatingSet.cells``), so every run on the same set
 shares them.
-One pass per update then predicts the observed cells once, reads the
-objective, the penalty and dL/dyhat per entry off that prediction, and
-chains the latter back to the parameters once.  Parameters are initialized
-i.i.d. normal with standard deviation 0.1 from the seeded generator, in one
-draw over the flat layout (user vectors, item vectors, user biases, item
-biases), so a given (data, config) pair always trains to bit-identical
-parameters.
+One pass per update then predicts the observed cells once (by block GEMMs
+if dense, ``predict_entries``), reads the objective, the penalty and
+dL/dyhat per entry off that prediction, and chains it back to the
+parameters once.  Parameters are initialized i.i.d. normal with standard
+deviation 0.1 from the seeded generator, in one draw over the flat layout
+(user vectors, item vectors, user biases, item biases), so a given (data,
+config) pair always trains to bit-identical parameters.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
 """Shared fixtures and helpers: a tiny MovieLens-style corpus, real-data
-discovery, the trainer's loss pass on a rating set and the environment of a
-subprocess that imports the faircf under test."""
+discovery, the trainer's loss pass on a rating set, the route prediction
+takes and the environment of a subprocess that imports the faircf under
+test."""
 
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import faircf
-from faircf.model import TrainConfig, accumulate_gradient
+from faircf.model import DENSE_RATIO, TrainConfig, accumulate_gradient
 from faircf.trainer import loss_terms
 
 # Hand-sized archive used by the ingest and CLI tests.  With the default
@@ -67,8 +69,6 @@ def write_bulk_ml_corpus(directory, seed=0):
     survive), users 11 and 12 rate too few; movies 65..80 carry unselected
     genres only.
     """
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     genre_cycle = ("Action", "Romance", "Sci-Fi|Action", "Musical|Romance", "Crime",
                    "Sci-Fi", "Musical", "Crime|Action", "Romance|Musical", "Action|Sci-Fi")
@@ -142,6 +142,14 @@ def loss_pass(params, ratings, groups, kind="none", lambda_reg=0.0, weight=1.0):
     config = TrainConfig(d=params.d, lambda_reg=lambda_reg, penalty=kind, penalty_weight=weight)
     objective, pen, weights = loss_terms(params, ratings, groups, config)
     return objective, pen, accumulate_gradient(params, ratings, weights, lambda_reg)
+
+
+def takes_dense_route(params, users):
+    """Whether ``predict_entries(params, users, ...)`` scores by block GEMMs:
+    the users are in order and dense enough on the grid."""
+    users = np.asarray(users)
+    return bool(np.all(users[1:] >= users[:-1]) and users.size * (params.d + 1)
+                >= DENSE_RATIO * params.num_users * params.num_items)
 
 
 def subprocess_env(**changes):

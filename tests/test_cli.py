@@ -79,6 +79,21 @@ def test_data_errors_exit_1(tmp_path):
                  "--config", str(bad)]) == 1
 
 
+def test_a_failed_command_leaves_no_output_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--data", "nowhere", "--out", "runx"]) == 1
+    assert not (tmp_path / "runx").exists()
+
+
+def test_an_out_under_a_regular_file_exits_1_naming_it(tmp_path, capsys):
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    out = tmp_path / "plain" / "run"
+    assert main(["generate", "--scenario", "U", "--users", "6", "--items", "5",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out) in err and "Traceback" not in err
+
+
 def test_generate_writes_dataset_and_manifest(tmp_path):
     out = make_dataset(tmp_path)
     for name in ("ratings.tsv", "groups.tsv", "expected.tsv", "manifest.json"):

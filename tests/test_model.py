@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircf.data import GroupAssignment, RatingSet
-from faircf.model import (ModelParams, TrainConfig, accumulate_gradient,
+from faircf.model import (BLOCK_TERMS, ModelParams, TrainConfig, accumulate_gradient,
                           load_params, mf_objective, predict,
                           predict_entries, save_params)
 from faircf.synthetic import builtin_specs, generate
 from faircf.trainer import train
-from conftest import loss_pass
+from conftest import loss_pass, takes_dense_route
 from oracles import entries, finite_difference, oracle_loss, random_instance
 
 
@@ -107,12 +107,13 @@ def user_ordered_entries(draw):
     """Parameters of latent dimension 1, 2, 3 or 5 and the entries of a grid
     in user order, in which the first, the last or a middle user has none
     and at least two users have some; plus a permutation of the entries
-    that is out of user order."""
+    that is out of user order.  The sparser grids keep entries in user
+    order on the per-entry route."""
     d = draw(st.sampled_from([1, 2, 3, 5]))
-    m, n = draw(st.integers(3, 12)), draw(st.integers(1, 6))
+    m, n = draw(st.integers(3, 12)), draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     empty = draw(st.sampled_from([0, m // 2, m - 1]))
-    observed = rng.random((m, n)) < draw(st.sampled_from([0.2, 0.6, 1.0]))
+    observed = rng.random((m, n)) < draw(st.sampled_from([0.02, 0.1, 0.2, 0.6, 1.0]))
     observed[empty] = False
     others = [u for u in range(m) if u != empty]
     observed[others[0], 0] = observed[others[-1], n - 1] = True
@@ -124,22 +125,71 @@ def user_ordered_entries(draw):
     return params, users, items, shuffle
 
 
+def in_k_order(params, users, items):
+    """The per-entry route's bits: the factor products added in k order,
+    then the user and the item bias."""
+    p, q, u, v = params.arrays()
+    got = p[users, 0] * q[items, 0]
+    for k in range(1, params.d):
+        got += p[users, k] * q[items, k]
+    return got + u[users] + v[items]
+
+
+def assert_within_dot_rounding(got, params, users, items):
+    """|got - in k order| stays within the rounding bound of a (d + 2)-term
+    dot product, (d + 2) * eps * sum of the terms' magnitudes."""
+    p, q, u, v = params.arrays()
+    magnitude = np.abs(p[users] * q[items]).sum(axis=1) + np.abs(u[users]) + np.abs(v[items])
+    bound = (params.d + 2) * np.finfo(np.float64).eps * magnitude
+    assert np.all(np.abs(got - in_k_order(params, users, items)) <= bound)
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(case=user_ordered_entries())
 def test_user_runs_predict_the_bits_of_the_gather(case):
-    """Entries in user order take the user side by runs, a shuffled copy
-    gathers it; mapped back to the same order, the two agree bit for bit,
-    and with the factor products added in k order, then the two biases."""
+    """A shuffled copy takes the per-entry route and gathers the user side:
+    its bits are those of the products in k order, then the two biases.
+    Entries in user order take the user side by runs and give the same bits,
+    unless they are dense enough for block GEMMs; those sum in the BLAS
+    kernel's order, so they are bounded by the dot-product rounding."""
     params, users, items, shuffle = case
+    assert not takes_dense_route(params, users[shuffle])
     ordered = predict_entries(params, users, items)
     shuffled = np.empty_like(ordered)
     shuffled[shuffle] = predict_entries(params, users[shuffle], items[shuffle])
-    assert np.array_equal(ordered, shuffled)
-    p, q, u, v = params.arrays()
-    in_k_order = p[users, 0] * q[items, 0]
-    for k in range(1, params.d):
-        in_k_order += p[users, k] * q[items, k]
-    assert np.array_equal(ordered, in_k_order + u[users] + v[items])
+    assert np.array_equal(shuffled, in_k_order(params, users, items))
+    if takes_dense_route(params, users):
+        assert_within_dot_rounding(ordered, params, users, items)
+    else:
+        assert np.array_equal(ordered, shuffled)
+
+
+def dense_grid(m, n, d, seed=0):
+    """A model and every cell of its grid, in user order."""
+    rng = np.random.default_rng(seed)
+    params = ModelParams.from_flat(rng.normal(size=(m + n) * (d + 1)), m, n, d)
+    users, items = np.divmod(np.arange(m * n), n)
+    return params, users, items, rng
+
+
+@pytest.mark.parametrize("m, n, d", [
+    (300, 1000, 2),                     # 65-row blocks, the last one of 40 rows
+    (7, 50, 3),                         # one block, fewer rows than a block holds
+    (5, BLOCK_TERMS // 4 + 1, 2),       # a row of more terms than a block: one row per block
+])
+def test_a_cell_gets_the_same_bits_from_every_dense_call(m, n, d):
+    """Scored with the whole grid, or in a user-ordered subset that still
+    takes the dense route and leaves users out at the start, in the middle
+    and at the end (some of them whole blocks), a cell gets the same bits;
+    those stay within the dot-product rounding of the products in k order."""
+    params, users, items, rng = dense_grid(m, n, d)
+    assert takes_dense_route(params, users)
+    whole = predict_entries(params, users, items)
+    assert_within_dot_rounding(whole, params, users, items)
+    left_out = np.isin(users, [0, m // 2, m - 1]) | (users < m // 4)
+    keep = ~left_out & (rng.random(users.size) < 0.8)
+    assert takes_dense_route(params, users[keep])
+    assert np.array_equal(predict_entries(params, users[keep], items[keep]), whole[keep])
 
 
 def loop_gradient(params, ratings, weights):

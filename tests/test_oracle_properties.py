@@ -8,9 +8,13 @@ against ``tests/oracles.py``, which shares no code with the package: the
 objective, the penalty and the metrics against the brute-force formulas,
 the gradient against central finite differences of those formulas wherever
 no kink sits nearby.  Hypothesis draws random rating sets, with one group
-possibly empty, items possibly rated by one group only, and entries in
-shuffled order; the degenerate cases below are pinned as examples.
+possibly empty and items possibly rated by one group only; the degenerate
+cases below are pinned as examples.  Each set is checked on both prediction
+routes: in user order (the dense route, where the set is dense enough) and
+in shuffled order (the per-entry route).
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -30,6 +34,16 @@ PER_ITEM_KINDS = ("value", "absolute", "under", "over")
 def assert_gradient(grad, scalar_fn, params):
     for got, want in zip(grad.arrays(), finite_difference(scalar_fn, params)):
         assert got == pytest.approx(want, rel=1e-5, abs=1e-6)
+
+
+def both_routes(ratings):
+    """The set in user order, then a copy out of it, which takes the
+    per-entry route (a set of one user has one order only)."""
+    ordered = ratings.subset(np.argsort(ratings.users, kind="stable"))
+    shuffle = np.random.default_rng(len(ratings)).permutation(len(ratings))
+    if np.all(np.diff(ordered.users[shuffle]) >= 0):
+        shuffle = shuffle[::-1]
+    return ordered, ordered.subset(shuffle)
 
 
 def instance(params, cells, disadvantaged, values=None, lambda_reg=0.01, weight=1.0):
@@ -61,8 +75,6 @@ def instances(draw):
     observed = rng.random((m, n)) < draw(st.sampled_from([0.7, 0.3, 1.0]))
     observed[rng.integers(m), rng.integers(n)] = True
     cells = list(zip(*np.nonzero(observed)))
-    if draw(st.booleans()):
-        cells = [cells[k] for k in rng.permutation(len(cells))]
     values = rng.uniform(-5, 5, len(cells))
     return instance(params, cells, rng.random(m) < 0.5, values,
                     draw(st.sampled_from([1e-3, 0.25, 0.0])),
@@ -93,24 +105,25 @@ ZERO_ERRORS = instance(dyadic_params(3, 3, 2), [(0, 0), (0, 1), (1, 1), (2, 0), 
 @example(case=SHUFFLED)
 @example(case=ZERO_ERRORS)
 def test_loss_pass_matches_oracles(kind, case):
-    params, ratings, groups, lambda_reg, weight = case
+    params, built, groups, lambda_reg, weight = case
     dis = groups.disadvantaged
-    objective, pen, grad = loss_pass(params, ratings, groups, kind, lambda_reg, weight)
-
-    assert objective == pytest.approx(oracle_objective(params, ratings, lambda_reg),
-                                      rel=1e-12, abs=1e-12)
-    assert pen == pytest.approx(brute_force_penalty(kind, params, ratings, dis, weight),
-                                rel=1e-12, abs=1e-12)
-    if kind == "none" or away_from_kinks(kind, params, ratings, dis):
-        assert_gradient(grad, oracle_loss(kind, ratings, dis, lambda_reg, weight), params)
+    for ratings in both_routes(built):
+        objective, pen, grad = loss_pass(params, ratings, groups, kind, lambda_reg, weight)
+        assert objective == pytest.approx(oracle_objective(params, ratings, lambda_reg),
+                                          rel=1e-12, abs=1e-12)
+        assert pen == pytest.approx(brute_force_penalty(kind, params, ratings, dis, weight),
+                                    rel=1e-12, abs=1e-12)
+        if kind == "none" or away_from_kinks(kind, params, ratings, dis):
+            assert_gradient(grad, oracle_loss(kind, ratings, dis, lambda_reg, weight), params)
 
 
 def test_zero_errors_leave_only_the_objective_gradient():
     """Every per-item error is exactly 0, the inner kink of each per-item
     metric, where the documented subgradient is 0; the smoothed d**2 is
     flat there, so the gradient is the objective's alone."""
-    params, ratings, groups, lambda_reg, weight = ZERO_ERRORS
-    for kind in PER_ITEM_KINDS + ("under_plus_over",):
+    params, built, groups, lambda_reg, weight = ZERO_ERRORS
+    for kind, ratings in itertools.product(PER_ITEM_KINDS + ("under_plus_over",),
+                                           both_routes(built)):
         objective, pen, grad = loss_pass(params, ratings, groups, kind, lambda_reg, weight)
         assert pen == 0.0
         assert objective == pytest.approx(0.5 * lambda_reg * float(
@@ -140,16 +153,19 @@ def test_unit_gap_takes_the_absolute_branch(kind):
     unsmoothed = brute_force_metrics([1.5, 0.5], ratings, groups.disadvantaged)
     assert sum(unsmoothed[m] for m in metrics) == 1.0
 
-    objective, pen, grad = loss_pass(params, ratings, groups, kind, lambda_reg, weight)
-    assert pen == weight
-    assert objective == pytest.approx(oracle_objective(params, ratings, lambda_reg), rel=1e-12)
+    for ordering in both_routes(ratings):
+        objective, pen, grad = loss_pass(params, ordering, groups, kind, lambda_reg, weight)
+        assert pen == weight
+        assert objective == pytest.approx(oracle_objective(params, ordering, lambda_reg),
+                                          rel=1e-12)
 
-    def loss(p):
-        table = brute_force_metrics(predictions_for(p, ratings), ratings, groups.disadvantaged)
-        return (oracle_objective(p, ratings, lambda_reg)
-                + weight * sum(table[m] for m in metrics))
+        def loss(p):
+            table = brute_force_metrics(predictions_for(p, ordering), ordering,
+                                        groups.disadvantaged)
+            return (oracle_objective(p, ordering, lambda_reg)
+                    + weight * sum(table[m] for m in metrics))
 
-    assert_gradient(grad, loss, params)
+        assert_gradient(grad, loss, params)
 
 
 @pytest.mark.parametrize("kind", PER_ITEM_KINDS + ("nonparity",))

@@ -1,6 +1,8 @@
 """Adam loop behavior: determinism, trace bookkeeping, call counts, and
 actual learning."""
 
+import subprocess
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -13,7 +15,7 @@ from faircf.experiments import evaluate
 from faircf.model import ModelParams, TrainConfig, mf_objective
 from faircf.synthetic import builtin_specs, evaluation_set, generate
 from faircf.trainer import DivergenceError, adam_step, init_params, train
-from conftest import loss_pass
+from conftest import loss_pass, subprocess_env
 from oracles import random_instance
 
 
@@ -271,3 +273,35 @@ def test_a_kept_plan_gives_the_bits_of_a_fresh_one(shuffled):
     for labels in (groups, others, groups, others):
         for penalty in ("none", "value", "nonparity"):
             assert run(ratings, labels, penalty) == run(fresh(), labels, penalty)
+
+
+# Trains 400x300 P+O at d = 10 and d = 2 and scores the held-out cells; a
+# whole-grid GEMM at d = 10 gives other bits on two BLAS threads than on one.
+THREADED_TRAIN = """
+import hashlib
+from faircf.experiments import evaluate
+from faircf.model import TrainConfig
+from faircf.synthetic import builtin_specs, evaluation_set, generate
+from faircf.trainer import train
+data = generate(builtin_specs(num_users=400, num_items=300, seed=0)["P+O"])
+held_out = evaluation_set(data)
+for d in (10, 2):
+    params, trace = train(data.observed, data.groups,
+                          TrainConfig(d=d, iterations=20, penalty="value"))
+    digest = hashlib.sha256(params.flat.tobytes() + trace.objective.tobytes()
+                            + trace.penalty.tobytes())
+    print(d, digest.hexdigest(), evaluate(params, held_out, data.groups).to_csv())
+"""
+
+
+def test_blas_thread_count_leaves_every_byte():
+    """Training and evaluation give the same bytes on one and on two
+    OpenBLAS threads."""
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", THREADED_TRAIN], capture_output=True,
+                              text=True, timeout=300,
+                              env=subprocess_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
