@@ -105,7 +105,7 @@ _SCHEMAS = {
         "seed": (int, ExperimentPlan.seed, False, "root seed"),
         "ml-dir": (AbsolutePath, None, False, "MovieLens-1M directory (movielens scenario)"),
         "test-fraction": (float, ExperimentPlan.test_fraction, False, "held-out fraction for movielens"),
-        "jobs": (int, ExperimentPlan.jobs, False, "parallel trial workers"),
+        "jobs": (int, ExperimentPlan.jobs, False, "parallel trial workers, at most one per trial"),
         "out": (AbsolutePath, None, True, "output directory"),
         **_TRAIN_SCHEMA,
     },
@@ -424,6 +424,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, ValueError, RuntimeError, KeyError) as exc:
         print(f"faircf {args.command}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"faircf {args.command}: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

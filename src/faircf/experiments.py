@@ -248,14 +248,15 @@ def _run_trial(plan: ExperimentPlan, trial: int, filtered: FilteredDataset | Non
 def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     """Run the full sweep described by ``plan``.
 
-    Trials are independent and may run in parallel (``plan.jobs``); results
-    are identical for any job count because every random choice is derived
-    from the plan seed and the trials come back in order.
+    Trials are independent and may run in parallel (``plan.jobs`` workers,
+    at most one per trial); results are identical for any job count because
+    every random choice is derived from the plan seed and the trials come
+    back in order.
     """
     filtered = filter_dataset(parse(plan.ml_dir)) if plan.scenario == "movielens" else None
     args = (repeat(plan), range(plan.trials), repeat(filtered))
     if plan.jobs > 1:
-        with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(plan.jobs, plan.trials)) as pool:
             outputs = list(pool.map(_run_trial, *args))
     else:
         outputs = list(map(_run_trial, *args))

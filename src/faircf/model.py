@@ -11,7 +11,8 @@ u, v.  The training objective over an observed rating set X is
     J = (reg / 2) * (||P||_F^2 + ||Q||_F^2) + (1 / |X|) * sum (yhat_ij - r_ij)^2
 
 The bias vectors are deliberately left out of the norm term.  Prediction
-scores a dense set in user order by block GEMMs, every other set per entry.
+scores a dense set in user order by block GEMMs, every other set by one
+gather per entry.
 """
 
 from __future__ import annotations
@@ -155,20 +156,14 @@ def predict_entries(params: ModelParams, users, items) -> np.ndarray:
     rows, blocks starting at multiples of that count whatever the entries,
     so a cell gets the same bits from every dense-route call on one model.
 
-    Per-entry route otherwise: the factor columns come from contiguous copies
-    of the transposed factor matrices.  The item side of every entry is
-    gathered.  The user side is too, unless ``users`` is non-decreasing:
-    then each user's run of entries is known from ``np.searchsorted``, and
-    ``np.repeat`` lays the user's value along its run, which costs less than
-    a gather per entry.  Both paths fetch the same values, so they give the
-    same bits.  The products p_ik * q_jk are added in k order, then the user
-    and the item bias; the dense route differs by dot-product rounding only.
+    Per-entry route otherwise, one gather per entry: the products p_ik * q_jk
+    are added in k order, then the user and the item bias; the dense route
+    differs by dot-product rounding only.
     """
     users, items = np.asarray(users), np.asarray(items)
     p, q, u, v = params.arrays()
     m, n, d = params.num_users, params.num_items, params.d
-    ordered = bool(np.all(users[1:] >= users[:-1]))
-    if ordered and users.size * (d + 1) >= DENSE_RATIO * m * n:
+    if users.size * (d + 1) >= DENSE_RATIO * m * n and np.all(users[1:] >= users[:-1]):
         left, right = np.column_stack([p, u, np.ones(m)]), np.vstack([q.T, np.ones(n), v])
         rows = max(1, BLOCK_TERMS // (n * (d + 2)))
         block, out = np.empty((min(rows, m), n)), np.empty(users.size)
@@ -183,19 +178,10 @@ def predict_entries(params: ModelParams, users, items) -> np.ndarray:
                 index -= r0 * n
                 np.take(scores.ravel(), index, out=out[s:e], mode="clip")
         return out
-    runs = np.diff(np.searchsorted(users, np.arange(m + 1))) if ordered else None
-    pt, qt = p.T.copy(), q.T.copy()
-
-    def user_side(column):
-        return column[users] if runs is None else np.repeat(column, runs)
-
-    out = user_side(pt[0])
-    out *= qt[0][items]
+    out = p[:, 0][users] * q[:, 0][items]
     for k in range(1, d):
-        term = user_side(pt[k])
-        term *= qt[k][items]
-        out += term
-    out += user_side(u)
+        out += p[:, k][users] * q[:, k][items]
+    out += u[users]
     out += v[items]
     return out
 

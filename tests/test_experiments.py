@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from faircf import experiments
 from faircf.data import GroupAssignment, RatingSet, write_json
 from faircf.experiments import (SIGNIFICANCE_LEVEL, ExperimentPlan, derive_seed, evaluate,
                                 paired_t_statistic, parse_table_csv, render,
@@ -122,6 +123,30 @@ def test_parallel_trials_match_serial():
     parallel = run_experiment(tiny_plan(jobs=2))
     assert serial.means == parallel.means
     assert serial.indistinguishable == parallel.indistinguishable
+
+
+def test_jobs_start_at_most_one_worker_per_trial(monkeypatch):
+    """A pool asks for at most one worker per trial, however many jobs the
+    plan allows (the fork start method starts every worker at the first
+    submit); a stand-in pool records the count and runs nothing in parallel."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    for jobs in (4, 100000, 2):
+        run_experiment(tiny_plan(jobs=jobs, penalties=("none",), config=TrainConfig(iterations=1)))
+    assert asked == [2, 2, 2]
 
 
 def test_a_plan_of_numpy_integers_writes_its_summary_as_json(tmp_path):

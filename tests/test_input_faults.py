@@ -1,12 +1,19 @@
 """Faulty or missing input ends in exit 1 and a message naming the file and
 the line; plus the library paths that reject such input."""
 
+import contextlib
 import hashlib
+import io
 import json
 import re
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faircf.cli import main
 from faircf.data import read_groups, read_ratings
@@ -256,3 +263,72 @@ def test_predict_refuses_an_index_that_is_no_int(user, item, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         predict(params, user, item)
     assert predict(params, np.int64(1), np.int32(2)) == 0.0
+
+
+def oversized_train(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "ratings.tsv").write_text("0\t0\t4.0\n0\t999999999999\t3.0\n", encoding="utf-8")
+    (data / "groups.tsv").write_text("0\t0\n", encoding="utf-8")
+    return ["train", "--data", str(data), "--out", str(tmp_path / "run")]
+
+
+@pytest.mark.parametrize("argv", [
+    oversized_train,        # no manifest: the grid is read off an item index, 21.8 TiB of factors
+    lambda tmp_path: ["generate", "--scenario", "U", "--users", "10000000",
+                      "--items", "10000000", "--out", str(tmp_path / "grid")],     # 728 TiB
+], ids=["train", "generate"])
+def test_a_grid_too_large_to_allocate_exits_1_in_one_line(tmp_path, capsys, argv):
+    """numpy refuses these sizes at once, with nothing allocated."""
+    argv = argv(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"faircf {argv[0]}: out of memory: Unable to allocate ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def mutation_base(tmp_path_factory):
+    """A generated 8x6 set and a model trained on it, which each mutant copies."""
+    base = tmp_path_factory.mktemp("mutation")
+    assert main(["generate", "--scenario", "P+O", "--users", "8", "--items", "6",
+                 "--seed", "3", "--out", str(base / "data")]) == 0
+    assert main(["train", "--data", str(base / "data"), "--iterations", "1",
+                 "--out", str(base / "model")]) == 0
+    return base
+
+
+MUTATED_INPUTS = [("train", "data/ratings.tsv"), ("train", "data/groups.tsv"),
+                  ("evaluate", "model/model.txt"), ("evaluate", "data/expected.tsv")]
+MUTATION_BYTES = [b"\r", b"\0", b"\t", b":", b"e", b"9", b"-", b".", b"\xff", b""]   # b"": delete
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(target=st.sampled_from(MUTATED_INPUTS),
+       edits=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(MUTATION_BYTES)),
+                      min_size=1, max_size=3))
+def test_a_mutated_input_exits_0_1_or_2_with_one_stderr_line(mutation_base, target, edits):
+    """Replace or delete 1-3 bytes of one input of ``train`` or ``evaluate``:
+    the run raises nothing and exits 0, 1 or 2, and a failed run prints one
+    stderr line that names its command."""
+    command, name = target
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for part in ("data", "model"):
+            shutil.copytree(mutation_base / part, work / part)
+        text = (work / name).read_bytes()
+        for at, byte in edits:
+            at %= len(text)
+            text = text[:at] + byte + text[at + 1:]
+        (work / name).write_bytes(text)
+        argv = {"train": ["train", "--data", str(work / "data"), "--iterations", "1"],
+                "evaluate": ["evaluate", "--model", str(work / "model" / "model.txt"),
+                             "--data", str(work / "data")]}[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(work / "out")])
+    assert code in (0, 1, 2)
+    if code:
+        message = err.getvalue()
+        assert message.startswith(f"faircf {command}") and message.endswith("\n"), message
+        assert message.count("\n") == 1, message

@@ -104,12 +104,12 @@ def test_objective_invariant_under_latent_rotation():
 
 @st.composite
 def user_ordered_entries(draw):
-    """Parameters of latent dimension 1, 2, 3 or 5 and the entries of a grid
-    in user order, in which the first, the last or a middle user has none
-    and at least two users have some; plus a permutation of the entries
-    that is out of user order.  The sparser grids keep entries in user
-    order on the per-entry route."""
-    d = draw(st.sampled_from([1, 2, 3, 5]))
+    """Parameters of latent dimension 1, 2, 3, 5 or 10 and the entries of a
+    grid in user order, in which the first, the last or a middle user has
+    none and at least two users have some; plus a permutation of the entries
+    that is out of user order.  The sparser grids keep entries in user order
+    on the per-entry route."""
+    d = draw(st.sampled_from([1, 2, 3, 5, 10]))
     m, n = draw(st.integers(3, 12)), draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     empty = draw(st.sampled_from([0, m // 2, m - 1]))
@@ -146,12 +146,12 @@ def assert_within_dot_rounding(got, params, users, items):
 
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(case=user_ordered_entries())
-def test_user_runs_predict_the_bits_of_the_gather(case):
-    """A shuffled copy takes the per-entry route and gathers the user side:
-    its bits are those of the products in k order, then the two biases.
-    Entries in user order take the user side by runs and give the same bits,
-    unless they are dense enough for block GEMMs; those sum in the BLAS
-    kernel's order, so they are bounded by the dot-product rounding."""
+def test_ordered_and_shuffled_entries_predict_the_bits_of_the_gather(case):
+    """A sparse set in user order and its shuffled copy both take the one
+    gather per entry: entry by entry, both give the bits of the products in
+    k order, then the two biases.  Entries in user order dense enough for
+    block GEMMs sum in the BLAS kernel's order, so they are bounded by the
+    dot-product rounding."""
     params, users, items, shuffle = case
     assert not takes_dense_route(params, users[shuffle])
     ordered = predict_entries(params, users, items)
