@@ -31,11 +31,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import (read_groups, read_json_object, read_ratings, write_fields, write_groups,
-                   write_json, write_ratings)
-from .experiments import (SCENARIOS, SETTING_BY_SCENARIO, ExperimentPlan, evaluate, render,
-                          render_settings, run_bias_settings_study, run_experiment,
-                          write_long_csv)
+from .data import (json_text, read_groups, read_json_object, read_ratings, write_fields,
+                   write_groups, write_ratings)
+from .experiments import (SCENARIOS, SETTING_BY_SCENARIO, ExperimentPlan, evaluate, long_csv,
+                          render, render_settings, run_bias_settings_study, run_experiment)
 from .fairness import PENALTY_KINDS, check_penalty
 from .ingest import (ARCHIVE_FILES, DEFAULT_GENRES, DEFAULT_MIN_RATINGS, filter_dataset,
                      genre_stats, parse)
@@ -176,6 +175,11 @@ def _resolve(command: str, cli_values: dict, file_values: dict, origin: str) -> 
         choices = _CHOICES.get((command, name))
         if choices and value is not None and value not in choices:
             raise UsageError(f"{source}: invalid choice {value!r} (choose from {', '.join(choices)})")
+        if name in _TRAIN_PARAMS:       # its TrainConfig range check, named by its source
+            try:
+                TrainConfig(**{_TRAIN_PARAMS[name][0]: value})
+            except ValueError as exc:
+                raise UsageError(f"{source}: {exc}") from None
         params[key] = value
     return params
 
@@ -203,8 +207,10 @@ def _dataset_dims(manifest: Path):
 def _read_labelled_set(groups_path: Path, ratings_path: Path, grid_path: Path, num_users,
                        num_items, use: str):
     """The group labels and the ratings on the grid that ``grid_path`` sets
-    (``num_users`` None: one user per label).  Labels for another user count
-    are a fault naming both files, an empty set one reading ``cannot <use>``."""
+    (``num_users`` None: one user per label).  Faults: ``missing <groups>``,
+    labels for another user count naming both files, ``<ratings>: cannot <use>``."""
+    if not groups_path.exists():
+        raise FileNotFoundError(f"missing {groups_path}")
     groups = read_groups(groups_path)
     ratings = read_ratings(ratings_path, num_users=num_users or groups.num_users,
                            num_items=num_items)
@@ -242,18 +248,17 @@ def _cmd_generate(params: dict):
 def _cmd_train(params: dict):
     data_dir = Path(params["data"])
     ratings_path, groups_path = data_dir / "ratings.tsv", data_dir / "groups.tsv"
-    for path in (ratings_path, groups_path):
-        if not path.exists():
-            raise FileNotFoundError(f"missing {path}")
+    if not ratings_path.exists():
+        raise FileNotFoundError(f"missing {ratings_path}")
     manifest = data_dir / "manifest.json"       # the grid of a generate or prepare run, if any
-    groups, ratings = _read_labelled_set(groups_path, ratings_path, ratings_path,
+    groups, ratings = _read_labelled_set(groups_path, ratings_path, manifest,
                                          *_dataset_dims(manifest), "train on an empty rating set")
     config = _train_config(params, penalty=params["penalty"], seed=params["seed"])
     model, trace = train(ratings, groups, config)
     dataset = {"num_users": ratings.num_users, "num_items": ratings.num_items,
                "num_ratings": len(ratings)}
     inputs = [ratings_path, groups_path] + ([manifest] if manifest.exists() else [])
-    return inputs, {"model.txt": partial(save_params, model), "trace.csv": trace.write_csv}, dataset
+    return inputs, {"model.txt": partial(save_params, model), "trace.csv": trace.to_csv()}, dataset
 
 
 def _cmd_evaluate(params: dict):
@@ -286,22 +291,22 @@ def _cmd_experiment(params: dict):
         for name in penalties:      # recorded in the manifest, though fig1 trains "none" only
             check_penalty(name)
         results = run_bias_settings_study(**fields)
-        rows = [row for res in results.values() for row in res.long_rows()]
+        long_form = long_csv(results.values())
         table = render_settings(results)
         csv_table = render_settings(results, fmt="csv")
         summary = {"settings": {name: res.summary_dict() for name, res in results.items()}}
         dataset = {"trials": trials, "settings": list(results)}
     else:
         result = run_experiment(ExperimentPlan(scenario, penalties, **fields))
-        rows = result.long_rows()
+        long_form = long_csv([result])
         table = render(result)
         csv_table = render(result, fmt="csv")
         summary = result.summary_dict()
         dataset = {"trials": trials, "penalties": list(penalties)}
     inputs = ([Path(params["ml_dir"]) / name for name in ARCHIVE_FILES]
               if scenario == "movielens" else [])
-    outputs = {"results.csv": partial(write_long_csv, rows), "table.txt": table,
-               "table.csv": csv_table, "summary.json": partial(write_json, doc=summary)}
+    outputs = {"results.csv": long_form, "table.txt": table, "table.csv": csv_table,
+               "summary.json": json_text(summary)}
     return inputs, outputs, dataset
 
 
@@ -344,7 +349,7 @@ def _run_command(command: str, params: dict) -> int:
             (out / name).write_text(content, encoding="utf-8")
         else:
             content(out / name)
-    write_json(out / "manifest.json", {
+    (out / "manifest.json").write_text(json_text({
         "tool": "faircf",
         "version": __version__,
         "command": command,
@@ -357,7 +362,7 @@ def _run_command(command: str, params: dict) -> int:
                         "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,   # KiB on Linux
         "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
-    })
+    }), encoding="utf-8")
     return 0
 
 
@@ -386,7 +391,10 @@ def _cmd_rerun(manifest_path: str, out_override: str | None) -> int:
         if _checksum(input_path) != recorded:
             raise ValueError(
                 f"{path}: manifest input changed since the recorded run: {input_path}")
-    return _run_command(command, params)
+    try:
+        return _run_command(command, params)
+    except (UsageError, OSError, ValueError, RuntimeError) as exc:   # the manifest set the run
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,9 +17,9 @@ time by a plain loop that applies those rules.
 Every numeric file (these, the model, the MovieLens id maps) is written by
 ``write_fields``, every report table by ``text_table`` or ``csv_text``.
 Floats are written with ``repr`` everywhere, so a read-back is bit-identical.
-JSON files (configs, manifests, summaries, specs) go through ``read_json_object``
-and ``write_json``; ``check_field_types`` is the field rule of every
-container and config.
+JSON files (configs, manifests, specs) are read by ``read_json_object``;
+``json_text`` gives the JSON text of manifests and summaries, and
+``check_field_types`` is the field rule of every container and config.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -77,9 +76,9 @@ class RatingSet(Container):
     It keeps two tables, each built on first use: ``pattern``, from the
     entries alone, and ``cells``, from the entries and the last groups
     object it was asked for; the set is immutable, so neither can go stale.
-    Beside the set's own arrays they hold the CSR indices, a data array that
-    no call writes, and the int64 (item, group) key of each entry; one set
-    may be shared by concurrent calls, and a pickled set leaves both behind.
+    Beside the set's own arrays they hold the CSR indices, a data array of
+    one read-only zero at stride 0, and the int64 (item, group) key of each
+    entry; one set may be shared by concurrent calls, and a pickled set leaves both behind.
 
     Parameters
     ----------
@@ -151,7 +150,7 @@ class RatingSet(Container):
         indptr = np.zeros(self.num_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(users, minlength=self.num_users), out=indptr[1:])
         shape = (self.num_users, self.num_items)
-        a = sparse.csr_matrix((np.zeros(len(self)), items, indptr), shape=shape)
+        a = sparse.csr_matrix((np.broadcast_to(0.0, len(self)), items, indptr), shape=shape)
         return a, a.T, order
 
     def cells(self, groups: GroupAssignment):
@@ -274,9 +273,9 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
-def write_json(path, doc):
-    """Write ``doc`` as JSON, keys sorted and indented by two, ending in a newline."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def json_text(doc) -> str:
+    """``doc`` as JSON text, keys sorted and indented by two, ending in a newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # A field's annotation -> the types its value may take; a bool is none of them.

@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import repeat
-from pathlib import Path
 
 import numpy as np
 from scipy import special
@@ -36,13 +35,13 @@ from .model import ModelParams, TrainConfig, predict_entries
 from .synthetic import BlockModelSpec, builtin_specs, evaluation_set, generate
 from .trainer import train
 
-SCENARIOS = ("synthetic_U", "synthetic_O", "synthetic_P", "synthetic_PO", "movielens")
 SETTING_BY_SCENARIO = {
     "synthetic_U": "U",
     "synthetic_O": "O",
     "synthetic_P": "P",
     "synthetic_PO": "P+O",
 }
+SCENARIOS = (*SETTING_BY_SCENARIO, "movielens")
 
 # The six penalties reported in the reference tables, in row order.
 PAPER_PENALTIES = ("none", "value", "absolute", "under", "over", "nonparity")
@@ -126,17 +125,15 @@ class ExperimentResult:
     plan: ExperimentPlan
     reports: dict
 
-    scenario = property(lambda self: self.plan.scenario)
     penalties = property(lambda self: self.plan.penalties)
-    trials = property(lambda self: self.plan.trials)
 
     @property
     def trial_seeds(self) -> list:
-        return [self.plan.data_seed(t) for t in range(self.trials)]
+        return [self.plan.data_seed(t) for t in range(self.plan.trials)]
 
     @property
     def train_seeds(self) -> dict:
-        return {p: [self.plan.train_seed(p, t) for t in range(self.trials)]
+        return {p: [self.plan.train_seed(p, t) for t in range(self.plan.trials)]
                 for p in self.penalties}
 
     def metric_values(self, penalty: str, metric: str) -> np.ndarray:
@@ -149,7 +146,7 @@ class ExperimentResult:
 
     @cached_property
     def stderrs(self) -> dict:
-        return {p: {m: float(np.std(self.metric_values(p, m), ddof=1) / math.sqrt(self.trials))
+        return {p: {m: float(np.std(self.metric_values(p, m), ddof=1) / math.sqrt(self.plan.trials))
                     for m in METRIC_NAMES} for p in self.penalties}
 
     @cached_property
@@ -162,20 +159,11 @@ class ExperimentResult:
                 self.metric_values(p, metric), best_vals)[1] >= SIGNIFICANCE_LEVEL}
         return out
 
-    def long_rows(self):
-        """(scenario, penalty, trial, metric, value) rows for results.csv."""
-        rows = []
-        for pen in self.penalties:
-            for trial, report in enumerate(self.reports[pen]):
-                for metric in METRIC_NAMES:
-                    rows.append((self.scenario, pen, trial, metric, getattr(report, metric)))
-        return rows
-
     def summary_dict(self):
         return {
-            "scenario": self.scenario,
+            "scenario": self.plan.scenario,
             "penalties": list(self.penalties),
-            "trials": self.trials,
+            "trials": self.plan.trials,
             "means": self.means,
             "stderrs": self.stderrs,
             "indistinguishable": {m: sorted(s) for m, s in self.indistinguishable.items()},
@@ -341,8 +329,9 @@ def render_settings(results: dict, fmt: str = "text") -> str:
     return _render_table("setting", rows, fmt)
 
 
-def write_long_csv(rows, path):
-    """Write (scenario, penalty, trial, metric, value) rows with a header."""
-    Path(path).write_text(csv_text([("scenario", "penalty", "trial", "metric", "value")] + [
-        (scenario, pen, trial, metric, float(value))
-        for scenario, pen, trial, metric, value in rows]), encoding="utf-8")
+def long_csv(results) -> str:
+    """The results.csv text: a (scenario, penalty, trial, metric, value) row per report metric."""
+    return csv_text([("scenario", "penalty", "trial", "metric", "value")] + [
+        (res.plan.scenario, pen, trial, metric, float(getattr(report, metric)))
+        for res in results for pen in res.penalties
+        for trial, report in enumerate(res.reports[pen]) for metric in METRIC_NAMES])

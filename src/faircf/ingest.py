@@ -28,7 +28,7 @@ GENRE_TABLE_ORDER = ("Romance", "Action", "Sci-Fi", "Musical", "Crime")
 
 @dataclass(eq=False)
 class MovieLensRaw:
-    """Parsed archive: users maps id -> True for a woman, movies maps id ->
+    """Parsed ``ml_dir``: users maps id -> True for a woman, movies maps id ->
     genre tuple, ratings are parallel arrays (user id, movie id, stars)."""
 
     users: dict
@@ -36,6 +36,7 @@ class MovieLensRaw:
     rating_users: np.ndarray
     rating_movies: np.ndarray
     rating_values: np.ndarray
+    ml_dir: str
 
     @property
     def num_ratings(self):
@@ -134,7 +135,7 @@ def parse(ml_dir) -> MovieLensRaw:
         keys = (np.searchsorted(np.sort(uids), r_users) * mids.size
                 + np.searchsorted(np.sort(mids), r_movies))
     reject(ratings_path, lines, repeats(keys), "duplicate (user, movie) pair")
-    return MovieLensRaw(users, movies, r_users, r_movies, r_values.astype(np.float64))
+    return MovieLensRaw(users, movies, r_users, r_movies, r_values.astype(np.float64), str(ml_dir))
 
 
 def filter_dataset(raw: MovieLensRaw, genres=DEFAULT_GENRES,
@@ -163,7 +164,7 @@ def filter_dataset(raw: MovieLensRaw, genres=DEFAULT_GENRES,
     active, counts = np.unique(raw.rating_users[kept_movie_mask], return_counts=True)
     user_ids = active[counts >= min_ratings]
     if not user_ids.size:
-        raise ValueError("no user passes the activity threshold")
+        raise ValueError(f"{raw.ml_dir}: no user passes the activity threshold")
 
     # Rating pass plus contiguous reindexing.
     final_mask = kept_movie_mask & np.isin(raw.rating_users, user_ids)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -65,10 +64,9 @@ class TrainTrace:
     def __len__(self):
         return int(self.objective.shape[0])
 
-    def write_csv(self, path):
+    def to_csv(self) -> str:
         rows = zip(range(1, len(self) + 1), self.objective.tolist(), self.penalty.tolist())
-        Path(path).write_text(csv_text([("iteration", "objective", "penalty"), *rows]),
-                              encoding="utf-8")
+        return csv_text([("iteration", "objective", "penalty"), *rows])
 
 
 def init_params(num_users: int, num_items: int, d: int, rng: np.random.Generator) -> ModelParams:

@@ -310,6 +310,11 @@ def test_precedence_flag_over_config_over_env(tmp_path, monkeypatch, capsys):
      "{config}: 'learning-rate' and 'learning_rate' name one parameter"),
     ("manifest", {"learning-rate": 0.1, "learning_rate": 0.5},
      "{manifest}: params: 'learning-rate' and 'learning_rate' name one parameter"),
+    # A training value out of its range.
+    ("env", {"FAIRCF_LEARNING_RATE": "0e01"}, "FAIRCF_LEARNING_RATE: learning_rate must be > 0"),
+    ("config", {"dim": -2}, "{config}: dim: latent dimension must be >= 1"),
+    ("manifest", {"penalty-weight": -1.0},
+     "{manifest}: params: penalty-weight: penalty_weight must be >= 0"),
 ])
 def test_a_bad_value_names_where_it_came_from(tmp_path, monkeypatch, capsys, origin, setting,
                                               message):
@@ -446,6 +451,16 @@ def test_rerun_rejects_malformed_manifest(tmp_path, capsys, doc):
     assert str(manifest) in capsys.readouterr().err
 
 
+def test_a_failed_rerun_names_its_manifest(tmp_path, capsys):
+    # the manifest's params, not a flag, sent the run to a missing directory
+    manifest = tmp_path / "manifest.json"
+    params = {"data": str(tmp_path / "nowhere"), "out": str(tmp_path / "out")}
+    manifest.write_text(json.dumps({"command": "train", "params": params}), encoding="utf-8")
+    assert main(["rerun", str(manifest)]) == 1
+    assert (f"faircf rerun: {manifest}: missing {tmp_path / 'nowhere' / 'ratings.tsv'}\n"
+            == capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("text", [
     '{"dataset": ',                                           # truncated JSON
     '[1]',                                                    # top level not an object
@@ -503,8 +518,21 @@ def test_train_names_both_files_on_a_group_count_mismatch(tmp_path, capsys):
     groups = truncate_groups(data, 10)
     assert main(["train", "--data", str(data), "--iterations", "2",
                  "--out", str(tmp_path / "model")]) == 1
-    assert (f"{groups} labels 10 users, but the grid of {data / 'ratings.tsv'} has 20 users"
+    assert (f"{groups} labels 10 users, but the grid of {data / 'manifest.json'} has 20 users"
             in capsys.readouterr().err)
+
+
+def test_train_names_the_manifest_whose_grid_the_labels_miss(tmp_path, capsys):
+    # the 30 users come from the manifest, not from ratings.tsv (largest user 19)
+    data = make_dataset(tmp_path)
+    manifest = read_manifest(data)
+    manifest["dataset"]["num_users"] = 30
+    (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert read_ratings(data / "ratings.tsv").num_users == 20
+    assert main(["train", "--data", str(data), "--iterations", "2",
+                 "--out", str(tmp_path / "model")]) == 1
+    assert (f"faircf train: {data / 'groups.tsv'} labels 20 users, but the grid of "
+            f"{data / 'manifest.json'} has 30 users\n" == capsys.readouterr().err)
 
 
 def test_evaluate_names_both_files_on_a_group_count_mismatch(tmp_path, capsys):

@@ -277,3 +277,14 @@ def test_plan_order_is_the_stable_argsort_of_shuffled_entries(num_users):
     assert order.dtype == np.intp
     assert np.array_equal(order, np.argsort(users.astype(np.int64), kind="stable"))
     assert np.array_equal(pattern.indices, items[order])
+
+
+def test_the_kept_pattern_holds_one_read_only_zero_for_its_data():
+    """No call reads the data of the kept CSR pair, so it views one zero at
+    stride 0 and cannot be written."""
+    ratings = RatingSet([0, 0, 1, 2], [0, 1, 1, 2], [1.0, 2.0, 3.0, 4.0], 3, 3)
+    for shuffled in (ratings, ratings.subset([3, 1, 0, 2])):
+        a, at, _ = shuffled.pattern
+        for data in (a.data, at.data):
+            assert data.shape == (4,) and data.strides == (0,)
+            assert not data.flags.writeable and not data.any()

@@ -7,10 +7,10 @@ import pytest
 import scipy.stats
 
 from faircf import experiments
-from faircf.data import GroupAssignment, RatingSet, write_json
+from faircf.data import GroupAssignment, RatingSet, json_text
 from faircf.experiments import (SIGNIFICANCE_LEVEL, ExperimentPlan, derive_seed, evaluate,
-                                paired_t_statistic, parse_table_csv, render,
-                                run_experiment, write_long_csv)
+                                long_csv, paired_t_statistic, parse_table_csv, render,
+                                run_experiment)
 from faircf.model import ModelParams, TrainConfig
 from oracles import brute_force_metrics, predictions_for, random_instance
 
@@ -149,12 +149,11 @@ def test_jobs_start_at_most_one_worker_per_trial(monkeypatch):
     assert asked == [2, 2, 2]
 
 
-def test_a_plan_of_numpy_integers_writes_its_summary_as_json(tmp_path):
+def test_a_plan_of_numpy_integers_writes_its_summary_as_json():
     plan = tiny_plan(penalties=("none",), trials=np.int64(2), seed=np.int32(3),
                      num_users=np.int64(20), config=TrainConfig(iterations=np.int64(2)))
     summary = run_experiment(plan).summary_dict()
-    write_json(tmp_path / "summary.json", summary)
-    assert json.loads((tmp_path / "summary.json").read_text(encoding="utf-8")) == summary
+    assert json.loads(json_text(summary)) == summary
 
 
 def test_movielens_scenario_runs_on_corpus(bulk_ml_dir):
@@ -167,7 +166,7 @@ def test_movielens_scenario_runs_on_corpus(bulk_ml_dir):
     assert result.means["none"]["error"] >= 0.0
 
 
-def test_render_text_and_csv(tmp_path):
+def test_render_text_and_csv():
     result = run_experiment(tiny_plan())
     text = render(result)
     assert "±" in text and "None" in text and "Value" in text
@@ -178,9 +177,7 @@ def test_render_text_and_csv(tmp_path):
             assert mean == pytest.approx(result.means[pen][metric])
             assert stderr == pytest.approx(result.stderrs[pen][metric])
             assert best == (pen in result.indistinguishable[metric])
-    path = tmp_path / "results.csv"
-    write_long_csv(result.long_rows(), path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = long_csv([result]).splitlines()
     assert lines[0] == "scenario,penalty,trial,metric,value"
     assert len(lines) == 1 + 2 * 2 * 6  # penalties x trials x metrics
 

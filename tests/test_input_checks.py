@@ -30,7 +30,7 @@ def one_penalty_result():
     return ExperimentResult(plan, {"none": [FairnessReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * 2})
 
 
-NO_RATINGS = MovieLensRaw({}, {}, *[np.zeros(0, dtype=np.int64)] * 3)
+NO_RATINGS = MovieLensRaw({}, {}, *[np.zeros(0, dtype=np.int64)] * 3, "empty")
 
 CASES = {
     "plan-no-penalties": (lambda: ExperimentPlan("synthetic_U", penalties=()),

@@ -5,20 +5,23 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faircf.cli import main
 from faircf.data import read_groups, read_ratings
 from faircf.fairness import FairnessReport
 from faircf.model import ModelParams, load_params, predict, save_params
+from faircf.synthetic import builtin_specs, spec_to_json
 from conftest import MINI_RATINGS, MINI_USERS, write_ml_corpus
 
 
@@ -169,11 +172,28 @@ def test_prepare_movielens_names_a_repeated_rating(tmp_path, capsys):
             "duplicate (user, movie) pair\n" == capsys.readouterr().err)
 
 
+def test_prepare_movielens_names_the_archive_that_no_user_passes(tmp_path, capsys):
+    archive = write_ml_corpus(tmp_path / "ml")
+    assert main(["prepare-movielens", "--ml-dir", str(archive), "--min-ratings", "50",
+                 "--out", str(tmp_path / "prepared")]) == 1
+    assert (f"faircf prepare-movielens: {archive}: no user passes the activity threshold\n"
+            == capsys.readouterr().err)
+
+
 def test_train_without_a_group_file(tmp_path, capsys):
     data = make_dataset(tmp_path)
     (data / "groups.tsv").unlink()
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "model")]) == 1
     assert f"missing {data / 'groups.tsv'}" in capsys.readouterr().err
+
+
+def test_evaluate_without_a_group_file_names_it_as_train_does(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    model = train_model(tmp_path, data)
+    (data / "groups.tsv").unlink()
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--out", str(tmp_path / "report")]) == 1
+    assert f"faircf evaluate: missing {data / 'groups.tsv'}\n" == capsys.readouterr().err
 
 
 def test_evaluate_without_expected_values(tmp_path, capsys):
@@ -289,46 +309,93 @@ def test_a_grid_too_large_to_allocate_exits_1_in_one_line(tmp_path, capsys, argv
 
 @pytest.fixture(scope="module")
 def mutation_base(tmp_path_factory):
-    """A generated 8x6 set and a model trained on it, which each mutant copies."""
+    """What each mutant copies: a generated 8x6 set; a model trained on it
+    for one update, with its manifest; a hand-written MovieLens archive; a
+    block-model spec and a train config."""
     base = tmp_path_factory.mktemp("mutation")
     assert main(["generate", "--scenario", "P+O", "--users", "8", "--items", "6",
                  "--seed", "3", "--out", str(base / "data")]) == 0
     assert main(["train", "--data", str(base / "data"), "--iterations", "1",
                  "--out", str(base / "model")]) == 0
+    write_ml_corpus(base / "ml")
+    (base / "spec.json").write_text(spec_to_json(builtin_specs(8, 6)["P+O"]), encoding="utf-8")
+    config = {"iterations": 1, "dim": 2, "reg": 0.001, "penalty": "value"}
+    (base / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
     return base
 
 
-MUTATED_INPUTS = [("train", "data/ratings.tsv"), ("train", "data/groups.tsv"),
-                  ("evaluate", "model/model.txt"), ("evaluate", "data/expected.tsv")]
-MUTATION_BYTES = [b"\r", b"\0", b"\t", b":", b"e", b"9", b"-", b".", b"\xff", b""]   # b"": delete
+ENV_NAME, ENV_VALUE = "FAIRCF_LEARNING_RATE", b"0.01"
+TRAIN = "train --data {w}/data --iterations 1"
+DATASET = ("{w}/data/ratings.tsv", "{w}/data/groups.tsv", "{w}/data/manifest.json")
+# mutated input -> (the command line that reads it, every input a failure may name)
+MUTANTS = {
+    "data/ratings.tsv": (TRAIN, DATASET),
+    "data/groups.tsv": (TRAIN, DATASET),
+    "config.json": (TRAIN + " --config {w}/config.json", DATASET + ("{w}/config.json",)),
+    ENV_NAME: (TRAIN, DATASET + (ENV_NAME,)),
+    "model/model.txt": ("evaluate --model {w}/model/model.txt --data {w}/data",
+                        ("{w}/model/model.txt", "{w}/data/groups.tsv", "{w}/data/expected.tsv")),
+    "data/expected.tsv": ("evaluate --model {w}/model/model.txt --data {w}/data",
+                          ("{w}/model/model.txt", "{w}/data/groups.tsv", "{w}/data/expected.tsv")),
+    # a filter that keeps no user names the archive directory
+    **{f"ml/{name}": ("prepare-movielens --ml-dir {w}/ml --min-ratings 2",
+                      ("{w}/ml/users.dat", "{w}/ml/movies.dat", "{w}/ml/ratings.dat", "{w}/ml:"))
+       for name in ("users.dat", "movies.dat", "ratings.dat")},
+    # the rerun reads the base's dataset, which the manifest names
+    "model/manifest.json": ("rerun {w}/model/manifest.json", ("{w}/model/manifest.json",)),
+    "spec.json": ("generate --spec {w}/spec.json", ("{w}/spec.json",)),
+}
+DUPLICATE = None            # repeat the line that holds the position; b"" deletes a byte
+MUTATIONS = [b"\r", b"\0", b"\t", b":", b"e", b"9", b"-", b".", b"\xff", b"", DUPLICATE]
 
 
-@settings(derandomize=True, deadline=None, max_examples=120)
-@given(target=st.sampled_from(MUTATED_INPUTS),
-       edits=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(MUTATION_BYTES)),
+def mutate(text, edits):
+    """``text`` with each (position, mutation) edit applied in turn: a byte
+    replaces the one at the position (b"" deletes it), DUPLICATE repeats
+    its line."""
+    for at, mutation in edits:
+        at %= len(text)
+        if mutation is DUPLICATE:
+            start = text.rfind(b"\n", 0, at) + 1
+            end = text.find(b"\n", at) + 1 or len(text)
+            text = text[:start] + text[start:end].rstrip(b"\n") + b"\n" + text[start:]
+        else:
+            text = text[:at] + mutation + text[at + 1:]
+    return text
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@example(target=ENV_NAME, edits=[(1, b"e")])                            # a rate of 0e01
+@example(target="config.json", edits=[(29, b"-")])                      # "dim":-2
+@example(target="ml/movies.dat", edits=[(25, b"\xff"), (59, b"\t")])     # no user keeps 2 ratings
+@given(target=st.sampled_from(sorted(MUTANTS)),
+       edits=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(MUTATIONS)),
                       min_size=1, max_size=3))
 def test_a_mutated_input_exits_0_1_or_2_with_one_stderr_line(mutation_base, target, edits):
-    """Replace or delete 1-3 bytes of one input of ``train`` or ``evaluate``:
-    the run raises nothing and exits 0, 1 or 2, and a failed run prints one
-    stderr line that names its command."""
-    command, name = target
+    """Replace or delete 1-3 bytes of one input of ``train``, ``evaluate``,
+    ``prepare-movielens``, ``rerun`` or ``generate --spec``, or repeat one of
+    its lines: the run raises nothing and exits 0, 1 or 2, and a failed run
+    prints one stderr line that names its command and one of its inputs
+    (a file, or the FAIRCF_* variable).  An environment value holds no NUL."""
+    line, inputs = MUTANTS[target]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for part in ("data", "model"):
-            shutil.copytree(mutation_base / part, work / part)
-        text = (work / name).read_bytes()
-        for at, byte in edits:
-            at %= len(text)
-            text = text[:at] + byte + text[at + 1:]
-        (work / name).write_bytes(text)
-        argv = {"train": ["train", "--data", str(work / "data"), "--iterations", "1"],
-                "evaluate": ["evaluate", "--model", str(work / "model" / "model.txt"),
-                             "--data", str(work / "data")]}[command]
+        for part in ("data", "model", "ml", "spec.json", "config.json"):
+            copy = shutil.copytree if (mutation_base / part).is_dir() else shutil.copy
+            copy(mutation_base / part, work / part)
+        environment = {}
+        if target == ENV_NAME:
+            value = mutate(ENV_VALUE, [(at, m) for at, m in edits if m != b"\0"])
+            environment[ENV_NAME] = value.decode("utf-8", "surrogateescape")
+        else:
+            (work / target).write_bytes(mutate((work / target).read_bytes(), edits))
+        argv = line.format(w=work).split(" ") + ["--out", str(work / "out")]
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([*argv, "--out", str(work / "out")])
+        with contextlib.redirect_stderr(err), mock.patch.dict(os.environ, environment):
+            code = main(argv)
     assert code in (0, 1, 2)
     if code:
         message = err.getvalue()
-        assert message.startswith(f"faircf {command}") and message.endswith("\n"), message
+        assert message.startswith(f"faircf {argv[0]}") and message.endswith("\n"), message
         assert message.count("\n") == 1, message
+        assert any(name.format(w=work) in message for name in inputs), message
