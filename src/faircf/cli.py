@@ -8,9 +8,14 @@ run from its manifest).
 Every command writes its result files and a ``manifest.json`` holding the
 resolved parameters, input checksums, the names of the files written, tool
 version, wall-clock time, environment and peak RSS, its own and its workers'.
-``rerun`` checks the input checksums and repeats the command; it does not
+``rerun`` repeats the command from the manifest's params; once it has run,
+and before anything is written, every input the manifest records must be
+among the files this run read, with its recorded checksum.  It does not
 compare the files it writes with those of the recorded run.
 Precedence: flags > --config file > FAIRCF_* environment variables > defaults.
+A value of the wrong type, outside its choices or outside the range its
+owner (TrainConfig, ExperimentPlan, BlockModelSpec, the MovieLens filter)
+accepts is a usage error naming where it came from.
 Exit codes: 0 success, 2 usage error, 1 data/runtime error.
 """
 
@@ -35,12 +40,12 @@ from .data import (json_text, read_groups, read_json_object, read_ratings, write
                    write_groups, write_ratings)
 from .experiments import (SCENARIOS, SETTING_BY_SCENARIO, ExperimentPlan, evaluate, long_csv,
                           render, render_settings, run_bias_settings_study, run_experiment)
-from .fairness import PENALTY_KINDS, check_penalty
-from .ingest import (ARCHIVE_FILES, DEFAULT_GENRES, DEFAULT_MIN_RATINGS, filter_dataset,
-                     genre_stats, parse)
+from .fairness import PENALTY_KINDS
+from .ingest import (ARCHIVE_FILES, DEFAULT_GENRES, DEFAULT_MIN_RATINGS, check_filter,
+                     filter_dataset, genre_stats, parse)
 from .model import TrainConfig, load_params, save_params
 from .synthetic import BlockModelSpec, builtin_specs, evaluation_set, generate, load_spec
-from .trainer import train
+from .trainer import DivergenceError, train
 
 ENV_PREFIX = "FAIRCF_"
 
@@ -123,6 +128,33 @@ _CHOICES = {
 }
 
 
+def _names(text: str) -> tuple:
+    """The names of a comma-separated list, blanks left out."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _check(owner, field, parse=lambda value: value):
+    """A range check of one parameter: ``owner`` built with ``field`` set to
+    the parsed value, which raises ValueError for a value out of range."""
+    return lambda value: owner(**{field: parse(value)})
+
+
+_PLAN = partial(ExperimentPlan, "synthetic_U")      # every other field at its default
+_TRAIN_CHECKS = {flag: _check(TrainConfig, name) for flag, (name, _) in _TRAIN_PARAMS.items()}
+# command -> parameter -> the range check of its owner, the class or rule that takes it
+_RANGE_CHECKS = {
+    "generate": {"users": _check(BlockModelSpec, "num_users"),
+                 "items": _check(BlockModelSpec, "num_items"), "seed": _check(BlockModelSpec, "seed")},
+    "train": {"seed": _check(TrainConfig, "seed"), **_TRAIN_CHECKS},
+    "experiment": {"trials": _check(_PLAN, "trials"), "penalties": _check(_PLAN, "penalties", _names),
+                   "users": _check(_PLAN, "num_users"), "items": _check(_PLAN, "num_items"),
+                   "test-fraction": _check(_PLAN, "test_fraction"), "jobs": _check(_PLAN, "jobs"),
+                   **_TRAIN_CHECKS},
+    "prepare-movielens": {"genres": _check(check_filter, "genres", _names),
+                          "min-ratings": _check(check_filter, "min_ratings")},
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -175,9 +207,10 @@ def _resolve(command: str, cli_values: dict, file_values: dict, origin: str) -> 
         choices = _CHOICES.get((command, name))
         if choices and value is not None and value not in choices:
             raise UsageError(f"{source}: invalid choice {value!r} (choose from {', '.join(choices)})")
-        if name in _TRAIN_PARAMS:       # its TrainConfig range check, named by its source
+        check = _RANGE_CHECKS.get(command, {}).get(name)
+        if check and value is not None:         # its owner's range check, named by its source
             try:
-                TrainConfig(**{_TRAIN_PARAMS[name][0]: value})
+                check(value)
             except ValueError as exc:
                 raise UsageError(f"{source}: {exc}") from None
         params[key] = value
@@ -254,7 +287,10 @@ def _cmd_train(params: dict):
     groups, ratings = _read_labelled_set(groups_path, ratings_path, manifest,
                                          *_dataset_dims(manifest), "train on an empty rating set")
     config = _train_config(params, penalty=params["penalty"], seed=params["seed"])
-    model, trace = train(ratings, groups, config)
+    try:
+        model, trace = train(ratings, groups, config)
+    except DivergenceError as exc:          # of these ratings under the resolved config
+        raise RuntimeError(f"{ratings_path}: {exc}") from None
     dataset = {"num_users": ratings.num_users, "num_items": ratings.num_items,
                "num_ratings": len(ratings)}
     inputs = [ratings_path, groups_path] + ([manifest] if manifest.exists() else [])
@@ -286,10 +322,8 @@ def _cmd_experiment(params: dict):
                   test_fraction=params["test_fraction"], jobs=params["jobs"])
     if scenario == "movielens" and not params["ml_dir"]:
         raise UsageError("--ml-dir is required for the movielens scenario")
-    penalties = tuple(p.strip() for p in params["penalties"].split(",") if p.strip())
-    if scenario == "fig1":
-        for name in penalties:      # recorded in the manifest, though fig1 trains "none" only
-            check_penalty(name)
+    penalties = _names(params["penalties"])
+    if scenario == "fig1":          # trains "none" only; _resolve checked the penalties it records
         results = run_bias_settings_study(**fields)
         long_form = long_csv(results.values())
         table = render_settings(results)
@@ -312,9 +346,8 @@ def _cmd_experiment(params: dict):
 
 def _cmd_prepare_movielens(params: dict):
     ml_dir = Path(params["ml_dir"])
-    genres = tuple(g.strip() for g in params["genres"].split(",") if g.strip())
-    raw = parse(ml_dir)
-    data = filter_dataset(raw, genres=genres, min_ratings=params["min_ratings"])
+    data = filter_dataset(parse(ml_dir), genres=_names(params["genres"]),
+                          min_ratings=params["min_ratings"])
     stats = genre_stats(data)
     num_users, num_items = data.ratings.num_users, data.ratings.num_items
     outputs = {"ratings.tsv": partial(write_ratings, data.ratings),
@@ -337,11 +370,19 @@ _HANDLERS = {
 }
 
 
-def _run_command(command: str, params: dict) -> int:
-    """Write a handler's outputs (name -> text, or a writer of the path), then a manifest naming them."""
+def _run_command(command: str, params: dict, recorded: dict | None = None) -> int:
+    """Write a handler's outputs (name -> text, or a writer of the path), then a manifest naming them.
+    A rerun passes its manifest's ``input_checksums`` as ``recorded``: each must
+    name a file this run read (a relative name resolves against the working
+    directory), with the same checksum, before anything is written."""
     start = time.perf_counter()
     inputs, outputs, dataset = _HANDLERS[command](params)
     inputs = {str(path): _checksum(path) for path in inputs}
+    for name, digest in (recorded or {}).items():
+        now = inputs.get(os.path.abspath(name))
+        if now != digest:
+            change = "not read by this run" if now is None else "changed since the recorded run"
+            raise ValueError(f"manifest input {change}: {name}")
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)      # after the handler: a failed run leaves no directory
     for name, content in outputs.items():
@@ -382,17 +423,8 @@ def _cmd_rerun(manifest_path: str, out_override: str | None) -> int:
     if out_override is None and isinstance(recorded_out, str) and not os.path.isabs(recorded_out):
         out_override = str(path.parent)     # an old relative out: the manifest lies in it
     try:
-        params = _resolve(command, {"out": out_override}, params, "params")
-    except UsageError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    for input_path, recorded in checksums.items():
-        if not Path(input_path).exists():
-            raise FileNotFoundError(f"{path}: manifest input missing: {input_path}")
-        if _checksum(input_path) != recorded:
-            raise ValueError(
-                f"{path}: manifest input changed since the recorded run: {input_path}")
-    try:
-        return _run_command(command, params)
+        return _run_command(command, _resolve(command, {"out": out_override}, params, "params"),
+                            checksums)
     except (UsageError, OSError, ValueError, RuntimeError) as exc:   # the manifest set the run
         raise ValueError(f"{path}: {exc}") from None
 

@@ -280,12 +280,17 @@ def json_text(doc) -> str:
 
 # A field's annotation -> the types its value may take; a bool is none of them.
 _FIELD_TYPES = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating),
-                "str": str, "str | None": (str, type(None)), "tuple": (list, tuple)}
+                "str": str, "str | None": (str, type(None)), "tuple": (list, tuple),
+                "tuple[tuple]": (list, tuple)}
 # An array field's annotation -> the dtype it is kept in, the dtype kinds it
 # takes (np.can_cast then refuses a lossy one, such as uint64) and what it expects.
 IntArray = FloatArray = BoolArray = np.ndarray
 _ARRAY_TYPES = {"IntArray": (np.int64, "iu", "integers"), "BoolArray": (bool, "b", "booleans"),
                 "FloatArray": (np.float64, "iuf", "numbers")}
+
+
+def _is_str_tuple(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
 
 
 def check_field_types(container, **classes):
@@ -295,7 +300,8 @@ def check_field_types(container, **classes):
 
     * An int, float, str, optional str or tuple field holds its type (see
       _FIELD_TYPES); a numpy scalar is stored as its Python value, and a
-      tuple field must hold str and is stored as a tuple.
+      tuple field must hold str and is stored as a tuple, a ``tuple[tuple]``
+      field one such tuple per entry.
     * A field annotated with a name in ``classes`` (as
       ``TrainConfig=TrainConfig``) holds an instance of that class.
     * An IntArray, FloatArray or BoolArray field holds an array (or what
@@ -317,10 +323,12 @@ def check_field_types(container, **classes):
             value.setflags(write=False)
         else:
             types = _FIELD_TYPES.get(f.type) or classes.get(f.type)
+            nested = f.type == "tuple[tuple]"
             if types and (not isinstance(value, types) or isinstance(value, bool)
-                          or f.type == "tuple" and not all(isinstance(v, str) for v in value)):
+                          or f.type == "tuple" and not _is_str_tuple(value)
+                          or nested and not all(map(_is_str_tuple, value))):
                 raise ValueError(f"{f.name}: expected {f.type}, got {reprlib.repr(value)}")
-            value = (tuple(value) if f.type == "tuple"
+            value = (tuple(value) if f.type == "tuple" else tuple(map(tuple, value)) if nested
                      else value.item() if isinstance(value, np.generic) else value)
         object.__setattr__(container, f.name, value)
 

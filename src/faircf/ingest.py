@@ -45,14 +45,14 @@ class MovieLensRaw:
 
 @dataclass(frozen=True, eq=False)
 class FilteredDataset(Container):
-    """Reindexed study subset, immutable.  ``movie_genres[j]`` lists the
-    selected genres movie j carries (a movie can count toward several).
+    """Reindexed study subset, immutable.  ``movie_genres[j]`` is the tuple
+    of selected genres movie j carries (a movie can count toward several).
     ``user_ids``/``movie_ids`` (read-only) map the new contiguous indices back
     to the archive ids; ``genres`` is in the archive's spelling."""
 
     ratings: RatingSet
     groups: GroupAssignment
-    movie_genres: list
+    movie_genres: tuple[tuple]
     user_ids: IntArray
     movie_ids: IntArray
     genres: tuple
@@ -138,14 +138,19 @@ def parse(ml_dir) -> MovieLensRaw:
     return MovieLensRaw(users, movies, r_users, r_movies, r_values.astype(np.float64), str(ml_dir))
 
 
-def filter_dataset(raw: MovieLensRaw, genres=DEFAULT_GENRES,
-                   min_ratings: int = DEFAULT_MIN_RATINGS) -> FilteredDataset:
-    """Keep selected-genre movies, then sufficiently active users, then the
-    ratings between them; reindex both sides by ascending archive id."""
+def check_filter(genres=DEFAULT_GENRES, min_ratings: int = DEFAULT_MIN_RATINGS):
+    """Raise ValueError unless the filter has a genre to keep and ``min_ratings`` >= 1."""
     if not genres:
         raise ValueError("at least one genre is required")
     if min_ratings < 1:
         raise ValueError("min_ratings must be >= 1")
+
+
+def filter_dataset(raw: MovieLensRaw, genres=DEFAULT_GENRES,
+                   min_ratings: int = DEFAULT_MIN_RATINGS) -> FilteredDataset:
+    """Keep selected-genre movies, then sufficiently active users, then the
+    ratings between them; reindex both sides by ascending archive id."""
+    check_filter(genres, min_ratings)
     wanted = {g.casefold() for g in genres}
 
     # Movie pass: canonical spellings come from the archive itself.

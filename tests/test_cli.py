@@ -64,10 +64,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2                  # no --ml-dir
 
 
-def test_a_bad_test_fraction_exits_1_before_the_archive_is_read(tmp_path, capsys):
+def test_a_bad_test_fraction_exits_2_before_the_archive_is_read(tmp_path, capsys):
     assert main(["experiment", "--scenario", "movielens", "--ml-dir", str(tmp_path / "nowhere"),
-                 "--test-fraction", "1.5", "--out", str(tmp_path / "out")]) == 1
-    assert "test_fraction must lie strictly between 0 and 1" in capsys.readouterr().err
+                 "--test-fraction", "1.5", "--out", str(tmp_path / "out")]) == 2
+    assert ("faircf experiment: error: --test-fraction: test_fraction must lie strictly "
+            "between 0 and 1\n" == capsys.readouterr().err)
 
 
 def test_data_errors_exit_1(tmp_path):
@@ -268,6 +269,38 @@ def test_rerun_refuses_a_changed_dataset_manifest(tmp_path, capsys):
     assert not redo.exists()
 
 
+def test_rerun_refuses_a_manifest_whose_data_names_another_set(tmp_path, capsys):
+    """Each recorded input must be among the files the repeated command
+    reads: a manifest edited to name another dataset is refused, not run."""
+    data, other = make_dataset(tmp_path), make_dataset(tmp_path, "other", ["--seed", "4"])
+    model_dir = tmp_path / "model"
+    run_ok(["train", "--data", str(data), "--iterations", "3", "--out", str(model_dir)])
+    doc = read_manifest(model_dir)
+    doc["params"]["data"] = str(other)
+    manifest = tmp_path / "edited.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    redo = tmp_path / "redo"
+    assert main(["rerun", str(manifest), "--out", str(redo)]) == 1
+    assert (f"faircf rerun: {manifest}: manifest input not read by this run: "
+            f"{data / 'groups.tsv'}\n" == capsys.readouterr().err)
+    assert not redo.exists()
+
+
+def test_a_train_manifest_that_records_no_dataset_manifest_reruns(tmp_path):
+    """An older train manifest records ratings.tsv and groups.tsv alone, not
+    the dataset manifest; a file read beyond the record is allowed."""
+    data = make_dataset(tmp_path)
+    model_dir = tmp_path / "model"
+    run_ok(["train", "--data", str(data), "--iterations", "3", "--out", str(model_dir)])
+    doc = read_manifest(model_dir)
+    del doc["input_checksums"][str(data / "manifest.json")]
+    (model_dir / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    redo = tmp_path / "redo"
+    run_ok(["rerun", str(model_dir / "manifest.json"), "--out", str(redo)])
+    for name in ("model.txt", "trace.csv"):
+        assert (redo / name).read_bytes() == (model_dir / name).read_bytes()
+
+
 def test_precedence_flag_over_config_over_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FAIRCF_SEED", "5")
     env_only = tmp_path / "env"
@@ -294,42 +327,76 @@ def test_precedence_flag_over_config_over_env(tmp_path, monkeypatch, capsys):
     assert f"{typo}: unknown parameter 'iteration'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("origin, setting, message", [
-    ("config", {"seed": "x"}, "{config}: seed: expected int, got 'x'"),
-    ("env", {"FAIRCF_SEED": "abc"}, "FAIRCF_SEED: expected int, got 'abc'"),
-    ("manifest", {"seed": "x"}, "{manifest}: params: seed: expected int, got 'x'"),
-    ("config", {"penalty": "fairest"}, "{config}: penalty: invalid choice 'fairest' (choose"),
-    ("env", {"FAIRCF_PENALTY": "fairest"}, "FAIRCF_PENALTY: invalid choice 'fairest' (choose"),
-    ("manifest", {"penalty": "fairest"}, "{manifest}: params: penalty: invalid choice 'fairest'"),
+# command -> the parameters it requires besides --out (a path under the test's directory)
+REQUIRED = {"train": {"data": "data"}, "experiment": {"scenario": "synthetic_U"},
+            "generate": {"scenario": "U"}, "prepare-movielens": {"ml-dir": "ml"}}
+
+
+@pytest.mark.parametrize("origin, setting, message, command", [
+    ("config", {"seed": "x"}, "{config}: seed: expected int, got 'x'", "train"),
+    ("env", {"FAIRCF_SEED": "abc"}, "FAIRCF_SEED: expected int, got 'abc'", "train"),
+    ("manifest", {"seed": "x"}, "{manifest}: params: seed: expected int, got 'x'", "train"),
+    ("config", {"penalty": "fairest"}, "{config}: penalty: invalid choice 'fairest' (choose",
+     "train"),
+    ("env", {"FAIRCF_PENALTY": "fairest"}, "FAIRCF_PENALTY: invalid choice 'fairest' (choose",
+     "train"),
+    ("manifest", {"penalty": "fairest"}, "{manifest}: params: penalty: invalid choice 'fairest'",
+     "train"),
     # An environment value is a string, never null.
-    ("config", {"penalty_weight": None}, "{config}: penalty_weight: expected float, got null"),
+    ("config", {"penalty_weight": None}, "{config}: penalty_weight: expected float, got null",
+     "train"),
     ("manifest", {"penalty-weight": None},
-     "{manifest}: params: penalty-weight: expected float, got null"),
+     "{manifest}: params: penalty-weight: expected float, got null", "train"),
     # Both spellings of one parameter in one file: neither wins silently.
     ("config", {"learning-rate": 0.1, "learning_rate": 0.5},
-     "{config}: 'learning-rate' and 'learning_rate' name one parameter"),
+     "{config}: 'learning-rate' and 'learning_rate' name one parameter", "train"),
     ("manifest", {"learning-rate": 0.1, "learning_rate": 0.5},
-     "{manifest}: params: 'learning-rate' and 'learning_rate' name one parameter"),
+     "{manifest}: params: 'learning-rate' and 'learning_rate' name one parameter", "train"),
     # A training value out of its range.
-    ("env", {"FAIRCF_LEARNING_RATE": "0e01"}, "FAIRCF_LEARNING_RATE: learning_rate must be > 0"),
-    ("config", {"dim": -2}, "{config}: dim: latent dimension must be >= 1"),
+    ("env", {"FAIRCF_LEARNING_RATE": "0e01"}, "FAIRCF_LEARNING_RATE: learning_rate must be > 0",
+     "train"),
+    ("config", {"dim": -2}, "{config}: dim: latent dimension must be >= 1", "train"),
     ("manifest", {"penalty-weight": -1.0},
-     "{manifest}: params: penalty-weight: penalty_weight must be >= 0"),
+     "{manifest}: params: penalty-weight: penalty_weight must be >= 0", "train"),
+    # Any other value out of its range, checked by the class or rule that takes it.
+    ("env", {"FAIRCF_TRIALS": "1"}, "FAIRCF_TRIALS: at least 2 trials are needed for standard "
+     "errors", "experiment"),
+    ("flag", {"jobs": "0"}, "--jobs: jobs must be >= 1", "experiment"),
+    ("flag", {"test-fraction": "1.5"},
+     "--test-fraction: test_fraction must lie strictly between 0 and 1", "experiment"),
+    ("flag", {"users": "0"}, "--users: num_users and num_items must be positive", "experiment"),
+    ("flag", {"penalties": "none,none"}, "--penalties: duplicate penalty 'none'", "experiment"),
+    ("manifest", {"trials": 1},
+     "{manifest}: params: trials: at least 2 trials are needed for standard errors", "experiment"),
+    ("flag", {"seed": "-1"}, "--seed: seed must be non-negative", "train"),
+    ("flag", {"users": "0"}, "--users: num_users and num_items must be positive", "generate"),
+    ("config", {"users": 0}, "{config}: users: num_users and num_items must be positive",
+     "generate"),
+    ("flag", {"min-ratings": "0"}, "--min-ratings: min_ratings must be >= 1", "prepare-movielens"),
+    ("flag", {"genres": " , "}, "--genres: at least one genre is required", "prepare-movielens"),
 ])
 def test_a_bad_value_names_where_it_came_from(tmp_path, monkeypatch, capsys, origin, setting,
-                                              message):
+                                              message, command):
+    """A bad value is refused before the command reads any input (none of
+    those named here exists), naming where it came from; a flag, config file
+    or environment value exits 2, a manifest's exits 1."""
     config, manifest = tmp_path / "t.json", tmp_path / "manifest.json"
-    argv = ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+    params = {**REQUIRED[command], "out": "out"}
+    params = {name: str(tmp_path / value) if name in ("data", "ml-dir", "out") else value
+              for name, value in params.items()}
+    argv = [command] + [part for name, value in params.items() for part in (f"--{name}", value)]
     code = 2
     if origin == "env":
         for name, value in setting.items():
             monkeypatch.setenv(name, value)
+    elif origin == "flag":
+        argv += [part for name, value in setting.items() for part in (f"--{name}", value)]
     elif origin == "config":
         config.write_text(json.dumps(setting), encoding="utf-8")
         argv += ["--config", str(config)]
     else:
-        params = {"data": str(tmp_path / "data"), "out": str(tmp_path / "out"), **setting}
-        manifest.write_text(json.dumps({"command": "train", "params": params}), encoding="utf-8")
+        manifest.write_text(json.dumps({"command": command, "params": {**params, **setting}}),
+                            encoding="utf-8")
         argv, code = ["rerun", str(manifest)], 1
     assert main(argv) == code
     assert message.format(config=config, manifest=manifest) in capsys.readouterr().err
@@ -396,8 +463,8 @@ def test_fig1_checks_the_fields_it_records(tmp_path, capsys, flag, value, messag
     """fig1 trains penalty "none" alone and splits no archive, but its
     manifest records --penalties and --test-fraction, so it checks them."""
     assert main(["experiment", "--scenario", "fig1", flag, value,
-                 "--out", str(tmp_path / "fig1")]) == 1
-    assert capsys.readouterr().err == f"faircf experiment: {message}\n"
+                 "--out", str(tmp_path / "fig1")]) == 2
+    assert capsys.readouterr().err == f"faircf experiment: error: {flag}: {message}\n"
 
 
 def assert_jobs_write_the_serial_files(tmp_path, *flags):
@@ -614,7 +681,8 @@ def test_rerun_of_a_relative_manifest(tmp_path, monkeypatch, capsys):
     run_ok(["rerun", str(path), "--out", "redo"])          # from the recording directory
     monkeypatch.chdir(tmp_path / "elsewhere")
     assert main(["rerun", str(manifest), "--out", "redo"]) == 1
-    assert f"{manifest}: manifest input missing: " in capsys.readouterr().err
+    missing = tmp_path / "elsewhere" / "data" / "po" / "ratings.tsv"
+    assert f"faircf rerun: {manifest}: missing {missing}\n" == capsys.readouterr().err
 
 
 def test_rerun_of_a_relative_out_writes_beside_the_manifest(tmp_path, monkeypatch):

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from faircf.ingest import DEFAULT_MIN_RATINGS, filter_dataset, genre_stats, parse, split
+from faircf.ingest import (DEFAULT_MIN_RATINGS, FilteredDataset, filter_dataset, genre_stats,
+                           parse, split)
 from conftest import MINI_MOVIES, MINI_RATINGS, MINI_USERS, write_ml_corpus
 from oracles import entries
 
@@ -103,6 +104,24 @@ def test_a_filtered_dataset_holds_read_only_ids(mini_ml_dir):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(copy, name)[0] = 99
         assert copy.user_ids.tolist() == [1, 2, 3, 4] and copy.movie_ids.tolist() == [1, 2, 3, 5]
+
+
+def test_a_filtered_dataset_holds_its_movie_genres_as_tuples(mini_ml_dir):
+    """genre_stats counts a movie by them, so neither the field nor the lists
+    it was built from may change them later; a pickled copy keeps the tuples."""
+    data = filtered(mini_ml_dir)
+    stats = genre_stats(data).to_csv()
+    for copy in (data, pickle.loads(pickle.dumps(data))):
+        assert type(copy.movie_genres) is tuple
+        assert all(type(genres) is tuple for genres in copy.movie_genres)
+        with pytest.raises(TypeError):
+            copy.movie_genres[0] = ("Western",)
+    listed = [list(genres) for genres in data.movie_genres]
+    rebuilt = FilteredDataset(data.ratings, data.groups, listed, data.user_ids, data.movie_ids,
+                              data.genres)
+    listed[0][0] = listed[2][1] = "Western"
+    assert rebuilt.movie_genres == data.movie_genres
+    assert genre_stats(rebuilt).to_csv() == stats
 
 
 def test_filter_reindexes_ratings(mini_ml_dir):

@@ -117,6 +117,10 @@ CASES = {
     "filtered-ratings-list": (lambda: FilteredDataset([], GroupAssignment([True]), [], [1], [],
                                                       ("Action",)),
                               "ratings: expected RatingSet, got []"),
+    "filtered-genres-not-tuples": (lambda: FilteredDataset(two_users(), GroupAssignment([True, False]),
+                                                           ["Action", "Crime"], [1, 2], [1, 2],
+                                                           ("Action", "Crime")),
+                                   "movie_genres: expected tuple[tuple], got ['Action', 'Crime']"),
     "groups-str": (lambda: GroupAssignment(["0", "1"]),
                    "disadvantaged: expected booleans, got ['0', '1']"),
     "groups-float": (lambda: GroupAssignment(np.array([0.0, 1.0])),

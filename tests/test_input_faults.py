@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faircf.cli import main
-from faircf.data import read_groups, read_ratings
+from faircf.data import _read_lines, read_fields, read_groups, read_ratings
 from faircf.fairness import FairnessReport
 from faircf.model import ModelParams, load_params, predict, save_params
 from faircf.synthetic import builtin_specs, spec_to_json
@@ -130,6 +130,16 @@ def test_a_diverging_train_prints_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "objective became non-finite at iteration 0" in err[0]
+
+
+def test_a_diverging_train_names_its_rating_file(tmp_path, capsys):
+    # an infinite learning rate is in range, but its first update leaves no parameter finite
+    data = make_dataset(tmp_path)
+    assert main(["train", "--data", str(data), "--learning-rate", "inf",
+                 "--out", str(tmp_path / "model")]) == 1
+    assert (f"faircf train: {data / 'ratings.tsv'}: objective became non-finite at iteration 1 "
+            "(value nan; non-finite user_vectors, item_vectors, user_bias, item_bias)\n"
+            == capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("text", ["", "\n \t\n"])
@@ -346,7 +356,23 @@ MUTANTS = {
     "spec.json": ("generate --spec {w}/spec.json", ("{w}/spec.json",)),
 }
 DUPLICATE = None            # repeat the line that holds the position; b"" deletes a byte
-MUTATIONS = [b"\r", b"\0", b"\t", b":", b"e", b"9", b"-", b".", b"\xff", b"", DUPLICATE]
+MUTATIONS = [b"\r", b"\0", b"\t", b":", b"e", b"9", b"-", b".", b"\xff", b"", DUPLICATE,
+             b"::", b"1e400", b"12345678901234567890", b"1_0"]
+RATING_FIELDS = ("\t", (int, int, float), 0)
+# mutated file -> its read_fields arguments (separator, field kinds, skipped lines)
+READ_FIELDS = {"data/ratings.tsv": RATING_FIELDS, "data/expected.tsv": RATING_FIELDS,
+               "data/groups.tsv": ("\t", (int, str), 0), "model/model.txt": (" ", None, 1)}
+
+
+def assert_read_as_the_line_loop_reads(path, sep, kinds, skip):
+    """``read_fields`` gives the line numbers and values, bit for bit, of
+    ``_read_lines``, its line-by-line oracle; a model's kinds come from its header."""
+    if kinds is None:
+        kinds = (float,) * (int(path.read_text(encoding="utf-8").split(None, 3)[2]) + 1)
+    got, want = read_fields(path, sep, kinds, skip=skip), _read_lines(path, sep, kinds, "utf-8", skip)
+    assert got[0].tolist() == want[0].tolist()
+    for column, oracle in zip(got[1], want[1]):
+        assert column.dtype == oracle.dtype and repr(column.tolist()) == repr(oracle.tolist())
 
 
 def mutate(text, edits):
@@ -366,6 +392,7 @@ def mutate(text, edits):
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @example(target=ENV_NAME, edits=[(1, b"e")])                            # a rate of 0e01
+@example(target=ENV_NAME, edits=[(1, b"1e400")])                        # inf: training diverges
 @example(target="config.json", edits=[(29, b"-")])                      # "dim":-2
 @example(target="ml/movies.dat", edits=[(25, b"\xff"), (59, b"\t")])     # no user keeps 2 ratings
 @given(target=st.sampled_from(sorted(MUTANTS)),
@@ -376,7 +403,9 @@ def test_a_mutated_input_exits_0_1_or_2_with_one_stderr_line(mutation_base, targ
     ``prepare-movielens``, ``rerun`` or ``generate --spec``, or repeat one of
     its lines: the run raises nothing and exits 0, 1 or 2, and a failed run
     prints one stderr line that names its command and one of its inputs
-    (a file, or the FAIRCF_* variable).  An environment value holds no NUL."""
+    (a file, or the FAIRCF_* variable).  An environment value holds no NUL.
+    A mutated rating, group, model or target file that is accepted must be
+    read to the values the line loop reads."""
     line, inputs = MUTANTS[target]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -393,6 +422,8 @@ def test_a_mutated_input_exits_0_1_or_2_with_one_stderr_line(mutation_base, targ
         err = io.StringIO()
         with contextlib.redirect_stderr(err), mock.patch.dict(os.environ, environment):
             code = main(argv)
+        if code == 0 and target in READ_FIELDS:
+            assert_read_as_the_line_loop_reads(work / target, *READ_FIELDS[target])
     assert code in (0, 1, 2)
     if code:
         message = err.getvalue()
